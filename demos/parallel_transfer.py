@@ -10,7 +10,7 @@ TcpTransport and the same code runs over real sockets.
 
 import numpy as np
 
-from ptcp.striping import serve, send_transfer
+from ptcp.striping import Receiver, send_transfer
 from ptcp.transport import MemoryTransport
 from ptcp.wire import sha256
 
@@ -21,13 +21,16 @@ print(f"sending {len(payload)} bytes over 4 connections")
 transport = MemoryTransport()
 received = {}
 
-# The receiver serves one transfer on the main thread; the sender runs in
-# a transport-spawned worker, exactly as the per-chunk senders do.
+# The receiver listens before the sender connects, then serves one transfer
+# on the main thread; the sender runs in a transport-spawned worker, exactly
+# as the per-chunk senders do.
+receiver = Receiver(transport, sink=lambda tid, data: received.update(payload=data))
 sender = transport.spawn(
     lambda: received.update(report=send_transfer(payload, transport, 4)),
     name="sender",
 )
-result = serve(transport, sink=lambda tid, data: received.update(payload=data))
+result = receiver.serve_one()
+receiver.close()
 sender.join()
 
 report = received["report"]

@@ -16,7 +16,9 @@ import csv
 import threading
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -24,26 +26,16 @@ from .metrics import (
     FairnessReport,
     FlowTrace,
     fairness_report,
-    jain_fairness,
+    report_from_rates,
     steady_window,
     throughput_ratio,
 )
-from .simnet import FlowSpec, LinkConfig, parse_kv, run_scenario, scenario_from_keys
+from .simnet import FlowSpec, LinkConfig, run_scenario
 from .striping import Receiver, send_transfer
 from .transport import TcpTransport
 
 TRACE_BUCKET_WIDTH = 0.1
 BACKGROUND_HEAD_START = 1.0  # competitor is established before targeted flows start
-
-_EXPERIMENT_DEFAULTS = {
-    "mode": "sim",
-    "levels": "1,2,4,8,16",
-    "payload_bytes": str(4 * 1024 * 1024),
-    "repetitions": "3",
-    "host": "127.0.0.1",
-    "port": "0",
-    "out": "results",
-}
 
 
 @dataclass(frozen=True)
@@ -75,76 +67,104 @@ class LevelResult:
     traces: list[FlowTrace]
 
 
+# ---------------------------------------------------------------------------
+# Config files: flat key=value text, resolved through one key table
+# ---------------------------------------------------------------------------
+
+
+def parse_kv(text: str) -> dict[str, str]:
+    """Parse flat key=value lines; '#' starts a comment, blanks skipped."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"duplicate key {key}")
+        out[key] = value.strip()
+    return out
+
+
+def _levels(text: str) -> tuple[int, ...]:
+    return tuple(sorted(int(part) for part in text.split(",")))
+
+
+def _background_flows(text: str) -> int:
+    """``T+B``: T >= 1 targeted flows and B background flows.  The sweep in
+    ``levels`` decides the targeted count of each run, so only B is kept."""
+    targeted, background = (int(part) for part in text.split("+"))
+    if targeted < 1:
+        raise ValueError(f"no targeted flow in {text!r}")
+    return background
+
+
+class _Key(NamedTuple):
+    default: str
+    convert: Callable[[str], Any]  # raises ValueError on malformed text
+    field: str  # ExperimentConfig attribute; "link.<name>" for a LinkConfig one
+    valid: Callable[[Any], bool] = lambda value: True
+    rule: str = ""  # what ``valid`` demands, for the error message
+    show: Callable[[Any], str] = str  # meta.txt format
+
+
+_g = "{:g}".format
+
+_KEYS = {
+    "mode": _Key("sim", str, "mode", lambda v: v in ("sim", "sockets"), "'sim' or 'sockets'"),
+    "levels": _Key(
+        "1,2,4,8,16",
+        _levels,
+        "levels",
+        lambda v: v[0] >= 1 and len(set(v)) == len(v),
+        "distinct integers >= 1",
+        lambda v: ",".join(map(str, v)),
+    ),
+    "payload_bytes": _Key(str(4 * 1024 * 1024), int, "payload_size", lambda v: v >= 1, ">= 1"),
+    "repetitions": _Key("3", int, "repetitions", lambda v: v >= 1, ">= 1"),
+    "host": _Key("127.0.0.1", str, "host"),
+    "port": _Key("0", int, "port", lambda v: 0 <= v <= 65535, "in [0, 65535]"),
+    "out": _Key("results", str, "out_dir"),
+    "capacity_bps": _Key("10000000", float, "link.capacity", lambda v: v > 0, "> 0", _g),
+    "one_way_delay_s": _Key("0.05", float, "link.one_way_delay", lambda v: v >= 0, ">= 0", _g),
+    "queue_limit_pkts": _Key("50", int, "link.queue_limit", lambda v: v >= 1, ">= 1"),
+    "loss_prob": _Key("0.0", float, "link.loss_probability", lambda v: 0 <= v <= 1, "in [0, 1]", _g),
+    "mss_bytes": _Key("1500", int, "link.mss", lambda v: v >= 1, ">= 1"),
+    "seed": _Key("0", int, "link.seed"),
+    "duration_s": _Key("30.0", float, "duration", lambda v: v > 0, "> 0", _g),
+    "flows": _Key(
+        "1+1",
+        _background_flows,
+        "background_count",
+        lambda v: v >= 1,
+        "T+B with at least one background flow",
+        lambda v: f"sweep+{v}",
+    ),
+}
+
+
 def experiment_from_keys(kv: dict[str, str]) -> ExperimentConfig:
-    """Build a config from flat key=value pairs, consuming link keys first.
-
-    The targeted component of the ``flows`` key is ignored: the sweep in
-    ``levels`` decides how many targeted connections each run gets.
-    """
-    scenario = scenario_from_keys(kv)
-    if scenario.background_flows < 1:
-        raise ValueError(
-            "flows must include at least one background flow for experiments, "
-            f"got {scenario.background_flows}"
-        )
-
-    def take(key: str) -> str:
-        return kv.pop(key, _EXPERIMENT_DEFAULTS[key])
-
-    mode = take("mode")
-    if mode not in ("sim", "sockets"):
-        raise ValueError(f"mode must be 'sim' or 'sockets', got {mode!r}")
-
-    levels_text = take("levels")
-    try:
-        levels = tuple(int(part) for part in levels_text.split(","))
-    except ValueError:
-        raise ValueError(f"levels must be comma-separated integers, got {levels_text!r}") from None
-    if not levels or min(levels) < 1:
-        raise ValueError(f"levels must all be >= 1, got {levels_text!r}")
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"levels must be distinct, got {levels_text!r}")
-
-    payload_text = take("payload_bytes")
-    try:
-        payload_size = int(payload_text)
-    except ValueError:
-        raise ValueError(f"payload_bytes must be an integer, got {payload_text!r}") from None
-    if payload_size < 1:
-        raise ValueError(f"payload_bytes must be >= 1, got {payload_size}")
-
-    repetitions_text = take("repetitions")
-    try:
-        repetitions = int(repetitions_text)
-    except ValueError:
-        raise ValueError(f"repetitions must be an integer, got {repetitions_text!r}") from None
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-
-    host = take("host")
-    port_text = take("port")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"port must be an integer, got {port_text!r}") from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port must be in [0, 65535], got {port}")
-
-    out_dir = take("out")
-    if kv:
-        raise ValueError(f"unknown config key: {sorted(kv)[0]}")
-    return ExperimentConfig(
-        mode=mode,
-        levels=tuple(sorted(levels)),
-        payload_size=payload_size,
-        repetitions=repetitions,
-        link=scenario.link,
-        duration=scenario.duration,
-        background_count=scenario.background_flows,
-        host=host,
-        port=port,
-        out_dir=out_dir,
-    )
+    """Resolve flat key=value pairs against the key table; every error
+    names the offending key."""
+    unknown = sorted(kv.keys() - _KEYS.keys())
+    if unknown:
+        raise ValueError(f"unknown config key: {unknown[0]}")
+    fields: dict[str, Any] = {}
+    link: dict[str, Any] = {}
+    for key, spec in _KEYS.items():
+        raw = kv.get(key, spec.default)
+        try:
+            value = spec.convert(raw)
+        except ValueError:
+            raise ValueError(f"invalid value for {key}: {raw!r}") from None
+        if not spec.valid(value):
+            raise ValueError(f"{key} must be {spec.rule}, got {raw!r}")
+        owner, _, name = spec.field.rpartition(".")
+        (link if owner else fields)[name] = value
+    return ExperimentConfig(link=LinkConfig(**link), **fields)
 
 
 def parse_experiment(text: str) -> ExperimentConfig:
@@ -153,6 +173,13 @@ def parse_experiment(text: str) -> ExperimentConfig:
 
 def load_experiment(path) -> ExperimentConfig:
     return parse_experiment(Path(path).read_text())
+
+
+def _meta_text(config: ExperimentConfig) -> str:
+    """The resolved configuration, one sorted key=value line per key."""
+    lines = [(key, spec.show(attrgetter(spec.field)(config))) for key, spec in _KEYS.items()]
+    lines.append(("rng", "pcg64"))
+    return "".join(f"{key}={value}\n" for key, value in sorted(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +299,8 @@ def run_level_sockets(config: ExperimentConfig, n: int, rep: int) -> LevelResult
         role: result.total_size / max(result.wall_time, 1e-9)
         for role, result in received.items()
     }
-    total = sum(per_application.values())
     capacity_bytes = config.link.capacity / 8.0
-    report = FairnessReport(
-        per_flow_throughput=per_flow_rates,
-        flow_count=len(per_flow_rates),
-        fairness_index=jain_fairness(per_flow_rates),
-        per_application=per_application,
-        shares={role: rate / total for role, rate in per_application.items()},
-        utilization=total / capacity_bytes,
-    )
+    report = report_from_rates(per_flow_rates, per_application, capacity_bytes)
     targeted_rate = per_application["targeted"]
     background_rate = per_application["background"]
     ratio = throughput_ratio(targeted_rate, capacity_bytes)
@@ -314,28 +333,6 @@ def run_experiment(config: ExperimentConfig, *, write_traces: bool = False, log=
                 )
     write_outputs(config, results, write_traces=write_traces)
     return results
-
-
-def _meta_lines(config: ExperimentConfig) -> list[str]:
-    link = config.link
-    return [
-        f"capacity_bps={link.capacity:g}",
-        f"duration_s={config.duration:g}",
-        f"flows=sweep+{config.background_count}",
-        f"host={config.host}",
-        "levels=" + ",".join(str(n) for n in config.levels),
-        f"loss_prob={link.loss_probability:g}",
-        f"mode={config.mode}",
-        f"mss_bytes={link.mss}",
-        f"one_way_delay_s={link.one_way_delay:g}",
-        f"out={config.out_dir}",
-        f"payload_bytes={config.payload_size}",
-        f"port={config.port}",
-        f"queue_limit_pkts={link.queue_limit}",
-        f"repetitions={config.repetitions}",
-        "rng=pcg64",
-        f"seed={link.seed}",
-    ]
 
 
 def write_outputs(
@@ -378,7 +375,7 @@ def write_outputs(
     written.append(path)
 
     path = out / "meta.txt"
-    path.write_text("".join(line + "\n" for line in _meta_lines(config)))
+    path.write_text(_meta_text(config))
     written.append(path)
 
     if write_traces:

@@ -109,6 +109,22 @@ def steady_window(traces, discard: float = 0.2) -> tuple[float, float]:
     return (discard * extent, extent)
 
 
+def report_from_rates(
+    per_flow: list[float], per_application: dict[str, float], capacity: float | None = None
+) -> FairnessReport:
+    """Jain index over per-flow rates; shares and utilization from the
+    per-application rates (role -> bytes/second)."""
+    total = sum(per_application.values())
+    return FairnessReport(
+        per_flow_throughput=per_flow,
+        flow_count=len(per_flow),
+        fairness_index=jain_fairness(per_flow),
+        per_application=per_application,
+        shares={role: (rate / total if total > 0 else 0.0) for role, rate in per_application.items()},
+        utilization=(total / capacity if capacity else None),
+    )
+
+
 def fairness_report(
     traces,
     window: tuple[float, float] | None = None,
@@ -121,17 +137,7 @@ def fairness_report(
     if window is None:
         window = steady_window(traces)
     per_flow = [throughput(t, window) for t in traces]
-    index = jain_fairness(per_flow)
     per_app: dict[str, float] = {}
     for trace, rate in zip(traces, per_flow):
         per_app[trace.role] = per_app.get(trace.role, 0.0) + rate
-    total = sum(per_flow)
-    shares = {role: (agg / total if total > 0 else 0.0) for role, agg in per_app.items()}
-    return FairnessReport(
-        per_flow_throughput=per_flow,
-        flow_count=len(per_flow),
-        fairness_index=index,
-        per_application=per_app,
-        shares=shares,
-        utilization=(total / capacity if capacity else None),
-    )
+    return report_from_rates(per_flow, per_app, capacity)

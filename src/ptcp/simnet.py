@@ -11,8 +11,7 @@ Congestion control is plain AIMD: cwnd grows by 1/cwnd per new ack (one
 segment per RTT), halves on loss with at most one halving per base RTT,
 and never drops below one segment.  Loss is detected by a fixed
 retransmission timeout of twice the base RTT; there is no fast retransmit
-and no delayed acks.  Flows start at cwnd = 2 with slow start off unless
-asked for.
+and no delayed acks.  Flows start at cwnd = 2 and have no slow start.
 
 Event ordering is a binary heap keyed by (time, insertion sequence), so
 same-time events run in insertion order on every run.
@@ -102,7 +101,6 @@ class AimdFlow:
         start_time: float = 0.0,
         byte_limit: int | None = None,
         initial_cwnd: float = 2.0,
-        slow_start: bool = False,
         loss_at_cwnd: float | None = None,
     ):
         self.flow_id = flow_id
@@ -113,8 +111,6 @@ class AimdFlow:
         self.in_flight = 0
         self.next_seq = 0
         self.highest_acked = -1
-        self.slow_start = slow_start
-        self.ssthresh = math.inf
         self.loss_at_cwnd = loss_at_cwnd
         self.timeout_interval = 2.0 * link.rtt_base
         self.byte_limit = byte_limit
@@ -184,10 +180,7 @@ class AimdFlow:
             self.in_flight -= 1
             if seq > self.highest_acked:
                 self.highest_acked = seq
-            if self.slow_start and self.cwnd < self.ssthresh:
-                self.cwnd += 1.0
-            else:
-                self.cwnd += 1.0 / self.cwnd
+            self.cwnd += 1.0 / self.cwnd
             if self.loss_at_cwnd is not None and self.cwnd >= self.loss_at_cwnd:
                 self.on_loss(now)
         else:
@@ -218,8 +211,6 @@ class AimdFlow:
         """Multiplicative decrease, at most once per base RTT."""
         if now - self._last_halving < self.link.rtt_base:
             return False
-        if self.slow_start:
-            self.ssthresh = max(self.cwnd / 2.0, 1.0)
         self.cwnd = max(1.0, self.cwnd / 2.0)
         self._last_halving = now
         self._recovery_until = self.next_seq
@@ -274,7 +265,6 @@ class Network:
         self._service_scheduled = False
         self.drops = 0
         self.bernoulli_losses = 0
-        self.ack_losses = 0  # structurally zero: reverse path is lossless
         self.max_queue_len = 0
         self.event_log: list[EventRecord] | None = [] if record_events else None
 
@@ -288,11 +278,9 @@ class Network:
     def _schedule(self, t: float, kind: str, data) -> None:
         heapq.heappush(self._heap, (t, next(self._counter), kind, data))
 
-    def _log(self, kind: str, flow_id: str, seq: int) -> EventRecord:
-        record = EventRecord(self.now, kind, flow_id, seq)
+    def _log(self, kind: str, flow_id: str, seq: int) -> None:
         if self.event_log is not None:
-            self.event_log.append(record)
-        return record
+            self.event_log.append(EventRecord(self.now, kind, flow_id, seq))
 
     def pump(self, flow: AimdFlow) -> None:
         """Transmit as much as the flow's window allows right now."""
@@ -304,13 +292,14 @@ class Network:
             self._schedule(self.now, "arrival", (flow.flow_id, seq, tid))
             self._schedule(self.now + flow.timeout_interval, "timeout", (flow.flow_id, seq, tid))
 
-    def step(self) -> EventRecord | None:
-        """Execute one event; None when the queue is empty."""
+    def step(self) -> bool:
+        """Execute one event; False when the queue is empty."""
         if not self._heap:
-            return None
+            return False
         t, _, kind, data = heapq.heappop(self._heap)
         self.now = t
-        return self._execute(kind, data)
+        self._execute(kind, data)
+        return True
 
     def run_until(self, t: float) -> None:
         while self._heap and self._heap[0][0] <= t:
@@ -349,24 +338,21 @@ class Network:
 
     # -- event execution --
 
-    def _execute(self, kind: str, data) -> EventRecord:
+    def _execute(self, kind: str, data) -> None:
         if kind == "start":
-            flow = self.flows[data]
-            record = EventRecord(self.now, "start", data, -1)
-            self.pump(flow)
-            return record
-        if kind == "arrival":
+            self.pump(self.flows[data])
+        elif kind == "arrival":
             flow_id, seq, tid = data
             if len(self._queue) >= self.link.queue_limit:
                 self.drops += 1
-                return self._log("drop", flow_id, seq)
+                self._log("drop", flow_id, seq)
+                return
             self._queue.append(data)
             self.max_queue_len = max(self.max_queue_len, len(self._queue))
             if not self._service_scheduled:
                 self._service_scheduled = True
                 self._schedule(self.now + self.link.service_time, "service", None)
-            return EventRecord(self.now, "enqueue", flow_id, seq)
-        if kind == "service":
+        elif kind == "service":
             flow_id, seq, tid = self._queue.popleft()
             if self._queue:
                 self._schedule(self.now + self.link.service_time, "service", None)
@@ -374,36 +360,31 @@ class Network:
                 self._service_scheduled = False
             if self.link.loss_probability > 0.0 and self.rng.random() < self.link.loss_probability:
                 self.bernoulli_losses += 1
-                return self._log("loss", flow_id, seq)
+                self._log("loss", flow_id, seq)
+                return
             self._schedule(self.now + self.link.one_way_delay, "deliver", (flow_id, seq, tid))
-            return EventRecord(self.now, "service", flow_id, seq)
-        if kind == "deliver":
+        elif kind == "deliver":
             flow_id, seq, tid = data
-            flow = self.flows[flow_id]
-            fresh = flow.on_segment_arrival(seq, self.now)
-            record = self._log("deliver" if fresh else "dup", flow_id, seq)
+            fresh = self.flows[flow_id].on_segment_arrival(seq, self.now)
+            self._log("deliver" if fresh else "dup", flow_id, seq)
             # Per-segment ack on the lossless reverse path: delay, no queue.
             self._schedule(self.now + self.link.one_way_delay, "ack", (flow_id, seq))
-            return record
-        if kind == "ack":
+        elif kind == "ack":
             flow_id, seq = data
             flow = self.flows[flow_id]
             flow.on_ack(seq, self.now)
-            record = self._log("ack", flow_id, seq)
+            self._log("ack", flow_id, seq)
             self.pump(flow)
-            return record
-        if kind == "timeout":
+        elif kind == "timeout":
             flow_id, seq, tid = data
             flow = self.flows[flow_id]
             if flow.on_timeout(seq, tid, self.now):
-                record = self._log("timeout", flow_id, seq)
+                self._log("timeout", flow_id, seq)
                 self.pump(flow)
-                return record
-            return EventRecord(self.now, "stale-timer", flow_id, seq)
-        if kind == "call":
+        elif kind == "call":
             data()
-            return EventRecord(self.now, "call", "", -1)
-        raise AssertionError(f"unknown event kind {kind!r}")
+        else:
+            raise AssertionError(f"unknown event kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,108 +460,3 @@ def run_scenario(
             buckets[min(int(t / bucket_width), n_buckets - 1)] += nbytes
         traces.append(FlowTrace(spec.flow_id, spec.role, bucket_width, buckets))
     return traces
-
-
-# ---------------------------------------------------------------------------
-# Scenario config files: flat key=value text
-# ---------------------------------------------------------------------------
-
-_SCENARIO_DEFAULTS = {
-    "capacity_bps": "10000000",
-    "one_way_delay_s": "0.05",
-    "queue_limit_pkts": "50",
-    "loss_prob": "0.0",
-    "mss_bytes": "1500",
-    "seed": "0",
-    "duration_s": "30.0",
-    "flows": "1+1",
-}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    link: LinkConfig
-    duration: float
-    targeted_flows: int
-    background_flows: int
-
-
-def parse_kv(text: str) -> dict[str, str]:
-    """Parse flat key=value lines; '#' starts a comment, blanks skipped."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ValueError(f"duplicate key {key}")
-        out[key] = value.strip()
-    return out
-
-
-def _take(kv: dict[str, str], key: str, convert):
-    raw = kv.pop(key, _SCENARIO_DEFAULTS[key])
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ValueError(f"invalid value for {key}: {raw!r}") from None
-
-
-def _parse_flows(raw: str) -> tuple[int, int]:
-    if "+" not in raw:
-        raise ValueError()
-    left, right = raw.split("+", 1)
-    return int(left), int(right)
-
-
-def scenario_from_keys(kv: dict[str, str]) -> ScenarioConfig:
-    """Build a scenario from a key=value mapping, consuming the keys it
-    recognizes.  Leftover keys are the caller's to validate."""
-    capacity = _take(kv, "capacity_bps", float)
-    delay = _take(kv, "one_way_delay_s", float)
-    queue_limit = _take(kv, "queue_limit_pkts", int)
-    loss = _take(kv, "loss_prob", float)
-    mss = _take(kv, "mss_bytes", int)
-    seed = _take(kv, "seed", int)
-    duration = _take(kv, "duration_s", float)
-    targeted, background = _take(kv, "flows", _parse_flows)
-    if capacity <= 0:
-        raise ValueError(f"capacity_bps must be > 0, got {capacity}")
-    if delay < 0:
-        raise ValueError(f"one_way_delay_s must be >= 0, got {delay}")
-    if queue_limit < 1:
-        raise ValueError(f"queue_limit_pkts must be >= 1, got {queue_limit}")
-    if not 0.0 <= loss <= 1.0:
-        raise ValueError(f"loss_prob must be in [0,1], got {loss}")
-    if mss < 1:
-        raise ValueError(f"mss_bytes must be >= 1, got {mss}")
-    if duration <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration}")
-    if targeted < 1:
-        raise ValueError(f"flows must name at least one targeted flow, got {targeted}")
-    if background < 0:
-        raise ValueError(f"flows background count must be >= 0, got {background}")
-    link = LinkConfig(
-        capacity=capacity,
-        one_way_delay=delay,
-        queue_limit=queue_limit,
-        loss_probability=loss,
-        mss=mss,
-        seed=seed,
-    )
-    return ScenarioConfig(
-        link=link, duration=duration, targeted_flows=targeted, background_flows=background
-    )
-
-
-def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse a complete scenario config; unknown keys are errors."""
-    kv = parse_kv(text)
-    config = scenario_from_keys(kv)
-    if kv:
-        raise ValueError(f"unknown key {sorted(kv)[0]}")
-    return config

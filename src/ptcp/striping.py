@@ -26,6 +26,7 @@ from .wire import (
     Hello,
     ProtocolError,
     TransferManifest,
+    chunk_assignment,
     encode_frame,
     sha256,
 )
@@ -138,8 +139,9 @@ def send_transfer(
             for off in range(0, len(body), data_frame_bytes):
                 piece = body[off : off + data_frame_bytes]
                 stream.write_all(encode_frame(Data(chunk.index, off, piece)))
-            stream.write_all(encode_frame(Fin(chunk.index, sha256(body))))
-            _read_receipt(stream, chunk.index, sha256(body), receipt_timeout)
+            digest = sha256(body)
+            stream.write_all(encode_frame(Fin(chunk.index, digest)))
+            _read_receipt(stream, chunk.index, digest, receipt_timeout)
             stream.close()
             stats[index] = ConnectionStat(chunk.index, len(body), start, transport.now() - t0)
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
@@ -251,6 +253,12 @@ class _TransferMonitor:
                 raise ProtocolError(
                     f"chunk index {hello.chunk_index} out of range for {self.connection_count} connections"
                 )
+            expected = chunk_assignment(self.total_size, self.connection_count, hello.chunk_index)
+            if (hello.chunk_offset, hello.chunk_length) != (expected.offset, expected.length):
+                raise ProtocolError(
+                    f"chunk {hello.chunk_index} placed at ({hello.chunk_offset}, {hello.chunk_length}), "
+                    f"expected ({expected.offset}, {expected.length})"
+                )
             if self.total_size > self.buffer_cap:
                 raise ProtocolError(
                     f"transfer of {self.total_size} bytes exceeds receiver buffer cap {self.buffer_cap}"
@@ -281,7 +289,7 @@ class _TransferMonitor:
                 raise ProtocolError(
                     f"chunk {frame.chunk_index} FIN after {len(buf)} of {length} bytes"
                 )
-            if sha256(bytes(buf)) != frame.chunk_digest:
+            if sha256(buf) != frame.chunk_digest:
                 raise _CorruptChunk(frame.chunk_index)
             self.completed.add(frame.chunk_index)
             self.stats.append(ConnectionStat(frame.chunk_index, length, started, now))
@@ -409,9 +417,8 @@ class Receiver:
                         last = monitor.complete(
                             frame, started - monitor.started_at, now - monitor.started_at
                         )
-                        stream.write_all(
-                            encode_frame(Fin(chunk_index, sha256(bytes(monitor.chunks[chunk_index]))))
-                        )
+                        # complete() verified this digest against the buffered chunk.
+                        stream.write_all(encode_frame(Fin(chunk_index, frame.chunk_digest)))
                         stream.close()
                         if last:
                             self._finalize(monitor)

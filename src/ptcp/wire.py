@@ -80,14 +80,14 @@ def partition(total_size: int, connection_count: int) -> list[ChunkAssignment]:
         raise ValueError(f"connection_count must be >= 1, got {connection_count}")
     if total_size < 0:
         raise ValueError(f"total_size must be >= 0, got {total_size}")
+    return [chunk_assignment(total_size, connection_count, i) for i in range(connection_count)]
+
+
+def chunk_assignment(total_size: int, connection_count: int, index: int) -> ChunkAssignment:
+    """Entry ``index`` of ``partition(total_size, connection_count)``,
+    computed without building the list."""
     base, extra = divmod(total_size, connection_count)
-    chunks = []
-    offset = 0
-    for index in range(connection_count):
-        length = base + (1 if index < extra else 0)
-        chunks.append(ChunkAssignment(index, offset, length))
-        offset += length
-    return chunks
+    return ChunkAssignment(index, index * base + min(index, extra), base + (index < extra))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from ptcp.harness import (
     experiment_from_keys,
     load_experiment,
     parse_experiment,
+    parse_kv,
     run_experiment,
     run_level,
 )
@@ -44,6 +45,18 @@ def file_digests(paths):
 # ---------------------------------------------------------------------------
 
 
+def test_parse_kv_basics():
+    kv = parse_kv("a = 1\n# comment\n\nb=two # trailing\n")
+    assert kv == {"a": "1", "b": "two"}
+
+
+def test_parse_kv_rejects_duplicates_and_garbage():
+    with pytest.raises(ValueError, match="duplicate key a"):
+        parse_kv("a=1\na=2\n")
+    with pytest.raises(ValueError, match="expected key=value"):
+        parse_kv("not a pair\n")
+
+
 def test_defaults_resolve():
     config = experiment_from_keys({})
     assert config.mode == "sim"
@@ -54,7 +67,11 @@ def test_defaults_resolve():
     assert config.link.one_way_delay == 0.05
     assert config.link.queue_limit == 50
     assert config.link.mss == 1500
+    assert config.link.loss_probability == 0.0
+    assert config.link.seed == 0
     assert config.duration == 30.0
+    assert config.payload_size == 4 * 1024 * 1024
+    assert (config.host, config.port) == ("127.0.0.1", 0)
     assert config.out_dir == "results"
 
 
@@ -65,6 +82,28 @@ def test_config_full_parse():
     assert config.link.loss_probability == 0.01
     assert config.link.seed == 7
     assert config.duration == 8.0
+
+
+def test_link_keys_full_parse():
+    text = """
+    capacity_bps = 50000000
+    one_way_delay_s = 0.02
+    queue_limit_pkts = 80
+    loss_prob = 0.01
+    mss_bytes = 1200
+    seed = 42
+    duration_s = 12.5
+    flows = 4+2
+    """
+    config = parse_experiment(text)
+    assert config.link.capacity == 50_000_000
+    assert config.link.one_way_delay == 0.02
+    assert config.link.queue_limit == 80
+    assert config.link.loss_probability == 0.01
+    assert config.link.mss == 1200
+    assert config.link.seed == 42
+    assert config.duration == 12.5
+    assert config.background_count == 2
 
 
 @pytest.mark.parametrize(
@@ -81,6 +120,8 @@ def test_config_full_parse():
         ({"flows": "4+0"}, "flows"),
         ({"loss_prob": "1.5"}, "loss_prob"),
         ({"bandwidth": "fast"}, "bandwidth"),
+        ({"queue_limit_pkts": "zero"}, "queue_limit_pkts"),
+        ({"flows": "4"}, "flows"),
     ],
 )
 def test_config_errors_name_the_offending_key(overrides, key):
@@ -136,12 +177,24 @@ def test_fairness_csv_schema(sim_results):
 
 def test_meta_records_resolved_config(sim_results):
     config, results, out = sim_results
-    meta = dict(line.split("=", 1) for line in (out / "meta.txt").read_text().splitlines())
-    assert meta["mode"] == "sim"
-    assert meta["levels"] == "1,2"
-    assert meta["seed"] == "7"
-    assert meta["rng"] == "pcg64"
-    assert meta["capacity_bps"] == "1e+07"
+    assert (out / "meta.txt").read_text() == (
+        "capacity_bps=1e+07\n"
+        "duration_s=8\n"
+        "flows=sweep+1\n"
+        "host=127.0.0.1\n"
+        "levels=1,2\n"
+        "loss_prob=0.01\n"
+        "mode=sim\n"
+        "mss_bytes=1500\n"
+        "one_way_delay_s=0.05\n"
+        f"out={out}\n"
+        "payload_bytes=4194304\n"
+        "port=0\n"
+        "queue_limit_pkts=50\n"
+        "repetitions=2\n"
+        "rng=pcg64\n"
+        "seed=7\n"
+    )
 
 
 def test_trace_files_written(sim_results):

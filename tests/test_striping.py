@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -279,6 +280,27 @@ def test_buffer_cap_rejects_oversized_transfer():
     receiver.close()
     assert not result.ok
     assert "buffer cap" in result.reason
+
+
+@pytest.mark.parametrize(
+    ("offset", "length"),
+    [(0, 64 * 1024 * 1024), (0, 512)],
+    ids=["oversized-length", "wrong-offset"],
+)
+def test_hello_chunk_placement_must_match_partition(offset, length):
+    # A 1 KiB transfer over two streams: chunk 1 is (512, 512).  A HELLO
+    # claiming any other placement could otherwise buffer past buffer_cap.
+    manifest = TransferManifest.for_payload(b"h" * 1024, 2)
+    transport = MemoryTransport()
+    receiver = Receiver(transport, buffer_cap=1024 * 1024, idle_timeout=2.0)
+    stream = transport.connect()
+    hello = replace(_hello_for(manifest, manifest.chunks[1]), chunk_offset=offset, chunk_length=length)
+    stream.write_all(encode_frame(hello))
+    result = receiver.serve_one()
+    receiver.close()
+    assert not result.ok
+    assert "protocol-error" in result.reason
+    assert "placed" in result.reason
 
 
 def test_transfer_states_snapshot_during_stall():
