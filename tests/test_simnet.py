@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ptcp.harness import parse_experiment, sim_flow_specs
 from ptcp.metrics import steady_window, throughput
 from ptcp.simnet import (
     AimdFlow,
@@ -359,3 +360,18 @@ def test_synchronized_loss_matches_reduction_formula():
     pre1 = network1.flow_states()["solo"].cwnd
     network1.inject_loss()
     assert network1.flow_states()["solo"].cwnd == pre1 / 2
+
+
+def test_parse_scenario_defaults():
+    """An empty config gives the default simulated scenario: the link,
+    the duration, and one targeted plus one background flow at the
+    smallest level."""
+    config = parse_experiment("")
+    assert config.link.capacity == 10_000_000
+    assert config.link.one_way_delay == 0.05
+    assert config.link.queue_limit == 50
+    assert config.link.mss == 1500
+    assert config.duration == 30.0
+    specs = sim_flow_specs(config.levels[0], config.background_count)
+    roles = [spec.role for spec in specs]
+    assert (roles.count("targeted"), roles.count("background")) == (1, 1)
