@@ -9,7 +9,6 @@ decoder in awkward little pieces to show that framing never depends on
 read boundaries.
 """
 
-from ptcp.striping import assemble
 from ptcp.wire import (
     Data,
     Fin,
@@ -58,9 +57,7 @@ for i in range(0, len(stream_bytes), 7):
 print(f"decoded {len(decoded)} frames from 7-byte reads; residual {len(decoder.residual)} bytes")
 assert decoded == frames
 
-# Reassembly is a dict of verified chunks glued in index order.
-chunks = {
-    c.index: payload[c.offset : c.offset + c.length] for c in manifest.chunks
-}
-rebuilt = assemble(chunks, 3, manifest.total_size)
+# Chunks in index order rebuild the payload.  (The receiver writes each
+# DATA frame straight to its place in one buffer instead.)
+rebuilt = b"".join(payload[c.offset : c.offset + c.length] for c in manifest.chunks)
 print(f"reassembled digest matches: {sha256(rebuilt) == manifest.payload_digest}")

@@ -3,8 +3,8 @@ A striped transfer, end to end
 ==============================
 
 One sender splits a payload over four concurrent connections; the
-receiver's monitor tracks every chunk and reassembles once the last FIN
-verifies.  The in-memory transport keeps this self-contained -- swap in
+receiver writes every chunk in place into one buffer and hands it over
+once the last FIN verifies.  The in-memory transport keeps this self-contained -- swap in
 TcpTransport and the same code runs over real sockets.
 """
 

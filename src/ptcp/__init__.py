@@ -1,9 +1,10 @@
 """Parallel TCP striping with a deterministic bottleneck simulator.
 
 One application transfer is split across N concurrent connections, each
-carrying a contiguous, sequence-numbered chunk; the receiver reassembles
-and verifies the payload.  A discrete-event dumbbell simulation with AIMD
-flows, throughput/fairness metrics, and an experiment harness measure how
+carrying a contiguous, sequence-numbered chunk; the receiver writes each
+frame in place into one payload buffer and verifies the chunk and payload
+digests.  A discrete-event dumbbell simulation with AIMD flows,
+throughput/fairness metrics, and an experiment harness measure how
 parallelism trades against single-connection traffic on a shared
 bottleneck.
 """

@@ -261,7 +261,8 @@ class _StreamFlow(AimdFlow):
 
     def _on_new_seq(self, seq: int) -> None:
         take = min(self.link.mss, len(self._pending))
-        self._seg_data[seq] = bytes(self._pending[:take])
+        with memoryview(self._pending) as view:
+            self._seg_data[seq] = bytes(view[:take])
         del self._pending[:take]
         if self._closing and not self._pending and self._fin_seq is None:
             self._fin_seq = seq  # the last segment doubles as end-of-stream
@@ -363,9 +364,9 @@ class SimStream:
                     raise TimeoutError("read timed out")
             if not end.buf:
                 return b""
-            n = min(max_bytes, len(end.buf))
-            data = bytes(end.buf[:n])
-            del end.buf[:n]
+            with memoryview(end.buf) as view:
+                data = bytes(view[:max_bytes])
+            del end.buf[: len(data)]
             return data
 
     def write_all(self, data: bytes) -> None:

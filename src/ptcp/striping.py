@@ -7,16 +7,21 @@ the receiver's receipt (a FIN frame echoing the digest the receiver
 computed) so corruption is observable end to end.
 
 Receiver: an accept loop hands each new stream to a connection worker.
-Workers register with the per-transfer monitor on HELLO, buffer DATA, and
-signal completion on FIN once the chunk digest verifies.  When the last
-chunk completes the monitor gathers the chunks in index order, writes the
-payload to the sink, and verifies the payload digest.  A failure on any
-connection fails the whole transfer; there is no retry.
+Workers register with the per-transfer monitor on HELLO; the first valid
+HELLO allocates one buffer for the whole payload.  Each DATA frame is
+written in place at its chunk's offset and fed to that chunk's running
+digest, and FIN completes the chunk once that digest verifies.  When the
+last chunk completes, the payload digest is verified over the buffer and
+the buffer itself goes to the sink.  A failure on any connection fails the
+whole transfer; there is no retry, and late streams of a failed transfer
+are dropped.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from .wire import (
@@ -34,23 +39,7 @@ from .wire import (
 DEFAULT_DATA_FRAME_BYTES = 64 * 1024
 DEFAULT_IDLE_TIMEOUT = 30.0
 DEFAULT_BUFFER_CAP = 256 * 1024 * 1024
-
-
-class AssemblyError(Exception):
-    """Chunk set cannot be gathered into the final payload."""
-
-
-def assemble(chunks: dict[int, bytes], connection_count: int, total_size: int) -> bytes:
-    """Concatenate chunks in ascending index order into the final payload."""
-    parts = []
-    for index in range(connection_count):
-        if index not in chunks:
-            raise AssemblyError(f"missing chunk {index}")
-        parts.append(chunks[index])
-    payload = b"".join(parts)
-    if len(payload) != total_size:
-        raise AssemblyError(f"assembled {len(payload)} bytes, expected {total_size}")
-    return payload
+FAILED_IDS_KEPT = 64  # failed transfer ids remembered to turn away late streams
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +109,7 @@ def send_transfer(
     def worker(index: int):
         chunk = manifest.chunks[index]
         stream = streams[index]
-        body = payload[chunk.offset : chunk.offset + chunk.length]
+        body = memoryview(payload)[chunk.offset : chunk.offset + chunk.length]
         start = transport.now() - t0
         try:
             stream.write_all(
@@ -227,8 +216,11 @@ class _TransferMonitor:
         self.lock = threading.Lock()
         self.registered: set[int] = set()
         self.completed: set[int] = set()
-        self.chunks: dict[int, bytearray] = {}
+        self.buffer: bytearray | None = None  # whole payload; allocated by the first valid HELLO
         self.chunk_meta: dict[int, tuple[int, int]] = {}  # index -> (offset, length)
+        # Per chunk: bytes written so far and the running digest of them.
+        self.filled: dict[int, int] = {}
+        self.hashers: dict[int, hashlib._Hash] = {}
         self.stats: list[ConnectionStat] = []
         self.timeline: list[tuple[float, int, int]] = []
         self.failed: str | None = None
@@ -263,42 +255,62 @@ class _TransferMonitor:
                 raise ProtocolError(
                     f"transfer of {self.total_size} bytes exceeds receiver buffer cap {self.buffer_cap}"
                 )
+            if self.buffer is None:
+                self.buffer = bytearray(self.total_size)
             self.registered.add(hello.chunk_index)
-            self.chunks[hello.chunk_index] = bytearray()
             self.chunk_meta[hello.chunk_index] = (hello.chunk_offset, hello.chunk_length)
+            self.filled[hello.chunk_index] = 0
+            self.hashers[hello.chunk_index] = hashlib.sha256()
+
+    # data() and complete() run on the chunk's own worker only (register()
+    # rejects a second stream for a chunk), so its slice of the buffer, fill
+    # count and digest need no lock.
 
     def data(self, frame: Data, now: float) -> None:
+        index, size = frame.chunk_index, len(frame.payload)
+        offset, length = self.chunk_meta[index]
+        filled = self.filled[index]
+        if frame.offset_in_chunk != filled:
+            raise ProtocolError(f"chunk {index}: DATA offset {frame.offset_in_chunk}, expected {filled}")
+        if filled + size > length:
+            raise ProtocolError(f"chunk {index} overflows its declared length")
+        self.buffer[offset + filled : offset + filled + size] = frame.payload
+        self.hashers[index].update(frame.payload)
+        self.filled[index] = filled + size
         with self.lock:
-            buf = self.chunks[frame.chunk_index]
-            _, length = self.chunk_meta[frame.chunk_index]
-            if frame.offset_in_chunk != len(buf):
-                raise ProtocolError(
-                    f"chunk {frame.chunk_index}: DATA offset {frame.offset_in_chunk}, expected {len(buf)}"
-                )
-            if len(buf) + len(frame.payload) > length:
-                raise ProtocolError(f"chunk {frame.chunk_index} overflows its declared length")
-            buf.extend(frame.payload)
-            self.timeline.append((now, frame.chunk_index, len(frame.payload)))
+            self.timeline.append((now, index, size))
 
     def complete(self, frame: Fin, started: float, now: float) -> bool:
         """Verify and mark one chunk done; True when this was the last chunk."""
+        index = frame.chunk_index
+        _, length = self.chunk_meta[index]
+        if self.filled[index] != length:
+            raise ProtocolError(f"chunk {index} FIN after {self.filled[index]} of {length} bytes")
+        if self.hashers[index].digest() != frame.chunk_digest:
+            raise _CorruptChunk(index)
         with self.lock:
-            buf = self.chunks[frame.chunk_index]
-            _, length = self.chunk_meta[frame.chunk_index]
-            if len(buf) != length:
-                raise ProtocolError(
-                    f"chunk {frame.chunk_index} FIN after {len(buf)} of {length} bytes"
-                )
-            if sha256(buf) != frame.chunk_digest:
-                raise _CorruptChunk(frame.chunk_index)
-            self.completed.add(frame.chunk_index)
-            self.stats.append(ConnectionStat(frame.chunk_index, length, started, now))
+            self.completed.add(index)
+            self.stats.append(ConnectionStat(index, length, started, now))
             return len(self.completed) == self.connection_count
 
-    def fail(self, reason: str) -> None:
+    def fail(self, reason: str) -> bool:
+        """Record the first failure; True if this call was it."""
         with self.lock:
-            if self.failed is None:
+            first = self.failed is None
+            if first:
                 self.failed = reason
+            return first
+
+    def result(self, reason: str | None, now: float) -> ReceivedTransfer:
+        return ReceivedTransfer(
+            transfer_id=self.transfer_id,
+            ok=reason is None,
+            reason=reason,
+            total_size=self.total_size,
+            wall_time=now - self.started_at,
+            per_connection=sorted(self.stats, key=lambda s: s.chunk_index),
+            timeline=list(self.timeline),
+        )
 
     def snapshot(self) -> ReceiverState:
         with self.lock:
@@ -322,7 +334,9 @@ class Receiver:
 
     Supports concurrent transfers with distinct transfer ids on one
     listener.  ``serve_one`` blocks until the next transfer finalizes
-    (success or failure) and returns its result.
+    (success or failure) and returns its result.  On success the sink is
+    called as ``sink(transfer_id, payload)`` with the receive buffer itself,
+    a ``bytearray`` the sink may keep; it is not copied into ``bytes``.
     """
 
     def __init__(
@@ -340,6 +354,7 @@ class Receiver:
         self._listener = transport.listen()
         self._monitors: dict[bytes, _TransferMonitor] = {}
         self._monitors_lock = threading.Lock()
+        self._failed_ids: deque[bytes] = deque(maxlen=FAILED_IDS_KEPT)
         self._completions = transport.channel()
         self._acceptor = transport.spawn(self._accept_loop, name="recv-accept")
 
@@ -368,8 +383,11 @@ class Receiver:
                 return
             self._transport.spawn(lambda s=stream: self._connection_worker(s), name="recv-conn")
 
-    def _monitor_for(self, hello: Hello, now: float) -> _TransferMonitor:
+    def _monitor_for(self, hello: Hello, now: float) -> _TransferMonitor | None:
+        """The transfer's monitor, made on its first HELLO; None once it failed."""
         with self._monitors_lock:
+            if hello.transfer_id in self._failed_ids:
+                return None
             monitor = self._monitors.get(hello.transfer_id)
             if monitor is None:
                 monitor = _TransferMonitor(hello, now, self._buffer_cap)
@@ -396,6 +414,9 @@ class Receiver:
                             raise ProtocolError("second HELLO on one stream")
                         started = self._transport.now()
                         monitor = self._monitor_for(frame, started)
+                        if monitor is None:
+                            stream.abort()
+                            return
                         chunk_index = frame.chunk_index
                         monitor.register(frame)
                     elif isinstance(frame, Data):
@@ -446,70 +467,24 @@ class Receiver:
                 ReceivedTransfer(None, False, reason, 0, 0.0, [], [])
             )
             return
-        first = monitor.failed is None
-        monitor.fail(reason)
-        if first:
-            self._forget(monitor)
-            self._completions.put(
-                ReceivedTransfer(
-                    transfer_id=monitor.transfer_id,
-                    ok=False,
-                    reason=reason,
-                    total_size=monitor.total_size,
-                    wall_time=self._transport.now() - monitor.started_at,
-                    per_connection=list(monitor.stats),
-                    timeline=list(monitor.timeline),
-                )
-            )
+        if monitor.fail(reason):
+            with self._monitors_lock:
+                self._monitors.pop(monitor.transfer_id, None)
+                self._failed_ids.append(monitor.transfer_id)
+            self._completions.put(monitor.result(reason, self._transport.now()))
 
     def _finalize(self, monitor: _TransferMonitor) -> None:
         if monitor.finalized:
             return
         monitor.finalized = True
-        self._forget(monitor)
-        try:
-            payload = assemble(
-                {i: bytes(b) for i, b in monitor.chunks.items()},
-                monitor.connection_count,
-                monitor.total_size,
-            )
-        except AssemblyError as exc:
-            self._emit_failure(monitor, f"assembly-error: {exc}")
+        if sha256(monitor.buffer) != monitor.payload_digest:
+            self._fail_transfer(monitor, "corrupt-payload: digest mismatch")
             return
-        if sha256(payload) != monitor.payload_digest:
-            self._emit_failure(monitor, "corrupt-payload: digest mismatch")
-            return
-        if self._sink is not None:
-            self._sink(monitor.transfer_id, payload)
-        self._completions.put(
-            ReceivedTransfer(
-                transfer_id=monitor.transfer_id,
-                ok=True,
-                reason=None,
-                total_size=monitor.total_size,
-                wall_time=self._transport.now() - monitor.started_at,
-                per_connection=sorted(monitor.stats, key=lambda s: s.chunk_index),
-                timeline=list(monitor.timeline),
-            )
-        )
-
-    def _emit_failure(self, monitor: _TransferMonitor, reason: str) -> None:
-        monitor.fail(reason)
-        self._completions.put(
-            ReceivedTransfer(
-                transfer_id=monitor.transfer_id,
-                ok=False,
-                reason=reason,
-                total_size=monitor.total_size,
-                wall_time=self._transport.now() - monitor.started_at,
-                per_connection=list(monitor.stats),
-                timeline=list(monitor.timeline),
-            )
-        )
-
-    def _forget(self, monitor: _TransferMonitor) -> None:
         with self._monitors_lock:
             self._monitors.pop(monitor.transfer_id, None)
+        if self._sink is not None:
+            self._sink(monitor.transfer_id, monitor.buffer)
+        self._completions.put(monitor.result(None, self._transport.now()))
 
 
 def serve(transport, sink=None, **options) -> ReceivedTransfer:

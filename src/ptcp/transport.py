@@ -105,9 +105,13 @@ class TcpStream:
 class TcpListener:
     def __init__(self, host: str, port: int, backlog: int = 64):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(backlog)
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen(backlog)
+        except OSError:
+            self._sock.close()
+            raise
 
     @property
     def address(self) -> tuple[str, int]:
@@ -170,7 +174,8 @@ class MemoryStream:
                 self._rx.cv.wait(remaining)
             if not self._rx.buf:
                 return b""
-            data = bytes(self._rx.buf[:max_bytes])
+            with memoryview(self._rx.buf) as view:
+                data = bytes(view[:max_bytes])
             del self._rx.buf[: len(data)]
             return data
 

@@ -195,8 +195,8 @@ def encode_frame(frame: Frame) -> bytes:
             raise ValueError("DATA payload must be non-empty")
         if len(frame.payload) > MAX_DATA_PAYLOAD:
             raise ValueError(f"DATA payload {len(frame.payload)} exceeds {MAX_DATA_PAYLOAD}")
-        body = _DATA_HEAD.pack(frame.chunk_index, frame.offset_in_chunk, len(frame.payload))
-        body += frame.payload
+        head = _DATA_HEAD.pack(frame.chunk_index, frame.offset_in_chunk, len(frame.payload))
+        return b"".join((header, head, frame.payload))
     elif isinstance(frame, Fin):
         if len(frame.chunk_digest) != DIGEST_SIZE:
             raise ValueError("chunk_digest must be 32 bytes")
@@ -261,7 +261,8 @@ class FrameDecoder:
             end = pos + _DATA_HEAD.size + plen
             if len(buf) < end:
                 return None, 0
-            payload = bytes(buf[pos + _DATA_HEAD.size : end])
+            with memoryview(buf) as view:  # released before feed() trims the buffer
+                payload = bytes(view[pos + _DATA_HEAD.size : end])
             return Data(idx, off, payload), end
         if kind == FrameKind.FIN:
             if len(buf) < pos + _FIN_BODY.size:

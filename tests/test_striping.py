@@ -1,18 +1,16 @@
 """End-to-end striped transfers plus the failure paths of the receiver."""
 
 import random
+import sys
 import time
 from dataclasses import replace
 
 import pytest
 
-from ptcp.striping import (
-    AssemblyError,
-    Receiver,
-    assemble,
-    send_transfer,
-    serve,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptcp.striping import Receiver, send_transfer, serve
 from ptcp.transport import MemoryTransport, TcpTransport
 from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
 
@@ -391,12 +389,77 @@ def test_striping_over_tcp_loopback():
     assert store[report.transfer_id] == payload
 
 
-def test_assemble_happy_and_errors():
-    assert assemble({0: b"ab", 1: b"cd"}, 2, 4) == b"abcd"
-    with pytest.raises(AssemblyError, match="missing chunk 1"):
-        assemble({0: b"ab"}, 2, 4)
-    with pytest.raises(AssemblyError, match="expected 5"):
-        assemble({0: b"ab", 1: b"cd"}, 2, 5)
+def test_late_stream_of_failed_transfer_is_turned_away():
+    # Chunk 0 fails the transfer with a short FIN.  A chunk-1 stream that
+    # arrives afterwards must be aborted without a new monitor (which would
+    # hold a payload-sized buffer) and without a second completion.
+    payload = b"L" * 1000
+    manifest = TransferManifest.for_payload(payload, 2)
+    transport = MemoryTransport()
+    receiver = Receiver(transport, idle_timeout=0.6)
+    s0 = transport.connect()
+    s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+    s0.write_all(encode_frame(Fin(0, sha256(b""))))
+    failed = receiver.serve_one()
+    assert not failed.ok and "FIN after 0 of 500" in failed.reason
+
+    s1 = transport.connect()
+    s1.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
+    s1.write_all(encode_frame(Data(1, 0, payload[500:600])))
+    assert s1.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
+    assert receiver.transfer_states() == []
+
+    # Past the idle timeout a zombie would have queued its own failure
+    # ahead of this transfer's completion.
+    time.sleep(0.8)
+    report = send_transfer(payload, transport, 2)
+    result = receiver.serve_one()
+    receiver.close()
+    assert report.ok and result.ok
+    assert result.transfer_id == report.transfer_id
+
+
+def test_many_workers_under_fast_thread_switching():
+    # More workers than cores, switching threads every microsecond: the
+    # per-chunk writes and digests run outside the monitor lock and must
+    # still land every byte in its place.
+    payload = random.Random(5).randbytes(512 * 1024)
+    transport = MemoryTransport()
+    store = {}
+    receiver = Receiver(transport, collect_sink(store), idle_timeout=20.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = send_transfer(payload, transport, 16, data_frame_bytes=1024)
+        result = receiver.serve_one()
+    finally:
+        sys.setswitchinterval(interval)
+        receiver.close()
+    assert report.ok, report.failure_reason
+    assert result.ok, result.reason
+    assert store[report.transfer_id] == payload
+    assert sum(size for _, _, size in result.timeline) == len(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size=st.integers(0, 300_000),
+    connections=st.integers(1, 8),
+    frame_bytes=st.integers(512, 64 * 1024),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_any_size_connections_and_frame_size(size, connections, frame_bytes, seed):
+    # Covers n > size (empty chunks) and frames that split chunks unevenly.
+    payload = random.Random(seed).randbytes(size)
+    transport = MemoryTransport()
+    store = {}
+    receiver = Receiver(transport, collect_sink(store), idle_timeout=10.0)
+    report = send_transfer(payload, transport, connections, data_frame_bytes=frame_bytes)
+    result = receiver.serve_one()
+    receiver.close()
+    assert report.ok, report.failure_reason
+    assert result.ok, result.reason
+    assert store[report.transfer_id] == payload
 
 
 def test_connection_count_validation():

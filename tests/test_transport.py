@@ -1,5 +1,8 @@
 """Transport seam: in-memory pipes and TCP loopback behave alike."""
 
+import gc
+import warnings
+
 import pytest
 
 from ptcp.transport import MemoryTransport, TcpTransport
@@ -132,3 +135,22 @@ def test_now_is_monotonic():
     a = transport.now()
     b = transport.now()
     assert b >= a
+
+
+def test_tcp_listen_failure_closes_its_socket():
+    taken = TcpTransport("127.0.0.1", 0)
+    listener = taken.listen()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                TcpTransport("127.0.0.1", taken.port).listen()
+            except OSError:
+                pass
+            else:
+                pytest.fail("second listener bound a port already in use")
+            gc.collect()
+    finally:
+        listener.close()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == [], [str(w.message) for w in leaks]
