@@ -1,15 +1,18 @@
 """Blocking stream transport backed by the simulated network.
 
 The simulator is strictly single-threaded, but the transfer code is written
-against blocking streams.  SimHub marries the two with a token scheduler:
-tasks run on OS threads, yet exactly one thread is ever runnable — either
-the scheduler (which steps the network) or the single task holding the
-token.  A task that would block (empty read buffer, full send buffer,
-accept with nothing pending, join, sleep) parks: it returns the token to
-the scheduler and waits to be made ready again by a network event or a
-virtual timer.  The network only steps when no task is ready, so the
-interleaving is a pure function of the simulation and wall-clock thread
-scheduling cannot leak in.
+against blocking streams.  SimHub marries the two with a token: tasks run on
+OS threads, yet only the thread holding the token ever runs.  A task that
+would block (empty read buffer, full send buffer, accept with nothing
+pending, join, sleep) parks, and while it still holds the token it picks
+who runs next: the first ready task, else it steps the network until an
+event or a virtual timer makes some task ready.  When that is the parking
+task itself it carries on at once; otherwise it releases the chosen task's
+own baton and blocks on its own.  The thread inside ``run()`` has a baton
+too and gets the token back when the tasks are done, the clock reaches
+``until``, the network fails or the tasks deadlock.  The network only
+steps when no task is ready, so the interleaving is a pure function of the
+simulation and wall-clock thread scheduling cannot leak in.
 
 Each connection is one AIMD flow through the bottleneck carrying the
 connect-side byte stream as MSS-sized segments (the final partial segment
@@ -29,7 +32,13 @@ from .simnet import AimdFlow, LinkConfig, Network
 READ_CHUNK = 64 * 1024
 SEND_BUFFER_CAP = 256 * 1024
 
-_SCHEDULER = object()  # token owner when no task runs
+
+def _baton() -> threading.Lock:
+    """A held lock: its owner blocks on acquire until another thread
+    releases it to pass the token."""
+    baton = threading.Lock()
+    baton.acquire()
+    return baton
 
 
 class _WaitPoint:
@@ -41,12 +50,22 @@ class _WaitPoint:
         self.waiters: list[_Task] = []
 
 
+class _Runner:
+    """The thread inside ``run()``: the token's owner when no task runs."""
+
+    __slots__ = ("baton",)
+
+    def __init__(self):
+        self.baton = _baton()
+
+
 class _Task:
     def __init__(self, hub, fn, name, daemon):
         self.hub = hub
         self.fn = fn
         self.name = name
         self.daemon = daemon
+        self.baton = _baton()
         self.parked = False
         self.queued = False
         self.park_gen = 0
@@ -58,20 +77,18 @@ class _Task:
 
     def _body(self):
         hub = self.hub
-        with hub._cond:
-            while hub._current is not self:
-                hub._cond.wait()
-            self.parked = False
+        self.baton.acquire()
+        self.parked = False
         try:
             self.fn()
         except BaseException as exc:  # noqa: BLE001 - surfaced at join/run
             self.error = exc
-        with hub._cond:
+        with hub._lock:
             self.finished = True
             hub._notify_locked(self.done)
             hub._live.discard(self)
-            hub._current = _SCHEDULER
-            hub._cond.notify_all()
+            successor = hub._pick_locked()
+        successor.baton.release()
 
 
 class SimTaskHandle:
@@ -83,7 +100,7 @@ class SimTaskHandle:
 
     def join(self, timeout: float | None = None) -> None:
         hub, task = self._hub, self._task
-        with hub._cond:
+        with hub._lock:
             deadline = None if timeout is None else hub.network.now + timeout
             while not task.finished:
                 if not hub._wait_on_locked(task.done, deadline):
@@ -97,55 +114,56 @@ class SimTaskHandle:
 
 
 class SimHub:
-    """Token scheduler tying blocking tasks to the event loop."""
+    """Token scheduler tying blocking tasks to the event loop.
+
+    Whichever thread holds the token steps the network when no task is
+    ready; each task, and the ``run()`` caller, waits for the token on its
+    own baton, so a hand-off wakes exactly the thread that runs next.
+    """
 
     def __init__(self, network: Network):
         self.network = network
-        self._cond = threading.Condition()
-        self._current = _SCHEDULER
+        self._lock = threading.Lock()
+        self._runner = _Runner()
+        self._current: _Task | _Runner = self._runner
         self._ready: deque[_Task] = deque()
         self._live: set[_Task] = set()  # unfinished non-daemon tasks
         self._tasks: list[_Task] = []
         self._task_counter = 0
+        self._until: float | None = None
+        self._failure: BaseException | None = None  # for the run() caller
 
     # -- task management --
 
     def spawn(self, fn, name: str | None = None, daemon: bool = False) -> SimTaskHandle:
-        with self._cond:
+        with self._lock:
             self._task_counter += 1
             task = _Task(self, fn, name or f"task-{self._task_counter}", daemon)
             if not daemon:
                 self._live.add(task)
                 self._tasks.append(task)
-            task.parked = True  # starts parked; the scheduler hands it the token
+            task.parked = True  # starts parked; a token holder picks it
             task.queued = True
             self._ready.append(task)
             task.thread.start()
             return SimTaskHandle(self, task)
 
     def run(self, until: float | None = None) -> None:
-        """Drive tasks and network from the calling thread until every
-        non-daemon task finished, or virtual time reaches ``until``."""
-        with self._cond:
-            if self._current is not _SCHEDULER:
+        """Drive tasks and network until every non-daemon task finished, or
+        virtual time reaches ``until``.  Errors of the network (a failing
+        ``schedule_call`` callback, a deadlock) and unjoined task errors
+        are raised here."""
+        runner = self._runner
+        with self._lock:
+            if self._current is not runner:
                 raise RuntimeError("run() re-entered from inside a task")
-            while True:
-                if self._ready:
-                    self._run_task_locked(self._ready.popleft())
-                    continue
-                if not self._live:
-                    break
-                if until is not None and self.network.now >= until:
-                    break
-                heap = self.network._heap
-                if heap:
-                    if until is not None and heap[0][0] > until:
-                        self.network.now = until
-                        break
-                    self.network.step()
-                    continue
-                parked = ", ".join(sorted(t.name for t in self._live))
-                raise RuntimeError(f"deadlock: tasks parked with no pending events: {parked}")
+            self._until = until
+            successor = self._pick_locked()
+            if successor is not runner:
+                self._switch_locked(successor, runner.baton)
+            failure, self._failure = self._failure, None
+            if failure is not None:
+                raise failure
             for task in self._tasks:
                 if task.finished and task.error is not None and not task.error_seen:
                     task.error_seen = True
@@ -157,25 +175,60 @@ class SimHub:
     def sleep(self, seconds: float) -> None:
         """Park the calling task for ``seconds`` of virtual time."""
         point = _WaitPoint()
-        with self._cond:
+        with self._lock:
             self._wait_on_locked(point, self.network.now + seconds)
 
-    # -- internals (all assume self._cond is held) --
+    # -- internals (all assume self._lock is held) --
 
-    def _run_task_locked(self, task: _Task) -> None:
-        task.queued = False
-        self._current = task
-        self._cond.notify_all()
-        while self._current is not _SCHEDULER:
-            self._cond.wait()
+    def _pick_locked(self) -> _Task | _Runner:
+        """Choose the next token holder and make it current: the first ready
+        task, else the network steps until one is ready.  The runner gets
+        the token when nothing is left to run, at ``until``, and on a
+        network error or deadlock, which it raises from ``run()``."""
+        runner = self._runner
+        self._current = runner  # network callbacks run outside any task
+        network = self.network
+        until = self._until
+        while True:
+            if self._ready:
+                task = self._ready.popleft()
+                task.queued = False
+                self._current = task
+                return task
+            if not self._live:
+                return runner
+            if until is not None and network.now >= until:
+                return runner
+            heap = network._heap
+            if not heap:
+                parked = ", ".join(sorted(t.name for t in self._live))
+                self._failure = RuntimeError(f"deadlock: tasks parked with no pending events: {parked}")
+                return runner
+            if until is not None and heap[0][0] > until:
+                network.now = until
+                return runner
+            try:
+                network.step()
+            except BaseException as exc:  # noqa: BLE001 - raised by run()
+                self._failure = exc
+                return runner
+
+    def _switch_locked(self, successor: _Task | _Runner, baton: threading.Lock) -> None:
+        """Pass the token to ``successor``, then block until ``baton`` is
+        released; the hub lock is dropped while blocked."""
+        self._lock.release()
+        try:
+            successor.baton.release()
+            baton.acquire()
+        finally:
+            self._lock.acquire()
 
     def _park_locked(self, task: _Task) -> None:
         task.park_gen += 1
         task.parked = True
-        self._current = _SCHEDULER
-        self._cond.notify_all()
-        while self._current is not task:
-            self._cond.wait()
+        successor = self._pick_locked()
+        if successor is not task:
+            self._switch_locked(successor, task.baton)
         task.parked = False
 
     def _unpark_locked(self, task: _Task) -> None:
@@ -191,7 +244,7 @@ class SimHub:
     def _wait_on_locked(self, point: _WaitPoint, deadline: float | None = None) -> bool:
         """Park the current task on ``point``.  False if a timer woke it."""
         task = self._current
-        if task is _SCHEDULER:
+        if task is self._runner:
             raise RuntimeError("blocking operation outside a sim task")
         if deadline is not None:
             if self.network.now >= deadline:
@@ -220,13 +273,13 @@ class SimChannel:
         self._readable = _WaitPoint()
 
     def put(self, item) -> None:
-        with self._hub._cond:
+        with self._hub._lock:
             self._items.append(item)
             self._hub._notify_locked(self._readable)
 
     def get(self, timeout: float | None = None):
         hub = self._hub
-        with hub._cond:
+        with hub._lock:
             deadline = None if timeout is None else hub.network.now + timeout
             while not self._items:
                 if not hub._wait_on_locked(self._readable, deadline):
@@ -357,7 +410,7 @@ class SimStream:
     def read_some(self, max_bytes: int = READ_CHUNK, timeout: float | None = None) -> bytes:
         hub = self._conn.hub
         end = self._read_end
-        with hub._cond:
+        with hub._lock:
             deadline = None if timeout is None else hub.network.now + timeout
             while not end.buf and not end.eof:
                 if not hub._wait_on_locked(end.readable, deadline):
@@ -371,7 +424,7 @@ class SimStream:
 
     def write_all(self, data: bytes) -> None:
         conn = self._conn
-        with conn.hub._cond:
+        with conn.hub._lock:
             if self._write_closed:
                 raise ConnectionError("stream closed for writing")
             if self._is_client:
@@ -381,7 +434,7 @@ class SimStream:
 
     def close(self) -> None:
         conn = self._conn
-        with conn.hub._cond:
+        with conn.hub._lock:
             if self._write_closed:
                 return
             self._write_closed = True
@@ -393,7 +446,7 @@ class SimStream:
     def abort(self) -> None:
         """Hard stop: drop unsent bytes, end both directions."""
         conn = self._conn
-        with conn.hub._cond:
+        with conn.hub._lock:
             if not self._write_closed:
                 self._write_closed = True
                 if self._is_client:
@@ -417,7 +470,7 @@ class SimListener:
 
     def accept(self) -> SimStream:
         hub = self._hub
-        with hub._cond:
+        with hub._lock:
             while not self._pending:
                 if self.closed:
                     raise ConnectionError("listener closed")
@@ -425,7 +478,7 @@ class SimListener:
             return self._pending.popleft()
 
     def close(self) -> None:
-        with self._hub._cond:
+        with self._hub._lock:
             self.closed = True
             self._hub._notify_locked(self._readable)
 
@@ -449,7 +502,7 @@ class SimTransport:
 
     def connect(self) -> SimStream:
         hub = self._hub
-        with hub._cond:
+        with hub._lock:
             listener = self._listener
             if listener is None or listener.closed:
                 raise ConnectionRefusedError("nothing is listening")
@@ -481,7 +534,7 @@ class SimTransport:
         return self._hub.network.link
 
     def listen(self) -> SimListener:
-        with self._hub._cond:
+        with self._hub._lock:
             if self._listener is not None and not self._listener.closed:
                 raise OSError("endpoint already has a listener")
             self._listener = SimListener(self._hub)

@@ -39,7 +39,7 @@ from .wire import (
 DEFAULT_DATA_FRAME_BYTES = 64 * 1024
 DEFAULT_IDLE_TIMEOUT = 30.0
 DEFAULT_BUFFER_CAP = 256 * 1024 * 1024
-FAILED_IDS_KEPT = 64  # failed transfer ids remembered to turn away late streams
+FINISHED_IDS_KEPT = 64  # finished transfer ids remembered to turn away late streams
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ class Receiver:
         self._listener = transport.listen()
         self._monitors: dict[bytes, _TransferMonitor] = {}
         self._monitors_lock = threading.Lock()
-        self._failed_ids: deque[bytes] = deque(maxlen=FAILED_IDS_KEPT)
+        self._finished_ids: deque[bytes] = deque(maxlen=FINISHED_IDS_KEPT)
         self._completions = transport.channel()
         self._acceptor = transport.spawn(self._accept_loop, name="recv-accept")
 
@@ -384,9 +384,10 @@ class Receiver:
             self._transport.spawn(lambda s=stream: self._connection_worker(s), name="recv-conn")
 
     def _monitor_for(self, hello: Hello, now: float) -> _TransferMonitor | None:
-        """The transfer's monitor, made on its first HELLO; None once it failed."""
+        """The transfer's monitor, made on its first HELLO; None once it
+        finished, whether it failed or succeeded."""
         with self._monitors_lock:
-            if hello.transfer_id in self._failed_ids:
+            if hello.transfer_id in self._finished_ids:
                 return None
             monitor = self._monitors.get(hello.transfer_id)
             if monitor is None:
@@ -470,7 +471,7 @@ class Receiver:
         if monitor.fail(reason):
             with self._monitors_lock:
                 self._monitors.pop(monitor.transfer_id, None)
-                self._failed_ids.append(monitor.transfer_id)
+                self._finished_ids.append(monitor.transfer_id)
             self._completions.put(monitor.result(reason, self._transport.now()))
 
     def _finalize(self, monitor: _TransferMonitor) -> None:
@@ -482,6 +483,7 @@ class Receiver:
             return
         with self._monitors_lock:
             self._monitors.pop(monitor.transfer_id, None)
+            self._finished_ids.append(monitor.transfer_id)
         if self._sink is not None:
             self._sink(monitor.transfer_id, monitor.buffer)
         self._completions.put(monitor.result(None, self._transport.now()))

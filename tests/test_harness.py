@@ -376,6 +376,7 @@ def test_cli_send_recv_roundtrip(tmp_path):
         assert recv.wait(timeout=30) == EXIT_OK
     finally:
         recv.kill()
+        recv.communicate()  # reap the process and close its pipes
 
     received = list(out_dir.glob("*.bin"))
     assert len(received) == 1
@@ -398,6 +399,7 @@ def test_cli_send_prints_per_connection_rows(tmp_path, capsys):
         recv.wait(timeout=30)
     finally:
         recv.kill()
+        recv.communicate()  # reap the process and close its pipes
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("connection ") == 8

@@ -76,6 +76,29 @@ def test_deadlock_detection_names_the_task():
         hub.run()
 
 
+def test_callback_error_surfaces_from_run_not_the_parked_task():
+    # The sleeper's own thread steps the network when it parks, so the
+    # callback raises there; the error must reach run(), not the task.
+    hub = make_hub()
+    swallowed = []
+
+    def boom():
+        raise ValueError("callback failed")
+
+    def sleeper():
+        try:
+            hub.sleep(1.0)
+        except Exception as exc:  # noqa: BLE001 - must never see the callback's error
+            swallowed.append(exc)
+
+    hub.network.schedule_call(0.5, boom)
+    hub.spawn(sleeper, name="sleeper")
+    with pytest.raises(ValueError, match="callback failed"):
+        hub.run()
+    assert swallowed == []
+    assert hub.now() == pytest.approx(0.5)
+
+
 def test_sleep_orders_by_virtual_time():
     hub = make_hub()
     order = []
@@ -441,3 +464,23 @@ def test_same_seed_same_virtual_outcome():
         ),
     )
     assert different["report"].wall_time != first["report"].wall_time
+
+
+def test_interleaving_golden():
+    # Recorded sends depend on when the writers feed bytes, so the event log
+    # digest pins the order in which the hub runs its tasks, not only the
+    # simulator.  A scheduler rewrite that keeps behaviour keeps these.
+    payload = bytes((7 * i) % 256 for i in range(150_000))
+    link = LinkConfig(
+        capacity=50_000_000,
+        one_way_delay=0.02,
+        queue_limit=200,
+        loss_probability=0.03,
+        seed=42,
+    )
+    box, network = run_transfer(payload, 4, link, record_events=True)
+    assert box["result"].ok and box["payload"] == payload
+    assert len(network.event_log) == 339
+    assert network.log_digest() == "b928060d3ace535706b48f87b5fe8f2323e7a1c67940080b1c9d48bcdc79f669"
+    assert repr(box["report"].wall_time) == "0.4824000000000002"
+    assert repr(box["result"].wall_time) == "0.2821600000000002"

@@ -419,6 +419,31 @@ def test_late_stream_of_failed_transfer_is_turned_away():
     assert result.transfer_id == report.transfer_id
 
 
+def test_late_stream_of_succeeded_transfer_is_turned_away():
+    # A stray chunk-0 HELLO after the transfer completed must not open a new
+    # monitor (and buffer) that would later time out into a second
+    # completion for the same transfer id.
+    payload = b"S" * 1000
+    manifest = TransferManifest.for_payload(payload, 2)
+    transport = MemoryTransport()
+    receiver = Receiver(transport, idle_timeout=0.6)
+    report = send_transfer(payload, transport, 2, transfer_id=manifest.transfer_id)
+    done = receiver.serve_one()
+    assert report.ok and done.ok
+
+    late = transport.connect()
+    late.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+    assert late.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
+    assert receiver.transfer_states() == []
+
+    time.sleep(0.8)
+    following = send_transfer(payload, transport, 2)
+    result = receiver.serve_one()
+    receiver.close()
+    assert following.ok and result.ok
+    assert result.transfer_id == following.transfer_id
+
+
 def test_many_workers_under_fast_thread_switching():
     # More workers than cores, switching threads every microsecond: the
     # per-chunk writes and digests run outside the monitor lock and must
