@@ -3,11 +3,13 @@
 For each parallelism level n and repetition, one targeted application
 (n connections) competes with single-connection background traffic
 through a shared bottleneck.  Simulated runs drive the event loop and are
-bit-reproducible per seed (repetition r uses seed ``base_seed + r``);
-socket runs use real loopback connections and measure whatever the host
-delivers.  Results land in ``throughput.csv`` and ``fairness.csv`` plus a
-``meta.txt`` recording the resolved configuration, with optional per-flow
-trace dumps.
+bit-reproducible per seed (repetition r uses seed ``base_seed + r``).  The
+seed drives only random loss, so at ``loss_prob = 0`` one simulation per
+level serves every repetition: the rows differ only in ``rep``.  Socket
+runs use real loopback connections and measure whatever the host
+delivers, so they run every repetition.  Results land in
+``throughput.csv`` and ``fairness.csv`` plus a ``meta.txt`` recording the
+resolved configuration, with optional per-flow trace dumps.
 """
 
 from __future__ import annotations
@@ -319,10 +321,17 @@ def run_level(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
 
 
 def run_experiment(config: ExperimentConfig, *, write_traces: bool = False, log=None) -> list[LevelResult]:
+    # Without random loss a simulated cell never draws from its seed, so
+    # every repetition of a level would repeat the first one's simulation.
+    reuse = config.mode == "sim" and config.link.loss_probability == 0
     results = []
     for n in config.levels:
         for rep in range(config.repetitions):
-            result = run_level(config, n, rep)
+            if rep and reuse:
+                first = results[-rep]
+                result = replace(first, rep=rep, traces=list(first.traces))
+            else:
+                result = run_level(config, n, rep)
             results.append(result)
             if log is not None:
                 log(

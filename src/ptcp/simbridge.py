@@ -199,12 +199,12 @@ class SimHub:
                 return runner
             if until is not None and network.now >= until:
                 return runner
-            heap = network._heap
-            if not heap:
+            next_time = network.next_time()
+            if next_time is None:
                 parked = ", ".join(sorted(t.name for t in self._live))
                 self._failure = RuntimeError(f"deadlock: tasks parked with no pending events: {parked}")
                 return runner
-            if until is not None and heap[0][0] > until:
+            if until is not None and next_time > until:
                 network.now = until
                 return runner
             try:

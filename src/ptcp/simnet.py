@@ -13,8 +13,20 @@ and never drops below one segment.  Loss is detected by a fixed
 retransmission timeout of twice the base RTT; there is no fast retransmit
 and no delayed acks.  Flows start at cwnd = 2 and have no slow start.
 
-Event ordering is a binary heap keyed by (time, insertion sequence), so
-same-time events run in insertion order on every run.
+Events sit on a binary heap as (time, insertion sequence, handler, data)
+and ``step`` pops the earliest and calls ``handler(network, data)``, so
+same-time events run in insertion order on every run.  Handlers are plain
+functions, never bound methods, so nothing on the heap refers back to its
+Network and a finished simulation is freed without the cyclic collector.
+
+Retransmission timers are the exception to one heap entry per event.  A
+timer's key is drawn when its segment is sent, but the timer waits in its
+flow's queue, which is already in firing order because a flow's timeout
+interval is constant; only the head of that queue is on the heap.  When
+the head fires, the timers behind it whose segment was since acked or
+resent are dropped unseen, and the next live one goes on the heap under
+its original key.  Dead timers would have done nothing, so the order of
+every event that acts is the same as with one heap entry per timer.
 """
 
 from __future__ import annotations
@@ -120,6 +132,9 @@ class AimdFlow:
             self._seq_limit = math.ceil(byte_limit / link.mss)
         self._outstanding: dict[int, tuple[int, float]] = {}  # seq -> (tid, sent_at)
         self._next_tid = 0
+        # Retransmission timers in firing order: (fires_at, order, seq, tid),
+        # where ``order`` is the heap insertion sequence drawn at send time.
+        self._timers: deque[tuple[float, int, int, int]] = deque()
         self._rtx_queue: deque[int] = deque()
         self._rtx_set: set[int] = set()
         self._last_halving = -math.inf
@@ -158,7 +173,7 @@ class AimdFlow:
         data-bound.  Retransmissions go first."""
         if self.in_flight >= self.cwnd:
             return None
-        if self._rtx_pending():
+        if self._rtx_queue and self._rtx_pending():
             seq = self._rtx_queue.popleft()
             self._rtx_set.discard(seq)
         elif self._new_segment_ready():
@@ -261,7 +276,7 @@ class Network:
         self.flows: dict[str, AimdFlow] = {}
         self._heap: list = []
         self._counter = itertools.count()
-        self._queue: deque[tuple[str, int, int]] = deque()
+        self._queue: deque[tuple[AimdFlow, int, int]] = deque()
         self._service_scheduled = False
         self.drops = 0
         self.bernoulli_losses = 0
@@ -272,52 +287,67 @@ class Network:
         if flow.flow_id in self.flows:
             raise ValueError(f"duplicate flow_id {flow.flow_id!r}")
         self.flows[flow.flow_id] = flow
-        self._schedule(flow.start_time, "start", flow.flow_id)
+        self._schedule(flow.start_time, Network.pump, flow)
         return flow
 
-    def _schedule(self, t: float, kind: str, data) -> None:
-        heapq.heappush(self._heap, (t, next(self._counter), kind, data))
+    def _schedule(self, t: float, handler, data) -> None:
+        heapq.heappush(self._heap, (t, next(self._counter), handler, data))
 
-    def _log(self, kind: str, flow_id: str, seq: int) -> None:
-        if self.event_log is not None:
-            self.event_log.append(EventRecord(self.now, kind, flow_id, seq))
+    def _log(self, kind: str, flow: AimdFlow, seq: int) -> None:
+        # Callers test ``event_log`` first: a run without recording pays no
+        # call per event.
+        self.event_log.append(EventRecord(self.now, kind, flow.flow_id, seq))
 
     def pump(self, flow: AimdFlow) -> None:
         """Transmit as much as the flow's window allows right now."""
-        if self.now < flow.start_time:
+        now = self.now
+        if now < flow.start_time:
             return
-        while (tx := flow.next_transmission(self.now)) is not None:
+        heap = self._heap
+        counter = self._counter
+        timers = flow._timers
+        fires_at = now + flow.timeout_interval
+        while (tx := flow.next_transmission(now)) is not None:
             seq, tid = tx
-            self._log("send", flow.flow_id, seq)
-            self._schedule(self.now, "arrival", (flow.flow_id, seq, tid))
-            self._schedule(self.now + flow.timeout_interval, "timeout", (flow.flow_id, seq, tid))
+            if self.event_log is not None:
+                self._log("send", flow, seq)
+            heapq.heappush(heap, (now, next(counter), Network._on_arrival, (flow, seq, tid)))
+            timers.append((fires_at, next(counter), seq, tid))
+            if len(timers) == 1:
+                heapq.heappush(heap, (fires_at, timers[0][1], Network._on_timeout, flow))
 
     def step(self) -> bool:
-        """Execute one event; False when the queue is empty."""
+        """Pop the earliest event by (time, insertion sequence) and call its
+        handler; False when the queue is empty.  A flow's retransmission
+        timers reach the heap one at a time, from its timer queue."""
         if not self._heap:
             return False
-        t, _, kind, data = heapq.heappop(self._heap)
-        self.now = t
-        self._execute(kind, data)
+        self.now, _, handler, data = heapq.heappop(self._heap)
+        handler(self, data)
         return True
 
     def run_until(self, t: float) -> None:
-        while self._heap and self._heap[0][0] <= t:
+        heap = self._heap
+        while heap and heap[0][0] <= t:
             self.step()
         self.now = max(self.now, t)
 
     def run(self, duration: float) -> None:
         self.run_until(self.now + duration)
 
+    def next_time(self) -> float | None:
+        """Time of the earliest pending event, or None when there is none."""
+        return self._heap[0][0] if self._heap else None
+
     def idle(self) -> bool:
-        return not self._heap
+        return self.next_time() is None
 
     def schedule_call(self, t: float, fn) -> None:
         """Run ``fn()`` when the clock reaches ``t``.  Plumbing for stream
         bridges and experiment drivers; calls are not part of the event log."""
         if t < self.now:
             raise ValueError(f"cannot schedule at {t} before now {self.now}")
-        self._schedule(t, "call", fn)
+        self._schedule(t, _call, fn)
 
     def inject_loss(self, flow_ids=None) -> dict[str, bool]:
         """Force a synchronized loss signal on the given flows (all by
@@ -336,55 +366,71 @@ class Network:
             h.update(f"{e.time:.9f} {e.kind} {e.flow_id} {e.seq}\n".encode())
         return h.hexdigest()
 
-    # -- event execution --
+    # -- event handlers: called as handler(network, data) --
 
-    def _execute(self, kind: str, data) -> None:
-        if kind == "start":
-            self.pump(self.flows[data])
-        elif kind == "arrival":
-            flow_id, seq, tid = data
-            if len(self._queue) >= self.link.queue_limit:
-                self.drops += 1
-                self._log("drop", flow_id, seq)
-                return
-            self._queue.append(data)
-            self.max_queue_len = max(self.max_queue_len, len(self._queue))
-            if not self._service_scheduled:
-                self._service_scheduled = True
-                self._schedule(self.now + self.link.service_time, "service", None)
-        elif kind == "service":
-            flow_id, seq, tid = self._queue.popleft()
-            if self._queue:
-                self._schedule(self.now + self.link.service_time, "service", None)
-            else:
-                self._service_scheduled = False
-            if self.link.loss_probability > 0.0 and self.rng.random() < self.link.loss_probability:
-                self.bernoulli_losses += 1
-                self._log("loss", flow_id, seq)
-                return
-            self._schedule(self.now + self.link.one_way_delay, "deliver", (flow_id, seq, tid))
-        elif kind == "deliver":
-            flow_id, seq, tid = data
-            fresh = self.flows[flow_id].on_segment_arrival(seq, self.now)
-            self._log("deliver" if fresh else "dup", flow_id, seq)
-            # Per-segment ack on the lossless reverse path: delay, no queue.
-            self._schedule(self.now + self.link.one_way_delay, "ack", (flow_id, seq))
-        elif kind == "ack":
-            flow_id, seq = data
-            flow = self.flows[flow_id]
-            flow.on_ack(seq, self.now)
-            self._log("ack", flow_id, seq)
-            self.pump(flow)
-        elif kind == "timeout":
-            flow_id, seq, tid = data
-            flow = self.flows[flow_id]
-            if flow.on_timeout(seq, tid, self.now):
-                self._log("timeout", flow_id, seq)
-                self.pump(flow)
-        elif kind == "call":
-            data()
+    def _on_arrival(self, segment: tuple[AimdFlow, int, int]) -> None:
+        queue = self._queue
+        if len(queue) >= self.link.queue_limit:
+            self.drops += 1
+            if self.event_log is not None:
+                self._log("drop", segment[0], segment[1])
+            return
+        queue.append(segment)
+        if len(queue) > self.max_queue_len:
+            self.max_queue_len = len(queue)
+        if not self._service_scheduled:
+            self._service_scheduled = True
+            self._schedule(self.now + self.link.service_time, Network._on_service, None)
+
+    def _on_service(self, _) -> None:
+        segment = self._queue.popleft()
+        if self._queue:
+            self._schedule(self.now + self.link.service_time, Network._on_service, None)
         else:
-            raise AssertionError(f"unknown event kind {kind!r}")
+            self._service_scheduled = False
+        if self.link.loss_probability > 0.0 and self.rng.random() < self.link.loss_probability:
+            self.bernoulli_losses += 1
+            if self.event_log is not None:
+                self._log("loss", segment[0], segment[1])
+            return
+        self._schedule(self.now + self.link.one_way_delay, Network._on_deliver, segment)
+
+    def _on_deliver(self, segment: tuple[AimdFlow, int, int]) -> None:
+        flow, seq, _ = segment
+        fresh = flow.on_segment_arrival(seq, self.now)
+        if self.event_log is not None:
+            self._log("deliver" if fresh else "dup", flow, seq)
+        # Per-segment ack on the lossless reverse path: delay, no queue.
+        self._schedule(self.now + self.link.one_way_delay, Network._on_ack, segment)
+
+    def _on_ack(self, segment: tuple[AimdFlow, int, int]) -> None:
+        flow, seq, _ = segment
+        flow.on_ack(seq, self.now)
+        if self.event_log is not None:
+            self._log("ack", flow, seq)
+        self.pump(flow)
+
+    def _on_timeout(self, flow: AimdFlow) -> None:
+        """The head of ``flow``'s timer queue fired.  Put the next live timer
+        on the heap first: acting on this one may send, which queues more."""
+        timers = flow._timers
+        _, _, seq, tid = timers.popleft()
+        outstanding = flow._outstanding
+        while timers:
+            fires_at, order, next_seq, next_tid = timers[0]
+            entry = outstanding.get(next_seq)
+            if entry is not None and entry[0] == next_tid:
+                heapq.heappush(self._heap, (fires_at, order, Network._on_timeout, flow))
+                break
+            timers.popleft()  # acked or resent since: it would do nothing
+        if flow.on_timeout(seq, tid, self.now):
+            if self.event_log is not None:
+                self._log("timeout", flow, seq)
+            self.pump(flow)
+
+
+def _call(network: Network, fn) -> None:
+    fn()
 
 
 # ---------------------------------------------------------------------------

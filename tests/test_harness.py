@@ -36,6 +36,16 @@ duration_s = 8.0
 """
 
 
+# At the default loss_prob = 0 the link seed is never drawn, so every
+# repetition of a level repeats the same simulation.
+LOSSLESS_CONFIG = """
+mode = sim
+levels = 1,2
+repetitions = 3
+duration_s = 8.0
+"""
+
+
 def file_digests(paths):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
@@ -207,6 +217,63 @@ def test_trace_files_written(sim_results):
             # one background and n targeted flows, all buckets written
             flow_ids = {line.split(",")[0] for line in lines[1:]}
             assert flow_ids == {"background-0"} | {f"targeted-{i}" for i in range(n)}
+
+
+def test_lossy_sweep_csv_golden(sim_results):
+    # Pins the lossy sweep's results: a simulator or harness change that
+    # keeps behaviour keeps these digests.
+    config, results, out = sim_results
+    assert file_digests([out / "throughput.csv", out / "fairness.csv"]) == {
+        "throughput.csv": "62550b2ecea6b2f9daa32cf1b09574a0338e8870e6c44ef53de56db77b8ac3b3",
+        "fairness.csv": "5eeb24b2b6c2de3756c926083e7d8906f3e22019143311b8bfc9511cbcfc0052",
+    }
+
+
+def test_lossless_sweep_csv_golden(tmp_path):
+    config = parse_experiment(LOSSLESS_CONFIG + f"out = {tmp_path}\n")
+    run_experiment(config)
+    assert file_digests([tmp_path / "throughput.csv", tmp_path / "fairness.csv"]) == {
+        "throughput.csv": "bfbb2ff250a60c67f9a235671b5903c1d6bcb850845f0874d5ce67986d43451b",
+        "fairness.csv": "7e31f9b7b41568c0f070ca26d51632a9113e27eb02e56ea495adf97a537b38f0",
+    }
+
+
+def count_run_level(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (n, rep) of every ``harness.run_level`` call."""
+    calls = []
+    original = harness.run_level
+
+    def counted(config, n, rep):
+        calls.append((n, rep))
+        return original(config, n, rep)
+
+    monkeypatch.setattr(harness, "run_level", counted)
+    return calls
+
+
+def test_lossless_repetitions_share_one_simulation(tmp_path, monkeypatch):
+    calls = count_run_level(monkeypatch)
+    config = parse_experiment(LOSSLESS_CONFIG.replace("8.0", "3.0") + f"out = {tmp_path}\n")
+    results = run_experiment(config, write_traces=True)
+    assert calls == [(1, 0), (2, 0)]
+    assert [(r.n, r.rep) for r in results] == [(n, rep) for n in (1, 2) for rep in range(3)]
+    for name in ("throughput.csv", "fairness.csv"):
+        rows = [line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["0", "1", "2"] * 2
+        for level in (rows[:3], rows[3:]):
+            assert all(row[:1] + row[2:] == level[0][:1] + level[0][2:] for row in level)
+    for n in config.levels:
+        traces = [(tmp_path / f"traces_n{n}_rep{rep}.csv").read_bytes() for rep in range(3)]
+        assert traces[0] == traces[1] == traces[2]
+    assert results[1].traces == results[0].traces
+    assert results[1].traces is not results[0].traces
+
+
+def test_lossy_sweep_simulates_every_cell(tmp_path, monkeypatch):
+    calls = count_run_level(monkeypatch)
+    config = parse_experiment(SIM_CONFIG.replace("8.0", "3.0") + f"\nout = {tmp_path}\n")
+    run_experiment(config)
+    assert calls == [(n, rep) for n in (1, 2) for rep in range(2)]
 
 
 def test_rerun_same_seed_is_byte_identical(tmp_path):

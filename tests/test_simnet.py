@@ -1,6 +1,8 @@
 """Simulator mechanics, AIMD behavior, closed forms, and scenario runs."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -56,6 +58,32 @@ def test_same_time_events_replay_identically():
         return network.event_log
 
     assert event_log() == event_log()
+
+
+def test_next_time_reports_the_earliest_pending_event():
+    network = Network(FAT_LINK)
+    assert network.next_time() is None and network.idle()
+    network.schedule_call(2.5, lambda: None)
+    network.schedule_call(1.5, lambda: None)
+    assert network.next_time() == 1.5 and not network.idle()
+    network.step()
+    assert network.next_time() == 2.5
+    network.step()
+    assert network.next_time() is None and network.idle()
+
+
+def test_dead_timers_stay_off_the_heap():
+    # Lossless and uncongested: every segment is acked long before its
+    # timer would fire.  Each segment costs four events (arrival, service,
+    # deliver, ack); with one heap entry per timer it would cost five.
+    link = LinkConfig(capacity=1e7, one_way_delay=0.05, queue_limit=50)
+    network = Network(link)
+    flow = network.add_flow(AimdFlow("f0", link, byte_limit=200 * link.mss))
+    steps = 0
+    while network.step():
+        steps += 1
+    assert flow.sent_segments == 200 and flow.timeouts == 0
+    assert 1 + 4 * 200 < steps < 1 + 4 * 200 + 200 // 4
 
 
 # -- additive increase --
@@ -315,6 +343,27 @@ def test_event_log_digest_golden():
     network.run_until(10.0)
     assert len(network.event_log) == 6159
     assert network.log_digest() == "f744e990a5d130ade4d9061d29d82cfa5dbcc19f14f7937ef5171a261fbc54d1"
+
+
+def test_finished_network_is_freed_without_the_cyclic_gc():
+    # Nothing on the heap may refer back to its Network (a bound method
+    # would), so a finished simulation is freed by reference counting
+    # alone, with events still pending.
+    link = LinkConfig(capacity=1e7, one_way_delay=0.05, queue_limit=20, loss_probability=0.01, seed=3)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        network = Network(link)
+        network.add_flow(AimdFlow("f0", link))
+        network.add_flow(AimdFlow("f1", link))
+        network.run_until(5.0)
+        assert not network.idle()
+        ref = weakref.ref(network)
+        del network
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_log_digest_requires_recording():
