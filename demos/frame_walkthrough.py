@@ -17,6 +17,7 @@ from ptcp.wire import (
     TransferManifest,
     encode_frame,
     partition,
+    root_digest,
     sha256,
 )
 
@@ -58,6 +59,12 @@ print(f"decoded {len(decoded)} frames from 7-byte reads; residual {len(decoder.r
 assert decoded == frames
 
 # Chunks in index order rebuild the payload.  (The receiver writes each
-# DATA frame straight to its place in one buffer instead.)
+# DATA frame straight to its place in one buffer instead.)  HELLO's payload
+# digest is a hash list: SHA-256 over the chunk digests in index order, so
+# the receiver checks it from the FIN digests it already verified.
 rebuilt = b"".join(payload[c.offset : c.offset + c.length] for c in manifest.chunks)
-print(f"reassembled digest matches: {sha256(rebuilt) == manifest.payload_digest}")
+fin_digests = [sha256(payload[c.offset : c.offset + c.length]) for c in manifest.chunks]
+root_matches = root_digest(fin_digests) == manifest.payload_digest
+print(f"payload rebuilt: {rebuilt == payload}; hash-list root matches HELLO: {root_matches}")
+assert rebuilt == payload
+assert root_matches

@@ -2,10 +2,10 @@
 
 One application transfer is split across N concurrent connections, each
 carrying a contiguous, sequence-numbered chunk; the receiver writes each
-frame in place into one payload buffer and verifies the chunk and payload
-digests.  A discrete-event dumbbell simulation with AIMD flows,
-throughput/fairness metrics, and an experiment harness measure how
-parallelism trades against single-connection traffic on a shared
+frame in place into one payload buffer and verifies each chunk's digest and
+the hash-list root over them.  A discrete-event dumbbell simulation with
+AIMD flows, throughput/fairness metrics, and an experiment harness measure
+how parallelism trades against single-connection traffic on a shared
 bottleneck.
 """
 
@@ -27,11 +27,19 @@ from .simnet import (
     run_scenario,
     steady_state_throughput,
 )
-from .striping import ReceivedTransfer, Receiver, TransferReport, send_transfer, serve
+from .striping import (
+    FailureKind,
+    ReceivedTransfer,
+    Receiver,
+    TransferReport,
+    send_transfer,
+    serve,
+)
 from .wire import TransferManifest, partition, sha256
 
 __all__ = [
     "AimdFlow",
+    "FailureKind",
     "FairnessReport",
     "FlowSpec",
     "FlowTrace",

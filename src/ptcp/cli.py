@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .striping import Receiver, send_transfer
+from .striping import FailureKind, Receiver, send_transfer
 from .transport import TcpTransport
 
 EXIT_OK = 0
@@ -109,7 +109,7 @@ def cmd_send(args) -> int:
         )
     if report.ok:
         return EXIT_OK
-    if report.failure_reason and report.failure_reason.startswith("connect failed"):
+    if report.failure_kind is FailureKind.CONNECT:
         return EXIT_NETWORK
     return EXIT_TRANSFER
 

@@ -11,10 +11,12 @@ Workers register with the per-transfer monitor on HELLO; the first valid
 HELLO allocates one buffer for the whole payload.  Each DATA frame is
 written in place at its chunk's offset and fed to that chunk's running
 digest, and FIN completes the chunk once that digest verifies.  When the
-last chunk completes, the payload digest is verified over the buffer and
-the buffer itself goes to the sink.  A failure on any connection fails the
-whole transfer; there is no retry, and late streams of a failed transfer
-are dropped.
+last chunk completes, the hash-list root over the verified chunk digests is
+checked against HELLO's payload digest, and the buffer itself goes to the
+sink.  A failure on any connection fails the whole transfer; there is no
+retry, and late streams of a failed transfer are dropped.
+
+Every failed transfer carries a ``FailureKind`` next to its reason string.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import threading
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 
 from .wire import (
     Data,
@@ -33,13 +36,24 @@ from .wire import (
     TransferManifest,
     chunk_assignment,
     encode_frame,
-    sha256,
+    root_digest,
 )
 
 DEFAULT_DATA_FRAME_BYTES = 64 * 1024
 DEFAULT_IDLE_TIMEOUT = 30.0
 DEFAULT_BUFFER_CAP = 256 * 1024 * 1024
 FINISHED_IDS_KEPT = 64  # finished transfer ids remembered to turn away late streams
+
+
+class FailureKind(Enum):
+    """Why a transfer failed; each value is the prefix of the reasons of its kind."""
+
+    CONNECT = "connect failed"  # the sender could not open a connection
+    CONNECTION = "connection failed"  # a stream broke or was refused mid-transfer
+    PROTOCOL = "protocol-error"  # a frame stream broke the protocol
+    STALLED = "stalled"  # no bytes within the idle or receipt timeout
+    CORRUPT_CHUNK = "corrupt-chunk"  # a chunk's bytes do not match its FIN digest
+    CORRUPT_PAYLOAD = "corrupt-payload"  # the chunk digests do not match HELLO's root
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +78,7 @@ class TransferReport:
     ok: bool
     failure_reason: str | None = None
     failing_chunk: int | None = None
+    failure_kind: FailureKind | None = None
 
 
 def send_transfer(
@@ -99,12 +114,13 @@ def send_transfer(
                 wall_time=transport.now() - t0,
                 per_connection=[],
                 ok=False,
-                failure_reason=f"connect failed: {exc}",
+                failure_reason=f"{FailureKind.CONNECT.value}: {exc}",
                 failing_chunk=chunk.index,
+                failure_kind=FailureKind.CONNECT,
             )
 
     stats: list[ConnectionStat | None] = [None] * connection_count
-    errors: list[tuple[int, str] | None] = [None] * connection_count
+    errors: list[tuple[int, FailureKind, str] | None] = [None] * connection_count
 
     def worker(index: int):
         chunk = manifest.chunks[index]
@@ -128,13 +144,13 @@ def send_transfer(
             for off in range(0, len(body), data_frame_bytes):
                 piece = body[off : off + data_frame_bytes]
                 stream.write_all(encode_frame(Data(chunk.index, off, piece)))
-            digest = sha256(body)
+            digest = manifest.chunk_digests[index]
             stream.write_all(encode_frame(Fin(chunk.index, digest)))
             _read_receipt(stream, chunk.index, digest, receipt_timeout)
             stream.close()
             stats[index] = ConnectionStat(chunk.index, len(body), start, transport.now() - t0)
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
-            errors[index] = (index, f"{type(exc).__name__}: {exc}")
+            errors[index] = (index, _sender_failure_kind(exc), f"{type(exc).__name__}: {exc}")
             stream.abort()
 
     handles = [transport.spawn(lambda i=i: worker(i), name=f"send-{i}") for i in range(connection_count)]
@@ -143,7 +159,7 @@ def send_transfer(
 
     failures = [e for e in errors if e is not None]
     if failures:
-        failing_chunk, reason = failures[0]
+        failing_chunk, kind, reason = failures[0]
         return TransferReport(
             transfer_id=manifest.transfer_id,
             bytes_sent=sum(s.bytes for s in stats if s is not None),
@@ -152,6 +168,7 @@ def send_transfer(
             ok=False,
             failure_reason=reason,
             failing_chunk=failing_chunk,
+            failure_kind=kind,
         )
     return TransferReport(
         transfer_id=manifest.transfer_id,
@@ -160,6 +177,14 @@ def send_transfer(
         per_connection=[s for s in stats if s is not None],
         ok=True,
     )
+
+
+def _sender_failure_kind(exc: Exception) -> FailureKind:
+    if isinstance(exc, ProtocolError):
+        return FailureKind.PROTOCOL
+    if isinstance(exc, TimeoutError):
+        return FailureKind.STALLED
+    return FailureKind.CONNECTION
 
 
 def _read_receipt(stream, chunk_index: int, expected_digest: bytes, timeout: float) -> None:
@@ -201,6 +226,7 @@ class ReceivedTransfer:
     wall_time: float
     per_connection: list[ConnectionStat]
     timeline: list[tuple[float, int, int]]  # (time, chunk_index, bytes)
+    failure_kind: FailureKind | None = None
 
 
 class _TransferMonitor:
@@ -218,9 +244,11 @@ class _TransferMonitor:
         self.completed: set[int] = set()
         self.buffer: bytearray | None = None  # whole payload; allocated by the first valid HELLO
         self.chunk_meta: dict[int, tuple[int, int]] = {}  # index -> (offset, length)
-        # Per chunk: bytes written so far and the running digest of them.
+        # Per chunk: bytes written so far and the running digest of them;
+        # then, once FIN verified it, the digest the root is checked over.
         self.filled: dict[int, int] = {}
         self.hashers: dict[int, hashlib._Hash] = {}
+        self.digests: dict[int, bytes] = {}
         self.stats: list[ConnectionStat] = []
         self.timeline: list[tuple[float, int, int]] = []
         self.failed: str | None = None
@@ -289,6 +317,7 @@ class _TransferMonitor:
         if self.hashers[index].digest() != frame.chunk_digest:
             raise _CorruptChunk(index)
         with self.lock:
+            self.digests[index] = frame.chunk_digest
             self.completed.add(index)
             self.stats.append(ConnectionStat(index, length, started, now))
             return len(self.completed) == self.connection_count
@@ -301,7 +330,7 @@ class _TransferMonitor:
                 self.failed = reason
             return first
 
-    def result(self, reason: str | None, now: float) -> ReceivedTransfer:
+    def result(self, kind: FailureKind | None, reason: str | None, now: float) -> ReceivedTransfer:
         return ReceivedTransfer(
             transfer_id=self.transfer_id,
             ok=reason is None,
@@ -310,6 +339,7 @@ class _TransferMonitor:
             wall_time=now - self.started_at,
             per_connection=sorted(self.stats, key=lambda s: s.chunk_index),
             timeline=list(self.timeline),
+            failure_kind=kind,
         )
 
     def snapshot(self) -> ReceiverState:
@@ -334,7 +364,10 @@ class Receiver:
 
     Supports concurrent transfers with distinct transfer ids on one
     listener.  ``serve_one`` blocks until the next transfer finalizes
-    (success or failure) and returns its result.  On success the sink is
+    (success or failure) and returns its result.  A transfer succeeds when
+    every chunk's bytes match its FIN digest and the hash-list root over
+    those digests (``wire.root_digest``) matches HELLO's payload digest;
+    the payload is never hashed as a whole.  On success the sink is
     called as ``sink(transfer_id, payload)`` with the receive buffer itself,
     a ``bytearray`` the sink may keep; it is not copied into ``bytes``.
     """
@@ -449,44 +482,49 @@ class Receiver:
                 raise ProtocolError("stream ended before HELLO")
             raise ProtocolError(f"stream for chunk {chunk_index} ended before FIN")
         except _CorruptChunk as exc:
-            self._fail_transfer(monitor, f"corrupt-chunk: {exc.chunk_index}")
+            self._fail_transfer(monitor, FailureKind.CORRUPT_CHUNK, str(exc.chunk_index))
             stream.abort()
         except ProtocolError as exc:
-            self._fail_transfer(monitor, f"protocol-error: {exc}")
+            self._fail_transfer(monitor, FailureKind.PROTOCOL, str(exc))
             stream.abort()
         except TimeoutError:
-            self._fail_transfer(monitor, "stalled: idle timeout")
+            self._fail_transfer(monitor, FailureKind.STALLED, "idle timeout")
             stream.abort()
         except (ConnectionError, OSError) as exc:
-            self._fail_transfer(monitor, f"connection failed: {exc}")
+            self._fail_transfer(monitor, FailureKind.CONNECTION, str(exc))
             stream.abort()
 
-    def _fail_transfer(self, monitor: _TransferMonitor | None, reason: str) -> None:
+    def _fail_transfer(self, monitor: _TransferMonitor | None, kind: FailureKind, detail: str) -> None:
+        reason = f"{kind.value}: {detail}"
         if monitor is None:
             # Stream-level failure with no registered transfer.
             self._completions.put(
-                ReceivedTransfer(None, False, reason, 0, 0.0, [], [])
+                ReceivedTransfer(None, False, reason, 0, 0.0, [], [], kind)
             )
             return
         if monitor.fail(reason):
             with self._monitors_lock:
                 self._monitors.pop(monitor.transfer_id, None)
                 self._finished_ids.append(monitor.transfer_id)
-            self._completions.put(monitor.result(reason, self._transport.now()))
+            self._completions.put(monitor.result(kind, reason, self._transport.now()))
 
     def _finalize(self, monitor: _TransferMonitor) -> None:
         if monitor.finalized:
             return
         monitor.finalized = True
-        if sha256(monitor.buffer) != monitor.payload_digest:
-            self._fail_transfer(monitor, "corrupt-payload: digest mismatch")
+        # Every chunk digest was verified against its bytes in complete(), and
+        # register() pinned each chunk to its partition entry, so the root over
+        # them stands for the whole buffer.
+        chunk_digests = (monitor.digests[i] for i in range(monitor.connection_count))
+        if root_digest(chunk_digests) != monitor.payload_digest:
+            self._fail_transfer(monitor, FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
             return
         with self._monitors_lock:
             self._monitors.pop(monitor.transfer_id, None)
             self._finished_ids.append(monitor.transfer_id)
         if self._sink is not None:
             self._sink(monitor.transfer_id, monitor.buffer)
-        self._completions.put(monitor.result(None, self._transport.now()))
+        self._completions.put(monitor.result(None, None, self._transport.now()))
 
 
 def serve(transport, sink=None, **options) -> ReceivedTransfer:

@@ -4,7 +4,7 @@ Every connection of a striped transfer carries the same self-delimiting frame
 stream.  Frame layout (all integers big-endian):
 
     magic    4 bytes   0x50 0x54 0x43 0x50 ("PTCP")
-    version  u8        1
+    version  u8        2
     kind     u8        HELLO=0x01, DATA=0x02, FIN=0x03
     body     kind-specific, fixed size except DATA (length-prefixed payload)
 
@@ -14,7 +14,12 @@ stream.  Frame layout (all integers big-endian):
     DATA  body: chunk_index u32 | offset_in_chunk u64 | payload_len u32 | payload
     FIN   body: chunk_index u32 | chunk_digest (32)
 
-Digests are SHA-256.  A DATA payload is capped at 64 KiB and must be
+Digests are SHA-256.  A FIN's chunk_digest covers its chunk's bytes.
+HELLO's payload_digest is the root of a one-level hash list over those chunk
+digests: sha256(chunk_digest_0 || ... || chunk_digest_{n-1}), in chunk-index
+order (``root_digest``), so each side hashes every payload byte once.  The
+version is 2 because version 1 peers, with the same layout, hashed the whole
+payload into payload_digest.  A DATA payload is capped at 64 KiB and must be
 non-empty; an empty chunk is carried by HELLO+FIN alone.
 """
 
@@ -28,7 +33,7 @@ from enum import IntEnum
 from typing import NamedTuple
 
 MAGIC = b"PTCP"
-VERSION = 1
+VERSION = 2
 MAX_DATA_PAYLOAD = 64 * 1024
 DIGEST_SIZE = 32
 TRANSFER_ID_SIZE = 16
@@ -59,6 +64,11 @@ class ProtocolError(Exception):
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def root_digest(chunk_digests) -> bytes:
+    """HELLO's payload digest: SHA-256 over the chunk digests in index order."""
+    return sha256(b"".join(chunk_digests))
 
 
 class ChunkAssignment(NamedTuple):
@@ -92,12 +102,14 @@ def chunk_assignment(total_size: int, connection_count: int, index: int) -> Chun
 
 @dataclass(frozen=True)
 class TransferManifest:
-    """Chunk table binding byte ranges to connection sequence numbers."""
+    """Chunk table binding byte ranges to connection sequence numbers, with
+    each chunk's digest and the hash-list root over them."""
 
     transfer_id: bytes
     total_size: int
     connection_count: int
     chunks: tuple[ChunkAssignment, ...]
+    chunk_digests: tuple[bytes, ...]
     payload_digest: bytes
 
     @classmethod
@@ -106,35 +118,17 @@ class TransferManifest:
     ) -> "TransferManifest":
         if transfer_id is None:
             transfer_id = os.urandom(TRANSFER_ID_SIZE)
+        chunks = tuple(partition(len(payload), connection_count))
+        with memoryview(payload) as view:
+            chunk_digests = tuple(sha256(view[c.offset : c.offset + c.length]) for c in chunks)
         return cls(
             transfer_id=transfer_id,
             total_size=len(payload),
             connection_count=connection_count,
-            chunks=tuple(partition(len(payload), connection_count)),
-            payload_digest=sha256(payload),
+            chunks=chunks,
+            chunk_digests=chunk_digests,
+            payload_digest=root_digest(chunk_digests),
         )
-
-    def validate(self) -> None:
-        if len(self.transfer_id) != TRANSFER_ID_SIZE:
-            raise ValueError("transfer_id must be 16 bytes")
-        if len(self.payload_digest) != DIGEST_SIZE:
-            raise ValueError("payload_digest must be 32 bytes")
-        if self.connection_count < 1:
-            raise ValueError("connection_count must be >= 1")
-        if len(self.chunks) != self.connection_count:
-            raise ValueError("chunk count must equal connection_count")
-        offset = 0
-        base = self.total_size // self.connection_count
-        for index, chunk in enumerate(self.chunks):
-            if chunk.index != index:
-                raise ValueError(f"chunk indices must be 0..n-1, got {chunk.index} at {index}")
-            if chunk.offset != offset:
-                raise ValueError(f"chunk {index} not contiguous: offset {chunk.offset} != {offset}")
-            if chunk.length not in (base, base + 1):
-                raise ValueError(f"chunk {index} length {chunk.length} not balanced")
-            offset += chunk.length
-        if offset != self.total_size:
-            raise ValueError(f"chunks cover {offset} bytes, expected {self.total_size}")
 
 
 @dataclass(frozen=True)

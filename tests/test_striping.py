@@ -1,5 +1,6 @@
 """End-to-end striped transfers plus the failure paths of the receiver."""
 
+import hashlib
 import random
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcp.striping import Receiver, send_transfer, serve
+from ptcp.striping import FailureKind, Receiver, send_transfer, serve
 from ptcp.transport import MemoryTransport, TcpTransport
 from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
 
@@ -191,8 +192,67 @@ def test_corrupt_chunk_detected_end_to_end():
     receiver.close()
     assert not result.ok
     assert "corrupt-chunk" in result.reason
+    assert result.failure_kind is FailureKind.CORRUPT_CHUNK
     # No receipt: the stream was aborted.
     assert stream.read_some(timeout=5.0) == b""
+
+
+def test_root_mismatch_fails_transfer_as_corrupt_payload():
+    # Chunk 1's DATA carries altered bytes and its FIN their digest, so the
+    # chunk check passes; only the hash-list root in HELLO can catch it.
+    payload = random.Random(11).randbytes(3000)
+    manifest = TransferManifest.for_payload(payload, 3)
+    transport = MemoryTransport()
+    store = {}
+    receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
+    streams = []
+    for chunk in manifest.chunks:
+        body = payload[chunk.offset : chunk.offset + chunk.length]
+        if chunk.index == 1:
+            body = bytes(b ^ 0x5A for b in body)
+        stream = transport.connect()
+        stream.write_all(encode_frame(_hello_for(manifest, chunk)))
+        stream.write_all(encode_frame(Data(chunk.index, 0, body)))
+        stream.write_all(encode_frame(Fin(chunk.index, sha256(body))))
+        streams.append(stream)
+
+    result = receiver.serve_one()
+    receiver.close()
+    assert not result.ok
+    assert result.reason == "corrupt-payload: digest mismatch"
+    assert result.failure_kind is FailureKind.CORRUPT_PAYLOAD
+    assert store == {}
+
+
+def test_each_side_hashes_every_byte_once(monkeypatch):
+    # Sender: each chunk once for its FIN, then the root over n digests.
+    # Receiver: each DATA byte once, then the same root.
+    hashed = []
+    real_sha256 = hashlib.sha256
+
+    class CountingSha256:
+        def __init__(self, data=b""):
+            hashed.append(memoryview(data).nbytes)
+            self._hash = real_sha256(data)
+
+        def update(self, data):
+            hashed.append(memoryview(data).nbytes)
+            self._hash.update(data)
+
+        def digest(self):
+            return self._hash.digest()
+
+    monkeypatch.setattr(hashlib, "sha256", CountingSha256)
+    payload = random.Random(13).randbytes(200_001)
+    transport = MemoryTransport()
+    store = {}
+    receiver = Receiver(transport, collect_sink(store))
+    report = send_transfer(payload, transport, 3)
+    result = receiver.serve_one()
+    receiver.close()
+    assert report.ok and result.ok
+    assert store[report.transfer_id] == payload
+    assert sum(hashed) == 2 * len(payload) + 2 * 32 * 3
 
 
 def test_wrong_offset_fails_transfer():
@@ -355,6 +415,7 @@ def test_connect_failure_reported_not_raised():
     report = send_transfer(b"data", transport, 2)
     assert not report.ok
     assert "connect failed" in report.failure_reason
+    assert report.failure_kind is FailureKind.CONNECT
     assert report.failing_chunk == 0
 
 

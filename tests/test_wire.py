@@ -98,7 +98,7 @@ def test_codec_round_trip_random_frames():
 def test_fin_layout_is_exact():
     digest = sha256(b"chunk zero")
     encoded = encode_frame(Fin(0, digest))
-    assert encoded == b"PTCP" + bytes([1, 0x03]) + (0).to_bytes(4, "big") + digest
+    assert encoded == b"PTCP" + bytes([2, 0x03]) + (0).to_bytes(4, "big") + digest
 
 
 def test_data_zero_payload_rejected():
@@ -180,19 +180,8 @@ def test_partial_frame_is_residual():
 def test_manifest_invariants():
     payload = b"0123456789"
     manifest = TransferManifest.for_payload(payload, 3)
-    manifest.validate()
     assert manifest.total_size == 10
     assert [c.length for c in manifest.chunks] == [4, 3, 3]
-    assert manifest.payload_digest == sha256(payload)
-
-
-def test_manifest_validate_catches_gaps():
-    manifest = TransferManifest(
-        transfer_id=b"\x00" * 16,
-        total_size=10,
-        connection_count=2,
-        chunks=(ChunkAssignment(0, 0, 5), ChunkAssignment(1, 6, 4)),
-        payload_digest=b"\x00" * 32,
-    )
-    with pytest.raises(ValueError):
-        manifest.validate()
+    assert manifest.chunk_digests == (sha256(b"0123"), sha256(b"456"), sha256(b"789"))
+    # HELLO's payload digest is the hash-list root over the chunk digests.
+    assert manifest.payload_digest == sha256(sha256(b"0123") + sha256(b"456") + sha256(b"789"))
