@@ -14,6 +14,10 @@ too and gets the token back when the tasks are done, the clock reaches
 steps when no task is ready, so the interleaving is a pure function of the
 simulation and wall-clock thread scheduling cannot leak in.
 
+A task waiting in ``SimListener.accept()`` is an idle server: it keeps no
+``run()`` going.  No task outlives ``run()``, which ends every task still
+parked and joins every task thread before it returns or raises.
+
 Each connection is one AIMD flow through the bottleneck carrying the
 connect-side byte stream as MSS-sized segments (the final partial segment
 is padded on the wire).  End of stream rides an empty segment through the
@@ -41,38 +45,25 @@ def _baton() -> threading.Lock:
     return baton
 
 
-class _WaitPoint:
-    """A parking spot: tasks wait here, events notify it."""
-
-    __slots__ = ("waiters",)
-
-    def __init__(self):
-        self.waiters: list[_Task] = []
-
-
-class _Runner:
-    """The thread inside ``run()``: the token's owner when no task runs."""
-
-    __slots__ = ("baton",)
-
-    def __init__(self):
-        self.baton = _baton()
+class _TaskEnded(BaseException):
+    """Unwinds a task that run() ends; task code's ``except Exception`` lets it by."""
 
 
 class _Task:
-    def __init__(self, hub, fn, name, daemon):
+    """A hub task on its own thread; ``join`` re-raises the task's error."""
+
+    def __init__(self, hub, fn, name):
         self.hub = hub
         self.fn = fn
         self.name = name
-        self.daemon = daemon
         self.baton = _baton()
-        self.parked = False
-        self.queued = False
+        self.parked = True  # starts parked and queued; a token holder picks it
+        self.queued = True
         self.park_gen = 0
         self.finished = False
         self.error: BaseException | None = None
         self.error_seen = False
-        self.done = _WaitPoint()
+        self.done: list[_Task] = []  # tasks parked in join()
         self.thread = threading.Thread(target=self._body, name=name, daemon=True)
 
     def _body(self):
@@ -80,7 +71,10 @@ class _Task:
         self.baton.acquire()
         self.parked = False
         try:
-            self.fn()
+            if not hub._ending:  # a task ended before it ran never starts
+                self.fn()
+        except _TaskEnded:
+            pass
         except BaseException as exc:  # noqa: BLE001 - surfaced at join/run
             self.error = exc
         with hub._lock:
@@ -88,29 +82,16 @@ class _Task:
             hub._notify_locked(self.done)
             hub._live.discard(self)
             successor = hub._pick_locked()
-        successor.baton.release()
+        hub._baton_of(successor).release()
 
-
-class SimTaskHandle:
-    """Joinable handle for a hub task; join re-raises the task's exception."""
-
-    def __init__(self, hub, task):
-        self._hub = hub
-        self._task = task
-
-    def join(self, timeout: float | None = None) -> None:
-        hub, task = self._hub, self._task
+    def join(self) -> None:
+        hub = self.hub
         with hub._lock:
-            deadline = None if timeout is None else hub.network.now + timeout
-            while not task.finished:
-                if not hub._wait_on_locked(task.done, deadline):
-                    raise TimeoutError(f"task {task.name!r} still running")
-            if task.error is not None:
-                task.error_seen = True
-                raise task.error
-
-    def is_alive(self) -> bool:
-        return not self._task.finished
+            while not self.finished:
+                hub._wait_on_locked(self.done)
+            if self.error is not None:
+                self.error_seen = True
+                raise self.error
 
 
 class SimHub:
@@ -124,48 +105,52 @@ class SimHub:
     def __init__(self, network: Network):
         self.network = network
         self._lock = threading.Lock()
-        self._runner = _Runner()
-        self._current: _Task | _Runner = self._runner
+        self._baton = _baton()  # the run() caller's
+        self._current: _Task | None = None  # None while the run() caller holds the token
         self._ready: deque[_Task] = deque()
-        self._live: set[_Task] = set()  # unfinished non-daemon tasks
+        self._live: set[_Task] = set()  # unfinished tasks, idle servers aside
         self._tasks: list[_Task] = []
-        self._task_counter = 0
         self._until: float | None = None
+        self._ending = False  # run() is ending the tasks left parked
         self._failure: BaseException | None = None  # for the run() caller
 
     # -- task management --
 
-    def spawn(self, fn, name: str | None = None, daemon: bool = False) -> SimTaskHandle:
+    def spawn(self, fn, name: str | None = None) -> _Task:
         with self._lock:
-            self._task_counter += 1
-            task = _Task(self, fn, name or f"task-{self._task_counter}", daemon)
-            if not daemon:
-                self._live.add(task)
-                self._tasks.append(task)
-            task.parked = True  # starts parked; a token holder picks it
-            task.queued = True
+            task = _Task(self, fn, name or f"task-{len(self._tasks) + 1}")
+            self._live.add(task)
+            self._tasks.append(task)
             self._ready.append(task)
             task.thread.start()
-            return SimTaskHandle(self, task)
+            return task
 
     def run(self, until: float | None = None) -> None:
-        """Drive tasks and network until every non-daemon task finished, or
-        virtual time reaches ``until``.  Errors of the network (a failing
-        ``schedule_call`` callback, a deadlock) and unjoined task errors
-        are raised here."""
-        runner = self._runner
+        """Drive tasks and network until only idle servers are left, or
+        virtual time reaches ``until``; then end the tasks left parked.
+        Errors of the network (a failing ``schedule_call`` callback, a
+        deadlock) and unjoined task errors are raised here."""
         with self._lock:
-            if self._current is not runner:
+            if self._current is not None:
                 raise RuntimeError("run() re-entered from inside a task")
             self._until = until
             successor = self._pick_locked()
-            if successor is not runner:
-                self._switch_locked(successor, runner.baton)
+            if successor is not None:
+                self._switch_locked(successor, self._baton)
+            # Each unfinished task gets the token, unwinds and hands it back.
+            self._ending = True
+            for task in self._tasks:
+                if not task.finished:
+                    self._current = task
+                    self._switch_locked(task, self._baton)
+                task.thread.join()
+            self._ending = False
+            self._ready.clear()
             failure, self._failure = self._failure, None
             if failure is not None:
                 raise failure
             for task in self._tasks:
-                if task.finished and task.error is not None and not task.error_seen:
+                if task.error is not None and not task.error_seen:
                     task.error_seen = True
                     raise task.error
 
@@ -174,19 +159,22 @@ class SimHub:
 
     def sleep(self, seconds: float) -> None:
         """Park the calling task for ``seconds`` of virtual time."""
-        point = _WaitPoint()
         with self._lock:
-            self._wait_on_locked(point, self.network.now + seconds)
+            self._wait_on_locked([], self.network.now + seconds)
 
     # -- internals (all assume self._lock is held) --
 
-    def _pick_locked(self) -> _Task | _Runner:
+    def _baton_of(self, holder: _Task | None) -> threading.Lock:
+        return self._baton if holder is None else holder.baton
+
+    def _pick_locked(self) -> _Task | None:
         """Choose the next token holder and make it current: the first ready
-        task, else the network steps until one is ready.  The runner gets
-        the token when nothing is left to run, at ``until``, and on a
-        network error or deadlock, which it raises from ``run()``."""
-        runner = self._runner
-        self._current = runner  # network callbacks run outside any task
+        task, else the network steps until one is ready.  The run() caller
+        (None) gets it when nothing is left to run, at ``until``, on a network
+        error or deadlock, which it raises from ``run()``, and while ending."""
+        self._current = None  # network callbacks run outside any task
+        if self._ending:
+            return None
         network = self.network
         until = self._until
         while True:
@@ -196,29 +184,29 @@ class SimHub:
                 self._current = task
                 return task
             if not self._live:
-                return runner
+                return None
             if until is not None and network.now >= until:
-                return runner
+                return None
             next_time = network.next_time()
             if next_time is None:
                 parked = ", ".join(sorted(t.name for t in self._live))
                 self._failure = RuntimeError(f"deadlock: tasks parked with no pending events: {parked}")
-                return runner
+                return None
             if until is not None and next_time > until:
                 network.now = until
-                return runner
+                return None
             try:
                 network.step()
             except BaseException as exc:  # noqa: BLE001 - raised by run()
                 self._failure = exc
-                return runner
+                return None
 
-    def _switch_locked(self, successor: _Task | _Runner, baton: threading.Lock) -> None:
+    def _switch_locked(self, successor: _Task | None, baton: threading.Lock) -> None:
         """Pass the token to ``successor``, then block until ``baton`` is
         released; the hub lock is dropped while blocked."""
         self._lock.release()
         try:
-            successor.baton.release()
+            self._baton_of(successor).release()
             baton.acquire()
         finally:
             self._lock.acquire()
@@ -230,21 +218,26 @@ class SimHub:
         if successor is not task:
             self._switch_locked(successor, task.baton)
         task.parked = False
+        if self._ending:
+            raise _TaskEnded
 
     def _unpark_locked(self, task: _Task) -> None:
         if task.parked and not task.queued:
             task.queued = True
             self._ready.append(task)
 
-    def _notify_locked(self, point: _WaitPoint) -> None:
-        for task in point.waiters:
+    def _notify_locked(self, point: list[_Task]) -> None:
+        for task in point:
             self._unpark_locked(task)
-        point.waiters.clear()
+        point.clear()
 
-    def _wait_on_locked(self, point: _WaitPoint, deadline: float | None = None) -> bool:
-        """Park the current task on ``point``.  False if a timer woke it."""
+    def _wait_on_locked(self, point: list[_Task], deadline: float | None = None, idle: bool = False) -> bool:
+        """Park the current task on ``point``.  False if a timer woke it.
+        An ``idle`` task keeps no ``run()`` going while it waits."""
+        if self._ending:
+            raise _TaskEnded
         task = self._current
-        if task is self._runner:
+        if task is None:
             raise RuntimeError("blocking operation outside a sim task")
         if deadline is not None:
             if self.network.now >= deadline:
@@ -256,10 +249,14 @@ class SimHub:
                     self._unpark_locked(task)
 
             self.network.schedule_call(deadline, timer)
-        point.waiters.append(task)
+        point.append(task)
+        if idle:
+            self._live.discard(task)
         self._park_locked(task)
-        if task in point.waiters:  # woken by the timer, not the point
-            point.waiters.remove(task)
+        if idle:
+            self._live.add(task)
+        if task in point:  # woken by the timer, not the point
+            point.remove(task)
             return False
         return True
 
@@ -270,20 +267,18 @@ class SimChannel:
     def __init__(self, hub: SimHub):
         self._hub = hub
         self._items: deque = deque()
-        self._readable = _WaitPoint()
+        self._readable: list[_Task] = []
 
     def put(self, item) -> None:
         with self._hub._lock:
             self._items.append(item)
             self._hub._notify_locked(self._readable)
 
-    def get(self, timeout: float | None = None):
+    def get(self):
         hub = self._hub
         with hub._lock:
-            deadline = None if timeout is None else hub.network.now + timeout
             while not self._items:
-                if not hub._wait_on_locked(self._readable, deadline):
-                    raise TimeoutError("channel get timed out")
+                hub._wait_on_locked(self._readable)
             return self._items.popleft()
 
 
@@ -336,7 +331,7 @@ class _Endpoint:
     def __init__(self):
         self.buf = bytearray()
         self.eof = False
-        self.readable = _WaitPoint()
+        self.readable: list[_Task] = []
 
 
 class _SimConnection:
@@ -350,8 +345,8 @@ class _SimConnection:
         self.flow = _StreamFlow(flow_id, self.link, self, start_time=hub.network.now)
         self.client_read = _Endpoint()  # fed by the reverse path
         self.server_read = _Endpoint()  # fed by the forward flow
-        self.writable = _WaitPoint()
-        self.established = _WaitPoint()
+        self.writable: list[_Task] = []
+        self.established: list[_Task] = []
         self.handshake_done = False
         self.refused = False
 
@@ -461,12 +456,8 @@ class SimListener:
     def __init__(self, hub: SimHub):
         self._hub = hub
         self._pending: deque[SimStream] = deque()
-        self._readable = _WaitPoint()
+        self._readable: list[_Task] = []
         self.closed = False
-
-    @property
-    def address(self) -> str:
-        return "sim"
 
     def accept(self) -> SimStream:
         hub = self._hub
@@ -474,7 +465,7 @@ class SimListener:
             while not self._pending:
                 if self.closed:
                     raise ConnectionError("listener closed")
-                hub._wait_on_locked(self._readable)
+                hub._wait_on_locked(self._readable, idle=True)
             return self._pending.popleft()
 
     def close(self) -> None:
@@ -493,11 +484,10 @@ class SimListener:
 class SimTransport:
     """Transport facade over one simulated network endpoint pair."""
 
-    def __init__(self, hub: SimHub, *, send_buffer_cap: int = SEND_BUFFER_CAP, flow_prefix: str = "conn"):
+    def __init__(self, hub: SimHub, *, send_buffer_cap: int = SEND_BUFFER_CAP):
         self._hub = hub
         self._listener: SimListener | None = None
         self._send_buffer_cap = send_buffer_cap
-        self._flow_prefix = flow_prefix
         self._conn_counter = 0
 
     def connect(self) -> SimStream:
@@ -507,9 +497,7 @@ class SimTransport:
             if listener is None or listener.closed:
                 raise ConnectionRefusedError("nothing is listening")
             self._conn_counter += 1
-            conn = _SimConnection(
-                hub, f"{self._flow_prefix}-{self._conn_counter}", self._send_buffer_cap
-            )
+            conn = _SimConnection(hub, f"conn-{self._conn_counter}", self._send_buffer_cap)
             hub.network.add_flow(conn.flow)
             client = SimStream(conn, is_client=True)
             server = SimStream(conn, is_client=False)
@@ -540,7 +528,7 @@ class SimTransport:
             self._listener = SimListener(self._hub)
             return self._listener
 
-    def spawn(self, fn, name: str | None = None) -> SimTaskHandle:
+    def spawn(self, fn, name: str | None = None) -> _Task:
         return self._hub.spawn(fn, name)
 
     def channel(self) -> SimChannel:

@@ -88,7 +88,6 @@ def send_transfer(
     *,
     data_frame_bytes: int = DEFAULT_DATA_FRAME_BYTES,
     transfer_id: bytes | None = None,
-    receipt_timeout: float = DEFAULT_IDLE_TIMEOUT,
 ) -> TransferReport:
     """Send ``payload`` over ``connection_count`` concurrent streams.
 
@@ -146,7 +145,7 @@ def send_transfer(
                 stream.write_all(encode_frame(Data(chunk.index, off, piece)))
             digest = manifest.chunk_digests[index]
             stream.write_all(encode_frame(Fin(chunk.index, digest)))
-            _read_receipt(stream, chunk.index, digest, receipt_timeout)
+            _read_receipt(stream, chunk.index, digest)
             stream.close()
             stats[index] = ConnectionStat(chunk.index, len(body), start, transport.now() - t0)
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
@@ -187,10 +186,10 @@ def _sender_failure_kind(exc: Exception) -> FailureKind:
     return FailureKind.CONNECTION
 
 
-def _read_receipt(stream, chunk_index: int, expected_digest: bytes, timeout: float) -> None:
+def _read_receipt(stream, chunk_index: int, expected_digest: bytes) -> None:
     decoder = FrameDecoder()
     while True:
-        data = stream.read_some(timeout=timeout)
+        data = stream.read_some(timeout=DEFAULT_IDLE_TIMEOUT)
         if data == b"":
             raise ConnectionError(f"stream closed before receipt for chunk {chunk_index}")
         for frame in decoder.feed(data):
@@ -251,8 +250,8 @@ class _TransferMonitor:
         self.digests: dict[int, bytes] = {}
         self.stats: list[ConnectionStat] = []
         self.timeline: list[tuple[float, int, int]] = []
+        self.finished = False
         self.failed: str | None = None
-        self.finalized = False
 
     def consistent_with(self, hello: Hello) -> bool:
         return (
@@ -322,13 +321,15 @@ class _TransferMonitor:
             self.stats.append(ConnectionStat(index, length, started, now))
             return len(self.completed) == self.connection_count
 
-    def fail(self, reason: str) -> bool:
-        """Record the first failure; True if this call was it."""
+    def finish(self, reason: str | None) -> bool:
+        """Claim the transfer's one completion, failed with ``reason`` or
+        succeeded when it is None; True if this call was first."""
         with self.lock:
-            first = self.failed is None
-            if first:
-                self.failed = reason
-            return first
+            if self.finished:
+                return False
+            self.finished = True
+            self.failed = reason
+            return True
 
     def result(self, kind: FailureKind | None, reason: str | None, now: float) -> ReceivedTransfer:
         return ReceivedTransfer(
@@ -502,29 +503,28 @@ class Receiver:
                 ReceivedTransfer(None, False, reason, 0, 0.0, [], [], kind)
             )
             return
-        if monitor.fail(reason):
-            with self._monitors_lock:
-                self._monitors.pop(monitor.transfer_id, None)
-                self._finished_ids.append(monitor.transfer_id)
-            self._completions.put(monitor.result(kind, reason, self._transport.now()))
+        self._complete(monitor, kind, reason)
 
     def _finalize(self, monitor: _TransferMonitor) -> None:
-        if monitor.finalized:
-            return
-        monitor.finalized = True
         # Every chunk digest was verified against its bytes in complete(), and
         # register() pinned each chunk to its partition entry, so the root over
         # them stands for the whole buffer.
         chunk_digests = (monitor.digests[i] for i in range(monitor.connection_count))
         if root_digest(chunk_digests) != monitor.payload_digest:
             self._fail_transfer(monitor, FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
+        else:
+            self._complete(monitor, None, None)
+
+    def _complete(self, monitor: _TransferMonitor, kind: FailureKind | None, reason: str | None) -> None:
+        """Deliver the transfer's one completion; later claims are dropped."""
+        if not monitor.finish(reason):
             return
         with self._monitors_lock:
             self._monitors.pop(monitor.transfer_id, None)
             self._finished_ids.append(monitor.transfer_id)
-        if self._sink is not None:
+        if reason is None and self._sink is not None:
             self._sink(monitor.transfer_id, monitor.buffer)
-        self._completions.put(monitor.result(None, None, self._transport.now()))
+        self._completions.put(monitor.result(kind, reason, self._transport.now()))
 
 
 def serve(transport, sink=None, **options) -> ReceivedTransfer:

@@ -17,12 +17,14 @@ lives in ``ptcp.simbridge``.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import threading
 import time
 
 READ_CHUNK = 64 * 1024
+LISTEN_BACKLOG = 64
 
 
 class ThreadHandle:
@@ -103,12 +105,12 @@ class TcpStream:
 
 
 class TcpListener:
-    def __init__(self, host: str, port: int, backlog: int = 64):
+    def __init__(self, host: str, port: int):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._sock.bind((host, port))
-            self._sock.listen(backlog)
+            self._sock.listen(LISTEN_BACKLOG)
         except OSError:
             self._sock.close()
             raise
@@ -122,6 +124,8 @@ class TcpListener:
         return TcpStream(conn)
 
     def close(self) -> None:
+        with contextlib.suppress(OSError):  # wakes a thread blocked in accept()
+            self._sock.shutdown(socket.SHUT_RDWR)
         self._sock.close()
 
 
@@ -135,8 +139,8 @@ class TcpTransport(_ThreadedTransportBase):
     def connect(self) -> TcpStream:
         return TcpStream(socket.create_connection((self.host, self.port), timeout=10.0))
 
-    def listen(self, backlog: int = 64) -> TcpListener:
-        listener = TcpListener(self.host, self.port, backlog)
+    def listen(self) -> TcpListener:
+        listener = TcpListener(self.host, self.port)
         if self.port == 0:
             self.port = listener.address[1]
         return listener

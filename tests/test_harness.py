@@ -392,7 +392,10 @@ def test_cli_send_broken_receiver_is_transfer_error(tmp_path, capsys):
         code = main(["send", "--to", f"127.0.0.1:{port}", "--file", str(payload), "--streams", "2"])
     finally:
         stop.set()
+        server.shutdown(socket.SHUT_RDWR)  # wakes the slammer's accept()
         server.close()
+        thread.join(timeout=5.0)
+    assert not thread.is_alive()
     assert code == EXIT_TRANSFER
     out = capsys.readouterr().out
     assert "FAILED" in out

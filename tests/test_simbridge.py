@@ -1,16 +1,18 @@
 """Tests for the simulated-network stream bridge.
 
-Covers the hub scheduler (task lifecycle, virtual sleep, channels,
+Covers the hub scheduler (task lifecycle, virtual sleep, channels, idle servers,
 deadlock detection), the stream semantics (EOF, timeouts, backpressure,
 refused connects), and the headline property: the transfer code runs
 unmodified over the simulated bottleneck, deterministically.
 """
 
+import threading
+
 import pytest
 
 from ptcp.simbridge import SimChannel, SimHub, SimTransport
 from ptcp.simnet import LinkConfig, Network
-from ptcp.striping import send_transfer, serve
+from ptcp.striping import Receiver, send_transfer, serve
 from ptcp.wire import sha256
 
 FAST_LINK = LinkConfig(
@@ -20,6 +22,14 @@ FAST_LINK = LinkConfig(
 
 def make_hub(link: LinkConfig = FAST_LINK, **kwargs) -> SimHub:
     return SimHub(Network(link, **kwargs))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    # run() ends and joins every task it started, however it stops.
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, [t.name for t in threading.enumerate()]
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +43,7 @@ def test_spawn_run_join_result():
     handle = hub.spawn(lambda: out.append("ran"), name="worker")
     hub.run()
     assert out == ["ran"]
-    assert not handle.is_alive()
+    assert handle.finished and not handle.thread.is_alive()
     handle.join()  # finished task: join returns immediately, no error
 
 
@@ -73,6 +83,33 @@ def test_deadlock_detection_names_the_task():
     channel = SimChannel(hub)
     hub.spawn(lambda: channel.get(), name="starved")
     with pytest.raises(RuntimeError, match="deadlock.*starved"):
+        hub.run()
+
+
+def test_idle_receiver_keeps_no_run_going():
+    # The receiver's accept loop is a task of its own, spawned outside any
+    # other task; once the transfer is done it only waits for a connection.
+    hub = make_hub()
+    transport = SimTransport(hub)
+    box = {}
+    receiver = Receiver(transport, sink=lambda tid, data: box.__setitem__("payload", data))
+    payload = bytes(range(256)) * 100
+    hub.spawn(lambda: box.__setitem__("report", send_transfer(payload, transport, 2)), name="send")
+    hub.run()
+    result = receiver.serve_one()
+    receiver.close()
+    assert box["report"].ok
+    assert result.ok and result.transfer_id == box["report"].transfer_id
+    assert box["payload"] == payload
+
+
+def test_deadlock_beside_an_idle_server_names_only_the_stuck_task():
+    hub = make_hub()
+    listener = SimTransport(hub).listen()
+    channel = SimChannel(hub)
+    hub.spawn(listener.accept, name="acceptor")
+    hub.spawn(channel.get, name="starved")
+    with pytest.raises(RuntimeError, match="no pending events: starved$"):
         hub.run()
 
 
@@ -132,32 +169,6 @@ def test_channel_between_tasks():
     hub.spawn(producer, name="producer")
     hub.run()
     assert got == ["first", "second"]
-
-
-def test_channel_get_timeout_is_virtual():
-    hub = make_hub()
-    channel = SimChannel(hub)
-
-    def consumer():
-        with pytest.raises(TimeoutError):
-            channel.get(timeout=0.5)
-
-    hub.spawn(consumer, name="consumer")
-    hub.run()
-    assert hub.now() == pytest.approx(0.5)
-
-
-def test_join_timeout_is_virtual():
-    hub = make_hub()
-    sleeper = hub.spawn(lambda: hub.sleep(10.0), name="sleeper")
-
-    def impatient():
-        with pytest.raises(TimeoutError):
-            sleeper.join(timeout=1.0)
-
-    hub.spawn(impatient, name="impatient")
-    hub.run()
-    assert hub.now() == pytest.approx(10.0)
 
 
 def test_run_until_stops_the_clock():

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -448,6 +449,72 @@ def test_striping_over_tcp_loopback():
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
     assert store[report.transfer_id] == payload
+
+
+def test_closed_tcp_receiver_frees_its_port():
+    # close() must wake the accept thread; while it sits in accept() the
+    # listening socket, and so the port, stays bound.
+    first = Receiver(TcpTransport("127.0.0.1", 0))
+    port = first.listener.address[1]
+    first.close()
+    first._acceptor.join(timeout=1.0)
+    second = Receiver(TcpTransport("127.0.0.1", port))
+    second.close()
+    second._acceptor.join(timeout=1.0)
+
+
+class _HeldReceiptStream:
+    """Receiver-side stream whose first chunk-0 receipt write waits for
+    ``release``, then fails as if the sender had gone."""
+
+    def __init__(self, inner, release: threading.Event, aborted: threading.Event):
+        self._inner = inner
+        self._release = release
+        self._aborted = aborted
+
+    def read_some(self, *args, **kwargs):
+        return self._inner.read_some(*args, **kwargs)
+
+    def write_all(self, data: bytes) -> None:
+        (receipt,) = FrameDecoder().feed(data)
+        if receipt.chunk_index == 0 and not self._release.is_set():
+            self._release.wait(5.0)
+            raise ConnectionError("peer vanished")
+        self._inner.write_all(data)
+
+    def close(self) -> None:
+        self._inner.close()
+
+    def abort(self) -> None:
+        self._inner.abort()
+        self._aborted.set()
+
+
+def test_one_completion_per_transfer_id():
+    # Chunk 0 completes, then its receipt write fails only after chunk 1
+    # finalized the transfer: that failure must not be a second completion.
+    release, aborted = threading.Event(), threading.Event()
+    transport = MemoryTransport()
+    listener = transport.listen()
+    accept = listener.accept
+    listener.accept = lambda: _HeldReceiptStream(accept(), release, aborted)
+    transport.listen = lambda: listener
+    store = {}
+    receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
+    payload = random.Random(3).randbytes(10_000)
+    handle = transport.spawn(lambda: send_transfer(payload, transport, 2))
+    first = receiver.serve_one()
+    assert first.ok, first.reason
+    assert store[first.transfer_id] == payload
+    release.set()
+    assert aborted.wait(5.0)
+    assert not handle.join(timeout=5.0).ok  # chunk 0 never got its receipt
+
+    report = send_transfer(payload, transport, 2)
+    following = receiver.serve_one()
+    receiver.close()
+    assert report.ok and following.ok
+    assert following.transfer_id == report.transfer_id
 
 
 def test_late_stream_of_failed_transfer_is_turned_away():
