@@ -140,8 +140,7 @@ def cmd_recv(args) -> int:
                     f"in {result.wall_time:.3f} s over {len(result.per_connection)} connections"
                 )
             else:
-                shown = result.transfer_id.hex() if result.transfer_id else "(unidentified)"
-                print(f"transfer {shown} failed: {result.reason}")
+                print(f"transfer {result.transfer_id.hex()} failed: {result.reason}")
             if args.once:
                 return EXIT_OK if result.ok else EXIT_TRANSFER
     except KeyboardInterrupt:

@@ -6,17 +6,20 @@ order, FIN with the chunk digest.  After FIN each sender worker waits for
 the receiver's receipt (a FIN frame echoing the digest the receiver
 computed) so corruption is observable end to end.
 
-Receiver: an accept loop hands each new stream to a connection worker.
-Workers register with the per-transfer monitor on HELLO; the first valid
-HELLO allocates one buffer for the whole payload.  Each DATA frame is
-written in place at its chunk's offset and fed to that chunk's running
-digest, and FIN completes the chunk once that digest verifies.  When the
-last chunk completes, the hash-list root over the verified chunk digests is
-checked against HELLO's payload digest, and the buffer itself goes to the
-sink.  A failure on any connection fails the whole transfer; there is no
-retry, and late streams of a failed transfer are dropped.
+Receiver: an accept loop hands each new stream to a worker that reads one
+sequence from it: HELLO, which registers the stream with its transfer's
+monitor (the first valid HELLO allocates one buffer for the whole payload),
+DATA frames written in place at the chunk's offset and fed to its running
+digest, and FIN, which completes the chunk once that digest verifies.  When
+the last chunk completes, the hash-list root over the verified chunk digests
+is checked against HELLO's payload digest, and the buffer itself goes to the
+sink.  A failure on any stream fails the whole transfer and aborts all its
+streams; there is no retry, and late streams of a finished transfer are
+turned away.  A stream that does not open with a valid HELLO names no
+transfer: it is aborted and reported nowhere.
 
-Every failed transfer carries a ``FailureKind`` next to its reason string.
+Every failed transfer carries a ``FailureKind`` next to its reason string,
+and every reason, on either side, reads ``"{kind.value}: {detail}"``.
 """
 
 from __future__ import annotations
@@ -99,27 +102,18 @@ def send_transfer(
         raise ValueError(f"connection_count must be >= 1, got {connection_count}")
     manifest = TransferManifest.for_payload(payload, connection_count, transfer_id)
     t0 = transport.now()
+    stats: list[ConnectionStat | None] = [None] * connection_count
+    errors: list[tuple[FailureKind, Exception] | None] = [None] * connection_count
 
     streams = []
     for chunk in manifest.chunks:
         try:
             streams.append(transport.connect())
         except OSError as exc:
+            errors[chunk.index] = (FailureKind.CONNECT, exc)
             for s in streams:
                 s.abort()
-            return TransferReport(
-                transfer_id=manifest.transfer_id,
-                bytes_sent=0,
-                wall_time=transport.now() - t0,
-                per_connection=[],
-                ok=False,
-                failure_reason=f"{FailureKind.CONNECT.value}: {exc}",
-                failing_chunk=chunk.index,
-                failure_kind=FailureKind.CONNECT,
-            )
-
-    stats: list[ConnectionStat | None] = [None] * connection_count
-    errors: list[tuple[int, FailureKind, str] | None] = [None] * connection_count
+            break
 
     def worker(index: int):
         chunk = manifest.chunks[index]
@@ -149,41 +143,49 @@ def send_transfer(
             stream.close()
             stats[index] = ConnectionStat(chunk.index, len(body), start, transport.now() - t0)
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
-            errors[index] = (index, _sender_failure_kind(exc), f"{type(exc).__name__}: {exc}")
+            errors[index] = (_failure_kind(exc), exc)
             stream.abort()
 
-    handles = [transport.spawn(lambda i=i: worker(i), name=f"send-{i}") for i in range(connection_count)]
-    for h in handles:
-        h.join()
+    if len(streams) == connection_count:
+        handles = [
+            transport.spawn(lambda i=i: worker(i), name=f"send-{i}") for i in range(connection_count)
+        ]
+        for h in handles:
+            h.join()
 
-    failures = [e for e in errors if e is not None]
-    if failures:
-        failing_chunk, kind, reason = failures[0]
-        return TransferReport(
-            transfer_id=manifest.transfer_id,
-            bytes_sent=sum(s.bytes for s in stats if s is not None),
-            wall_time=transport.now() - t0,
-            per_connection=[s for s in stats if s is not None],
-            ok=False,
-            failure_reason=reason,
-            failing_chunk=failing_chunk,
-            failure_kind=kind,
-        )
+    failing = next((i for i, e in enumerate(errors) if e is not None), None)
+    kind, exc = (None, None) if failing is None else errors[failing]
+    done = [s for s in stats if s is not None]
     return TransferReport(
         transfer_id=manifest.transfer_id,
-        bytes_sent=manifest.total_size,
+        bytes_sent=sum(s.bytes for s in done),
         wall_time=transport.now() - t0,
-        per_connection=[s for s in stats if s is not None],
-        ok=True,
+        per_connection=done,
+        ok=failing is None,
+        failure_reason=None if kind is None else _reason(kind, exc),
+        failing_chunk=failing,
+        failure_kind=kind,
     )
 
 
-def _sender_failure_kind(exc: Exception) -> FailureKind:
+class _CorruptChunk(Exception):
+    """A chunk's bytes do not match the digest its FIN carries."""
+
+
+def _failure_kind(exc: Exception) -> FailureKind:
+    """The kind of failure an exception raised on a stream stands for."""
+    if isinstance(exc, _CorruptChunk):
+        return FailureKind.CORRUPT_CHUNK
     if isinstance(exc, ProtocolError):
         return FailureKind.PROTOCOL
     if isinstance(exc, TimeoutError):
         return FailureKind.STALLED
     return FailureKind.CONNECTION
+
+
+def _reason(kind: FailureKind, detail: object) -> str:
+    """Every failure reason, on either side: the kind's prefix, then what went wrong."""
+    return f"{kind.value}: {detail}"
 
 
 def _read_receipt(stream, chunk_index: int, expected_digest: bytes) -> None:
@@ -218,7 +220,7 @@ class ReceiverState:
 
 @dataclass
 class ReceivedTransfer:
-    transfer_id: bytes | None
+    transfer_id: bytes
     ok: bool
     reason: str | None
     total_size: int
@@ -228,8 +230,20 @@ class ReceivedTransfer:
     failure_kind: FailureKind | None = None
 
 
+@dataclass
+class _Chunk:
+    """One registered chunk at the monitor."""
+
+    offset: int
+    length: int
+    hasher: hashlib._Hash  # running digest of the bytes written so far
+    started: float  # when its HELLO arrived, in seconds after the transfer's first
+    filled: int = 0
+    digest: bytes | None = None  # its FIN digest, once verified against its bytes
+
+
 class _TransferMonitor:
-    """Completion tracker for one transfer: register / data / complete / fail."""
+    """Completion tracker for one transfer: register / data / complete / finish."""
 
     def __init__(self, hello: Hello, received_at: float, buffer_cap: int):
         self.transfer_id = hello.transfer_id
@@ -239,34 +253,29 @@ class _TransferMonitor:
         self.buffer_cap = buffer_cap
         self.started_at = received_at
         self.lock = threading.Lock()
-        self.registered: set[int] = set()
-        self.completed: set[int] = set()
+        self.chunks: dict[int, _Chunk] = {}
+        self.streams: list = []  # every registered stream; a failure aborts them all
         self.buffer: bytearray | None = None  # whole payload; allocated by the first valid HELLO
-        self.chunk_meta: dict[int, tuple[int, int]] = {}  # index -> (offset, length)
-        # Per chunk: bytes written so far and the running digest of them;
-        # then, once FIN verified it, the digest the root is checked over.
-        self.filled: dict[int, int] = {}
-        self.hashers: dict[int, hashlib._Hash] = {}
-        self.digests: dict[int, bytes] = {}
-        self.stats: list[ConnectionStat] = []
+        self.stats: list[ConnectionStat] = []  # one per completed chunk
         self.timeline: list[tuple[float, int, int]] = []
         self.finished = False
         self.failed: str | None = None
 
-    def consistent_with(self, hello: Hello) -> bool:
-        return (
-            hello.total_size == self.total_size
-            and hello.connection_count == self.connection_count
-            and hello.payload_digest == self.payload_digest
-        )
-
-    def register(self, hello: Hello) -> None:
+    def register(self, hello: Hello, stream, now: float) -> bool:
+        """Admit ``stream`` as the carrier of HELLO's chunk; False once the
+        transfer has finished, so the stream is turned away."""
         with self.lock:
-            if not self.consistent_with(hello):
+            if self.finished:
+                return False
+            if (hello.total_size, hello.connection_count, hello.payload_digest) != (
+                self.total_size,
+                self.connection_count,
+                self.payload_digest,
+            ):
                 raise ProtocolError(
                     f"HELLO fields inconsistent across connections of transfer {self.transfer_id.hex()}"
                 )
-            if hello.chunk_index in self.registered:
+            if hello.chunk_index in self.chunks:
                 raise ProtocolError(f"duplicate registration for chunk {hello.chunk_index}")
             if hello.chunk_index >= self.connection_count:
                 raise ProtocolError(
@@ -284,52 +293,57 @@ class _TransferMonitor:
                 )
             if self.buffer is None:
                 self.buffer = bytearray(self.total_size)
-            self.registered.add(hello.chunk_index)
-            self.chunk_meta[hello.chunk_index] = (hello.chunk_offset, hello.chunk_length)
-            self.filled[hello.chunk_index] = 0
-            self.hashers[hello.chunk_index] = hashlib.sha256()
+            self.chunks[hello.chunk_index] = _Chunk(
+                hello.chunk_offset, hello.chunk_length, hashlib.sha256(), now - self.started_at
+            )
+            self.streams.append(stream)
+            return True
 
     # data() and complete() run on the chunk's own worker only (register()
-    # rejects a second stream for a chunk), so its slice of the buffer, fill
-    # count and digest need no lock.
+    # rejects a second stream for a chunk), so its _Chunk and its slice of
+    # the buffer need no lock.
 
     def data(self, frame: Data, now: float) -> None:
         index, size = frame.chunk_index, len(frame.payload)
-        offset, length = self.chunk_meta[index]
-        filled = self.filled[index]
-        if frame.offset_in_chunk != filled:
-            raise ProtocolError(f"chunk {index}: DATA offset {frame.offset_in_chunk}, expected {filled}")
-        if filled + size > length:
+        chunk = self.chunks[index]
+        if frame.offset_in_chunk != chunk.filled:
+            raise ProtocolError(
+                f"chunk {index}: DATA offset {frame.offset_in_chunk}, expected {chunk.filled}"
+            )
+        if chunk.filled + size > chunk.length:
             raise ProtocolError(f"chunk {index} overflows its declared length")
-        self.buffer[offset + filled : offset + filled + size] = frame.payload
-        self.hashers[index].update(frame.payload)
-        self.filled[index] = filled + size
+        start = chunk.offset + chunk.filled
+        self.buffer[start : start + size] = frame.payload
+        chunk.hasher.update(frame.payload)
+        chunk.filled += size
         with self.lock:
-            self.timeline.append((now, index, size))
+            self.timeline.append((now - self.started_at, index, size))
 
-    def complete(self, frame: Fin, started: float, now: float) -> bool:
+    def complete(self, frame: Fin, now: float) -> bool:
         """Verify and mark one chunk done; True when this was the last chunk."""
         index = frame.chunk_index
-        _, length = self.chunk_meta[index]
-        if self.filled[index] != length:
-            raise ProtocolError(f"chunk {index} FIN after {self.filled[index]} of {length} bytes")
-        if self.hashers[index].digest() != frame.chunk_digest:
-            raise _CorruptChunk(index)
+        chunk = self.chunks[index]
+        if chunk.filled != chunk.length:
+            raise ProtocolError(f"chunk {index} FIN after {chunk.filled} of {chunk.length} bytes")
+        if chunk.hasher.digest() != frame.chunk_digest:
+            raise _CorruptChunk(f"chunk {index} digest mismatch")
+        chunk.digest = frame.chunk_digest
         with self.lock:
-            self.digests[index] = frame.chunk_digest
-            self.completed.add(index)
-            self.stats.append(ConnectionStat(index, length, started, now))
-            return len(self.completed) == self.connection_count
+            self.stats.append(ConnectionStat(index, chunk.length, chunk.started, now - self.started_at))
+            return len(self.stats) == self.connection_count
 
     def finish(self, reason: str | None) -> bool:
-        """Claim the transfer's one completion, failed with ``reason`` or
-        succeeded when it is None; True if this call was first."""
+        """Claim the transfer's one completion, failed with ``reason`` or succeeded
+        when it is None; True if first.  A first failing claim aborts its streams."""
         with self.lock:
             if self.finished:
                 return False
             self.finished = True
             self.failed = reason
-            return True
+        if reason is not None:
+            for stream in self.streams:  # register() adds none once finished
+                stream.abort()
+        return True
 
     def result(self, kind: FailureKind | None, reason: str | None, now: float) -> ReceivedTransfer:
         return ReceivedTransfer(
@@ -348,16 +362,10 @@ class _TransferMonitor:
             return ReceiverState(
                 transfer_id=self.transfer_id,
                 connection_count=self.connection_count,
-                registered=set(self.registered),
-                completed=set(self.completed),
+                registered=set(self.chunks),
+                completed={s.chunk_index for s in self.stats},
                 failed=self.failed,
             )
-
-
-class _CorruptChunk(Exception):
-    def __init__(self, chunk_index: int):
-        super().__init__(f"chunk {chunk_index} digest mismatch")
-        self.chunk_index = chunk_index
 
 
 class Receiver:
@@ -370,7 +378,9 @@ class Receiver:
     those digests (``wire.root_digest``) matches HELLO's payload digest;
     the payload is never hashed as a whole.  On success the sink is
     called as ``sink(transfer_id, payload)`` with the receive buffer itself,
-    a ``bytearray`` the sink may keep; it is not copied into ``bytes``.
+    a ``bytearray`` the sink may keep; it is not copied into ``bytes``.  A
+    failure aborts every stream of its transfer; a stream that does not open
+    with a valid HELLO is aborted, and ``serve_one`` never sees it.
     """
 
     def __init__(
@@ -429,94 +439,61 @@ class Receiver:
                 self._monitors[hello.transfer_id] = monitor
             return monitor
 
-    def _connection_worker(self, stream):
+    def _frames(self, stream):
+        """The frames ``stream`` carries, decoded as they arrive, up to its end."""
         decoder = FrameDecoder()
-        monitor: _TransferMonitor | None = None
-        chunk_index: int | None = None
-        started = 0.0
-        try:
-            eof = False
-            while not eof:
-                data = stream.read_some(timeout=self._idle_timeout)
-                if data == b"":
-                    eof = True
-                for frame in decoder.feed(data):
-                    if monitor is not None and monitor.failed is not None:
-                        stream.abort()
-                        return
-                    if isinstance(frame, Hello):
-                        if monitor is not None:
-                            raise ProtocolError("second HELLO on one stream")
-                        started = self._transport.now()
-                        monitor = self._monitor_for(frame, started)
-                        if monitor is None:
-                            stream.abort()
-                            return
-                        chunk_index = frame.chunk_index
-                        monitor.register(frame)
-                    elif isinstance(frame, Data):
-                        if monitor is None:
-                            raise ProtocolError("DATA before HELLO on stream")
-                        if frame.chunk_index != chunk_index:
-                            raise ProtocolError(
-                                f"DATA for chunk {frame.chunk_index} on the chunk-{chunk_index} stream"
-                            )
-                        monitor.data(frame, self._transport.now() - monitor.started_at)
-                    elif isinstance(frame, Fin):
-                        if monitor is None:
-                            raise ProtocolError("FIN before HELLO on stream")
-                        if frame.chunk_index != chunk_index:
-                            raise ProtocolError(
-                                f"FIN for chunk {frame.chunk_index} on the chunk-{chunk_index} stream"
-                            )
-                        now = self._transport.now()
-                        last = monitor.complete(
-                            frame, started - monitor.started_at, now - monitor.started_at
-                        )
-                        # complete() verified this digest against the buffered chunk.
-                        stream.write_all(encode_frame(Fin(chunk_index, frame.chunk_digest)))
-                        stream.close()
-                        if last:
-                            self._finalize(monitor)
-                        return
-            if monitor is None or chunk_index is None:
-                raise ProtocolError("stream ended before HELLO")
-            raise ProtocolError(f"stream for chunk {chunk_index} ended before FIN")
-        except _CorruptChunk as exc:
-            self._fail_transfer(monitor, FailureKind.CORRUPT_CHUNK, str(exc.chunk_index))
-            stream.abort()
-        except ProtocolError as exc:
-            self._fail_transfer(monitor, FailureKind.PROTOCOL, str(exc))
-            stream.abort()
-        except TimeoutError:
-            self._fail_transfer(monitor, FailureKind.STALLED, "idle timeout")
-            stream.abort()
-        except (ConnectionError, OSError) as exc:
-            self._fail_transfer(monitor, FailureKind.CONNECTION, str(exc))
-            stream.abort()
+        while data := stream.read_some(timeout=self._idle_timeout):
+            yield from decoder.feed(data)
 
-    def _fail_transfer(self, monitor: _TransferMonitor | None, kind: FailureKind, detail: str) -> None:
-        reason = f"{kind.value}: {detail}"
-        if monitor is None:
-            # Stream-level failure with no registered transfer.
-            self._completions.put(
-                ReceivedTransfer(None, False, reason, 0, 0.0, [], [], kind)
-            )
-            return
-        self._complete(monitor, kind, reason)
+    def _connection_worker(self, stream):
+        """One stream's sequence: HELLO, DATA frames in order, FIN, receipt."""
+        monitor: _TransferMonitor | None = None
+        try:
+            frames = self._frames(stream)
+            hello = next(frames, None)
+            now = self._transport.now()
+            monitor = self._monitor_for(hello, now) if isinstance(hello, Hello) else None
+            if monitor is None or not monitor.register(hello, stream, now):
+                stream.abort()  # no valid HELLO, or its transfer has finished
+                return
+            index = hello.chunk_index
+            for frame in frames:
+                if monitor.finished:
+                    return  # the transfer failed and aborted this stream
+                if isinstance(frame, Hello):
+                    raise ProtocolError("second HELLO on one stream")
+                if frame.chunk_index != index:
+                    raise ProtocolError(
+                        f"{frame.kind.name} for chunk {frame.chunk_index} on the chunk-{index} stream"
+                    )
+                if isinstance(frame, Data):
+                    monitor.data(frame, self._transport.now())
+                    continue
+                last = monitor.complete(frame, self._transport.now())
+                # complete() verified this digest against the buffered chunk.
+                stream.write_all(encode_frame(Fin(index, frame.chunk_digest)))
+                stream.close()
+                if last:
+                    self._finalize(monitor)
+                return
+            raise ProtocolError(f"stream for chunk {index} ended before FIN")
+        except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
+            stream.abort()
+            if monitor is not None:
+                self._complete(monitor, _failure_kind(exc), exc)
 
     def _finalize(self, monitor: _TransferMonitor) -> None:
         # Every chunk digest was verified against its bytes in complete(), and
         # register() pinned each chunk to its partition entry, so the root over
         # them stands for the whole buffer.
-        chunk_digests = (monitor.digests[i] for i in range(monitor.connection_count))
-        if root_digest(chunk_digests) != monitor.payload_digest:
-            self._fail_transfer(monitor, FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
-        else:
-            self._complete(monitor, None, None)
+        chunk_digests = (monitor.chunks[i].digest for i in range(monitor.connection_count))
+        ok = root_digest(chunk_digests) == monitor.payload_digest
+        self._complete(monitor, None if ok else FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
 
-    def _complete(self, monitor: _TransferMonitor, kind: FailureKind | None, reason: str | None) -> None:
-        """Deliver the transfer's one completion; later claims are dropped."""
+    def _complete(self, monitor: _TransferMonitor, kind: FailureKind | None, detail=None) -> None:
+        """Deliver the transfer's one completion, succeeded when ``kind`` is
+        None; later claims are dropped."""
+        reason = None if kind is None else _reason(kind, detail)
         if not monitor.finish(reason):
             return
         with self._monitors_lock:

@@ -10,9 +10,10 @@ A transport bundles everything the striping layer needs from its environment:
 
 Streams expose blocking ``read_some`` / ``write_all`` / ``close`` with TCP
 semantics; ``read_some`` returns b"" at end of stream and raises
-``TimeoutError`` when a read deadline passes.  Backends here: real OS TCP
-sockets and an in-process memory pipe.  The simulated-bottleneck backend
-lives in ``ptcp.simbridge``.
+``TimeoutError`` when a read deadline passes.  ``abort`` may be called from
+another thread and wakes a reader blocked on the stream.  Backends here:
+real OS TCP sockets and an in-process memory pipe.  The simulated-bottleneck
+backend lives in ``ptcp.simbridge``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ class TcpStream:
         self._sock.close()
 
     def abort(self) -> None:
+        with contextlib.suppress(OSError):  # wakes a thread blocked in recv() on this socket
+            self._sock.shutdown(socket.SHUT_RDWR)
         self._sock.close()
 
 

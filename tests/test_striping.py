@@ -17,6 +17,28 @@ from ptcp.transport import MemoryTransport, TcpTransport
 from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
 
 
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    # Every worker ends with its stream, and a failed transfer ends all of
+    # its streams, so nothing a test started may outlive it for long.
+    before = set(threading.enumerate())
+    yield
+
+    def left():
+        return [t.name for t in threading.enumerate() if t not in before]
+
+    assert wait_until(lambda: not left()), left()
+
+
+def wait_until(condition, timeout: float = 2.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
 def collect_sink(store):
     def sink(transfer_id, payload):
         store[transfer_id] = payload
@@ -137,16 +159,47 @@ def test_duplicate_chunk_index_fails_transfer():
     assert "duplicate" in result.reason
 
 
-def test_data_before_hello_is_protocol_error():
+def test_stream_without_hello_completes_nothing():
+    # A stream that opens with DATA names no transfer: it is aborted, and the
+    # next completion is the next real transfer, not an anonymous failure.
     transport = MemoryTransport()
     receiver = Receiver(transport)
-    stream = transport.connect()
-    stream.write_all(encode_frame(Data(0, 0, b"orphan")))
+    stray = transport.connect()
+    stray.write_all(encode_frame(Data(0, 0, b"orphan")))
+    assert stray.read_some(timeout=5.0) == b""
+    report = send_transfer(b"real" * 100, transport, 2)
     result = receiver.serve_one()
     receiver.close()
-    assert not result.ok
-    assert result.transfer_id is None
-    assert "protocol-error" in result.reason
+    assert report.ok and result.ok, result.reason
+    assert result.transfer_id == report.transfer_id
+
+
+@pytest.mark.parametrize(
+    "make_transport", [MemoryTransport, lambda: TcpTransport("127.0.0.1", 0)], ids=["memory", "tcp"]
+)
+def test_failure_ends_every_stream_of_the_transfer(make_transport):
+    # The chunk-1 stream sends its HELLO and goes quiet; then chunk 0 fails
+    # with a short FIN.  The failure must end the quiet stream and its worker
+    # at once, not at the 30 s idle timeout.
+    manifest = TransferManifest.for_payload(b"Q" * 1000, 2)
+    transport = make_transport()
+    receiver = Receiver(transport, idle_timeout=30.0)
+    quiet = transport.connect()
+    failing = transport.connect()
+    try:
+        quiet.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
+        assert wait_until(lambda: [s.registered for s in receiver.transfer_states()] == [{1}])
+        failing.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        failing.write_all(encode_frame(Fin(0, sha256(b""))))
+        result = receiver.serve_one()
+        assert result.failure_kind is FailureKind.PROTOCOL
+        assert "FIN after 0 of 500" in result.reason
+        assert quiet.read_some(timeout=1.0) == b""
+        assert wait_until(lambda: not any(t.name == "recv-conn" for t in threading.enumerate()), 1.0)
+    finally:
+        quiet.abort()
+        failing.abort()
+        receiver.close()
 
 
 def test_inconsistent_hello_fails_transfer():
@@ -158,6 +211,7 @@ def test_inconsistent_hello_fails_transfer():
     s0 = transport.connect()
     s1 = transport.connect()
     s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+    assert wait_until(receiver.transfer_states)  # the good HELLO makes the monitor
     bad = Hello(
         manifest.transfer_id,
         manifest.total_size + 1,  # disagrees with the first HELLO
@@ -311,6 +365,8 @@ def test_sender_rejects_bad_receipt_digest():
     handle.join(timeout=5.0)
     listener.close()
     assert not report.ok
+    assert report.failure_kind is FailureKind.CONNECTION
+    assert report.failure_reason.startswith("connection failed: ")
     assert "digest mismatch" in report.failure_reason
 
 
@@ -502,13 +558,25 @@ def test_one_completion_per_transfer_id():
     store = {}
     receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
     payload = random.Random(3).randbytes(10_000)
-    handle = transport.spawn(lambda: send_transfer(payload, transport, 2))
+    manifest = TransferManifest.for_payload(payload, 2)
+
+    def send_chunk(chunk):
+        stream = transport.connect()
+        body = payload[chunk.offset : chunk.offset + chunk.length]
+        frames = (_hello_for(manifest, chunk), Data(chunk.index, 0, body), Fin(chunk.index, sha256(body)))
+        for frame in frames:
+            stream.write_all(encode_frame(frame))
+        return stream
+
+    s0 = send_chunk(manifest.chunks[0])
+    assert wait_until(lambda: [s.completed for s in receiver.transfer_states()] == [{0}])
+    send_chunk(manifest.chunks[1])  # chunk 1 completes last, so it finalizes the transfer
     first = receiver.serve_one()
     assert first.ok, first.reason
     assert store[first.transfer_id] == payload
     release.set()
     assert aborted.wait(5.0)
-    assert not handle.join(timeout=5.0).ok  # chunk 0 never got its receipt
+    assert s0.read_some(timeout=5.0) == b""  # chunk 0 never got its receipt
 
     report = send_transfer(payload, transport, 2)
     following = receiver.serve_one()
