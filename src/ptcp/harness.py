@@ -264,6 +264,10 @@ def run_level_sockets(config: ExperimentConfig, n: int, rep: int) -> LevelResult
         targeted.start()
         background.join()
         targeted.join()
+        # A sender that failed may have started no transfer the receiver could complete.
+        for role in ("background", "targeted"):
+            if not reports[role].ok:
+                raise RuntimeError(f"{role} transfer failed: {reports[role].failure_reason}")
 
         received = {}
         for _ in range(2):
@@ -275,9 +279,6 @@ def run_level_sockets(config: ExperimentConfig, n: int, rep: int) -> LevelResult
         receiver.close()
 
     for role in ("background", "targeted"):
-        report = reports[role]
-        if not report.ok:
-            raise RuntimeError(f"{role} transfer failed: {report.failure_reason}")
         if role not in received or not received[role].ok:
             reason = received[role].reason if role in received else "no completion"
             raise RuntimeError(f"{role} transfer failed at the receiver: {reason}")

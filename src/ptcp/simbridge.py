@@ -18,20 +18,23 @@ A task waiting in ``SimListener.accept()`` is an idle server: it keeps no
 ``run()`` going.  No task outlives ``run()``, which ends every task still
 parked and joins every task thread before it returns or raises.
 
-Each connection is one AIMD flow through the bottleneck carrying the
-connect-side byte stream as MSS-sized segments (the final partial segment
-is padded on the wire).  End of stream rides an empty segment through the
+A connection is two one-way paths, each ending in the other side's inbox.
+The forward path is one AIMD flow through the bottleneck carrying the
+connect side's bytes as MSS-sized segments (the final partial segment is
+padded on the wire).  End of stream rides an empty segment through the
 same flow, so it obeys ordering, loss, and retransmission like any data.
-The accept side's writes ride the reverse path: pure propagation delay,
-no bandwidth, no loss, which mirrors how the simulator treats acks.
+The reverse path carries the accept side's writes and close: pure
+propagation delay, no bandwidth, no loss, which mirrors how the simulator
+treats acks.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from functools import partial
 
-from .simnet import AimdFlow, LinkConfig, Network
+from .simnet import AimdFlow, Network
 
 READ_CHUNK = 64 * 1024
 SEND_BUFFER_CAP = 256 * 1024
@@ -282,30 +285,50 @@ class SimChannel:
             return self._items.popleft()
 
 
-class _StreamFlow(AimdFlow):
-    """AIMD flow whose segments carry bytes from a stream's send buffer."""
+class _Inbox:
+    """One side's inbound bytes, put there by the peer's path."""
 
-    def __init__(self, flow_id: str, link: LinkConfig, conn: "_SimConnection", **kwargs):
-        super().__init__(flow_id, link, **kwargs)
-        self._conn = conn
+    def __init__(self):
+        self.buf = bytearray()
+        self.eof = False
+        self.readable: list[_Task] = []
+
+    def put_locked(self, hub: SimHub, data: bytes, eof: bool = False) -> None:
+        self.buf.extend(data)
+        if eof:
+            self.eof = True
+        hub._notify_locked(self.readable)
+
+
+class _StreamFlow(AimdFlow):
+    """Forward path: an AIMD flow whose segments carry the connect side's
+    bytes into the peer's inbox.  A write parks while more than
+    ``SEND_BUFFER_CAP`` bytes wait to be bound to a segment."""
+
+    def __init__(self, flow_id: str, hub: SimHub, peer: _Inbox):
+        super().__init__(flow_id, hub.network.link, start_time=hub.network.now)
+        self._hub = hub
+        self._peer = peer
         self._pending = bytearray()  # written, not yet bound to a segment
         self._seg_data: dict[int, bytes] = {}
         self._closing = False
         self._fin_seq: int | None = None
+        self._writable: list[_Task] = []
 
-    def feed(self, data: bytes) -> None:
+    def write_locked(self, data: bytes) -> None:
         self._pending.extend(data)
+        self._hub.network.pump(self)
+        while len(self._pending) > SEND_BUFFER_CAP:
+            self._hub._wait_on_locked(self._writable)
 
-    def close_writing(self) -> None:
+    def close_locked(self, discard_pending: bool = False) -> None:
+        if discard_pending:
+            self._pending.clear()
         self._closing = True
-
-    def pending_bytes(self) -> int:
-        return len(self._pending)
+        self._hub.network.pump(self)
 
     def _new_segment_ready(self) -> bool:
-        if self._pending:
-            return True
-        return self._closing and self._fin_seq is None
+        return bool(self._pending) or (self._closing and self._fin_seq is None)
 
     def _on_new_seq(self, seq: int) -> None:
         take = min(self.link.mss, len(self._pending))
@@ -314,142 +337,78 @@ class _StreamFlow(AimdFlow):
         del self._pending[:take]
         if self._closing and not self._pending and self._fin_seq is None:
             self._fin_seq = seq  # the last segment doubles as end-of-stream
-        if take:
-            self._conn._on_send_buffer_drain_locked()
+        if take and len(self._pending) <= SEND_BUFFER_CAP:
+            self._hub._notify_locked(self._writable)
 
     def segment_payload(self, seq: int) -> int:
         return len(self._seg_data[seq])
 
     def _release(self, seq: int, now: float) -> None:
-        data = self._seg_data.pop(seq)
-        self._conn._deliver_forward_locked(data, eof=(seq == self._fin_seq))
+        self._peer.put_locked(self._hub, self._seg_data.pop(seq), eof=(seq == self._fin_seq))
 
 
-class _Endpoint:
-    """One side's inbound byte buffer."""
+class _DelayLine:
+    """Reverse path: each write or close reaches the peer's inbox one
+    ``one_way_delay`` later, with no bandwidth and no loss, as acks do."""
 
-    def __init__(self):
-        self.buf = bytearray()
-        self.eof = False
-        self.readable: list[_Task] = []
+    def __init__(self, hub: SimHub, peer: _Inbox):
+        self._hub = hub
+        self._peer = peer
 
+    def write_locked(self, data: bytes, eof: bool = False) -> None:
+        network = self._hub.network
+        arrive = partial(self._peer.put_locked, self._hub, bytes(data), eof)
+        network.schedule_call(network.now + network.link.one_way_delay, arrive)
 
-class _SimConnection:
-    """Shared state of one connection: the forward AIMD flow plus the
-    delay-only reverse path."""
-
-    def __init__(self, hub: SimHub, flow_id: str, send_buffer_cap: int):
-        self.hub = hub
-        self.link = hub.network.link
-        self.send_buffer_cap = send_buffer_cap
-        self.flow = _StreamFlow(flow_id, self.link, self, start_time=hub.network.now)
-        self.client_read = _Endpoint()  # fed by the reverse path
-        self.server_read = _Endpoint()  # fed by the forward flow
-        self.writable: list[_Task] = []
-        self.established: list[_Task] = []
-        self.handshake_done = False
-        self.refused = False
-
-    # forward direction (connect side -> accept side)
-
-    def client_write_locked(self, data: bytes) -> None:
-        self.flow.feed(data)
-        self.hub.network.pump(self.flow)
-        while self.flow.pending_bytes() > self.send_buffer_cap:
-            self.hub._wait_on_locked(self.writable)
-
-    def client_close_locked(self, discard_pending: bool = False) -> None:
-        if discard_pending:
-            self.flow._pending.clear()
-        self.flow.close_writing()
-        self.hub.network.pump(self.flow)
-
-    def _on_send_buffer_drain_locked(self) -> None:
-        if self.flow.pending_bytes() <= self.send_buffer_cap:
-            self.hub._notify_locked(self.writable)
-
-    def _deliver_forward_locked(self, data: bytes, eof: bool) -> None:
-        self.server_read.buf.extend(data)
-        if eof:
-            self.server_read.eof = True
-        self.hub._notify_locked(self.server_read.readable)
-
-    # reverse direction (accept side -> connect side): delay only
-
-    def server_write_locked(self, data: bytes) -> None:
-        payload = bytes(data)
-
-        def arrive():
-            self.client_read.buf.extend(payload)
-            self.hub._notify_locked(self.client_read.readable)
-
-        self.hub.network.schedule_call(self.hub.network.now + self.link.one_way_delay, arrive)
-
-    def server_close_locked(self) -> None:
-        def arrive():
-            self.client_read.eof = True
-            self.hub._notify_locked(self.client_read.readable)
-
-        self.hub.network.schedule_call(self.hub.network.now + self.link.one_way_delay, arrive)
+    def close_locked(self, discard_pending: bool = False) -> None:
+        self.write_locked(b"", eof=True)  # nothing waits unsent, so nothing to discard
 
 
 class SimStream:
-    """One endpoint of a simulated connection."""
+    """One endpoint of a simulated connection: it reads its own inbox and writes
+    through its path, the ``_StreamFlow`` when it connected, else a ``_DelayLine``."""
 
-    def __init__(self, conn: _SimConnection, is_client: bool):
-        self._conn = conn
-        self._is_client = is_client
-        self._read_end = conn.client_read if is_client else conn.server_read
+    def __init__(self, hub: SimHub, inbox: _Inbox, path: _StreamFlow | _DelayLine):
+        self._hub = hub
+        self._inbox = inbox
+        self._path = path
         self._write_closed = False
 
     def read_some(self, max_bytes: int = READ_CHUNK, timeout: float | None = None) -> bytes:
-        hub = self._conn.hub
-        end = self._read_end
+        hub = self._hub
+        inbox = self._inbox
         with hub._lock:
             deadline = None if timeout is None else hub.network.now + timeout
-            while not end.buf and not end.eof:
-                if not hub._wait_on_locked(end.readable, deadline):
+            while not inbox.buf and not inbox.eof:
+                if not hub._wait_on_locked(inbox.readable, deadline):
                     raise TimeoutError("read timed out")
-            if not end.buf:
+            if not inbox.buf:
                 return b""
-            with memoryview(end.buf) as view:
+            with memoryview(inbox.buf) as view:
                 data = bytes(view[:max_bytes])
-            del end.buf[: len(data)]
+            del inbox.buf[: len(data)]
             return data
 
     def write_all(self, data: bytes) -> None:
-        conn = self._conn
-        with conn.hub._lock:
+        with self._hub._lock:
             if self._write_closed:
                 raise ConnectionError("stream closed for writing")
-            if self._is_client:
-                conn.client_write_locked(data)
-            else:
-                conn.server_write_locked(data)
+            self._path.write_locked(data)
 
     def close(self) -> None:
-        conn = self._conn
-        with conn.hub._lock:
+        with self._hub._lock:
             if self._write_closed:
                 return
             self._write_closed = True
-            if self._is_client:
-                conn.client_close_locked()
-            else:
-                conn.server_close_locked()
+            self._path.close_locked()
 
     def abort(self) -> None:
         """Hard stop: drop unsent bytes, end both directions."""
-        conn = self._conn
-        with conn.hub._lock:
+        with self._hub._lock:
             if not self._write_closed:
                 self._write_closed = True
-                if self._is_client:
-                    conn.client_close_locked(discard_pending=True)
-                else:
-                    conn.server_close_locked()
-            self._read_end.eof = True
-            conn.hub._notify_locked(self._read_end.readable)
+                self._path.close_locked(discard_pending=True)
+            self._inbox.put_locked(self._hub, b"", eof=True)
 
 
 class SimListener:
@@ -484,42 +443,39 @@ class SimListener:
 class SimTransport:
     """Transport facade over one simulated network endpoint pair."""
 
-    def __init__(self, hub: SimHub, *, send_buffer_cap: int = SEND_BUFFER_CAP):
+    def __init__(self, hub: SimHub):
         self._hub = hub
         self._listener: SimListener | None = None
-        self._send_buffer_cap = send_buffer_cap
         self._conn_counter = 0
 
     def connect(self) -> SimStream:
         hub = self._hub
+        network = hub.network
         with hub._lock:
             listener = self._listener
             if listener is None or listener.closed:
                 raise ConnectionRefusedError("nothing is listening")
             self._conn_counter += 1
-            conn = _SimConnection(hub, f"conn-{self._conn_counter}", self._send_buffer_cap)
-            hub.network.add_flow(conn.flow)
-            client = SimStream(conn, is_client=True)
-            server = SimStream(conn, is_client=False)
+            client_inbox, server_inbox = _Inbox(), _Inbox()
+            flow = _StreamFlow(f"conn-{self._conn_counter}", hub, server_inbox)
+            network.add_flow(flow)
+            client = SimStream(hub, client_inbox, flow)
+            server = SimStream(hub, server_inbox, _DelayLine(hub, client_inbox))
+            accepted: bool | None = None  # the handshake's outcome, once it is known
+            waiting: list[_Task] = []
 
             def complete():
-                if listener._offer_locked(server):
-                    conn.handshake_done = True
-                else:
-                    conn.refused = True
-                hub._notify_locked(conn.established)
+                nonlocal accepted
+                accepted = listener._offer_locked(server)
+                hub._notify_locked(waiting)
 
             # Connection setup costs one base RTT before data can move.
-            hub.network.schedule_call(hub.network.now + self.link.rtt_base, complete)
-            while not conn.handshake_done and not conn.refused:
-                hub._wait_on_locked(conn.established)
-            if conn.refused:
+            network.schedule_call(network.now + network.link.rtt_base, complete)
+            while accepted is None:
+                hub._wait_on_locked(waiting)
+            if not accepted:
                 raise ConnectionRefusedError("listener closed during handshake")
             return client
-
-    @property
-    def link(self) -> LinkConfig:
-        return self._hub.network.link
 
     def listen(self) -> SimListener:
         with self._hub._lock:

@@ -76,17 +76,6 @@ class LinkConfig:
 
 
 @dataclass(frozen=True)
-class AimdFlowState:
-    flow_id: str
-    cwnd: float
-    rtt_base: float
-    in_flight: int
-    delivered: int
-    next_seq: int
-    highest_acked: int
-
-
-@dataclass(frozen=True)
 class EventRecord:
     time: float
     kind: str
@@ -122,7 +111,6 @@ class AimdFlow:
         self.cwnd = float(initial_cwnd)
         self.in_flight = 0
         self.next_seq = 0
-        self.highest_acked = -1
         self.loss_at_cwnd = loss_at_cwnd
         self.timeout_interval = 2.0 * link.rtt_base
         self.byte_limit = byte_limit
@@ -193,8 +181,6 @@ class AimdFlow:
         if seq in self._outstanding:
             del self._outstanding[seq]
             self.in_flight -= 1
-            if seq > self.highest_acked:
-                self.highest_acked = seq
             self.cwnd += 1.0 / self.cwnd
             if self.loss_at_cwnd is not None and self.cwnd >= self.loss_at_cwnd:
                 self.on_loss(now)
@@ -253,17 +239,6 @@ class AimdFlow:
 
     def _release(self, seq: int, now: float) -> None:
         """In-order delivery hook for stream-backed subclasses."""
-
-    def state(self) -> AimdFlowState:
-        return AimdFlowState(
-            flow_id=self.flow_id,
-            cwnd=self.cwnd,
-            rtt_base=self.link.rtt_base,
-            in_flight=self.in_flight,
-            delivered=self.delivered_bytes,
-            next_seq=self.next_seq,
-            highest_acked=self.highest_acked,
-        )
 
 
 class Network:
@@ -354,9 +329,6 @@ class Network:
         default).  Returns which flows actually halved."""
         ids = list(self.flows) if flow_ids is None else list(flow_ids)
         return {fid: self.flows[fid].on_loss(self.now) for fid in ids}
-
-    def flow_states(self) -> dict[str, AimdFlowState]:
-        return {fid: flow.state() for fid, flow in self.flows.items()}
 
     def log_digest(self) -> str:
         if self.event_log is None:

@@ -188,18 +188,21 @@ def _reason(kind: FailureKind, detail: object) -> str:
     return f"{kind.value}: {detail}"
 
 
-def _read_receipt(stream, chunk_index: int, expected_digest: bytes) -> None:
+def _frames(stream, timeout: float):
+    """The frames ``stream`` carries, decoded as they arrive, up to its end."""
     decoder = FrameDecoder()
-    while True:
-        data = stream.read_some(timeout=DEFAULT_IDLE_TIMEOUT)
-        if data == b"":
-            raise ConnectionError(f"stream closed before receipt for chunk {chunk_index}")
-        for frame in decoder.feed(data):
-            if not isinstance(frame, Fin) or frame.chunk_index != chunk_index:
-                raise ProtocolError(f"unexpected receipt frame {frame!r}")
-            if frame.chunk_digest != expected_digest:
-                raise ConnectionError(f"receiver digest mismatch on chunk {chunk_index}")
-            return
+    while data := stream.read_some(timeout=timeout):
+        yield from decoder.feed(data)
+
+
+def _read_receipt(stream, chunk_index: int, expected_digest: bytes) -> None:
+    frame = next(_frames(stream, DEFAULT_IDLE_TIMEOUT), None)
+    if frame is None:
+        raise ConnectionError(f"stream closed before receipt for chunk {chunk_index}")
+    if not isinstance(frame, Fin) or frame.chunk_index != chunk_index:
+        raise ProtocolError(f"unexpected receipt frame {frame!r}")
+    if frame.chunk_digest != expected_digest:
+        raise ConnectionError(f"receiver digest mismatch on chunk {chunk_index}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +442,11 @@ class Receiver:
                 self._monitors[hello.transfer_id] = monitor
             return monitor
 
-    def _frames(self, stream):
-        """The frames ``stream`` carries, decoded as they arrive, up to its end."""
-        decoder = FrameDecoder()
-        while data := stream.read_some(timeout=self._idle_timeout):
-            yield from decoder.feed(data)
-
     def _connection_worker(self, stream):
         """One stream's sequence: HELLO, DATA frames in order, FIN, receipt."""
         monitor: _TransferMonitor | None = None
         try:
-            frames = self._frames(stream)
+            frames = _frames(stream, self._idle_timeout)
             hello = next(frames, None)
             now = self._transport.now()
             monitor = self._monitor_for(hello, now) if isinstance(hello, Hello) else None

@@ -20,6 +20,7 @@ from ptcp.harness import (
     run_experiment,
     run_level,
 )
+from ptcp.transport import TcpTransport
 from ptcp.wire import sha256
 
 SIM_CONFIG = """
@@ -332,6 +333,38 @@ def test_socket_mode_level(tmp_path):
     roles = {t.role for t in result.traces}
     assert roles == {"targeted", "background"}
     assert sum(t.role == "targeted" for t in result.traces) == 2
+
+
+def test_socket_mode_failed_sender_fails_the_level(tmp_path, monkeypatch):
+    # The targeted sender's first connect is refused, so it writes no HELLO
+    # and the receiver never completes its transfer: the level must fail on
+    # the sender's report, not wait for that completion forever.
+    config = experiment_from_keys(
+        {"mode": "sockets", "levels": "2", "repetitions": "1", "out": str(tmp_path / "sock")}
+    )
+    real_connect = TcpTransport.connect
+    calls = []
+
+    def connect(self):
+        calls.append(self)
+        if len(calls) == 2:  # background opens the first connection, targeted the second
+            raise ConnectionRefusedError("refused")
+        return real_connect(self)
+
+    monkeypatch.setattr(TcpTransport, "connect", connect)
+    monkeypatch.setattr(harness, "BACKGROUND_HEAD_START", 0.2)
+    outcome = {}
+
+    def level():
+        with pytest.raises(RuntimeError) as excinfo:
+            harness.run_level_sockets(config, 2, 0)
+        outcome["error"] = str(excinfo.value)
+
+    worker = threading.Thread(target=level, daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive(), "run_level_sockets hung on a failed sender"
+    assert outcome["error"].startswith("targeted transfer failed: connect failed: ")
 
 
 # ---------------------------------------------------------------------------

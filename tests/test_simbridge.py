@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from ptcp import simbridge
 from ptcp.simbridge import SimChannel, SimHub, SimTransport
 from ptcp.simnet import LinkConfig, Network
 from ptcp.striping import Receiver, send_transfer, serve
@@ -260,10 +261,11 @@ def test_read_timeout_uses_virtual_clock():
     hub.run()
 
 
-def test_write_backpressure_bounds_the_send_buffer():
+def test_write_backpressure_bounds_the_send_buffer(monkeypatch):
     hub = make_hub(LinkConfig(capacity=10_000_000, one_way_delay=0.01, queue_limit=100))
     cap = 32 * 1024
-    transport = SimTransport(hub, send_buffer_cap=cap)
+    monkeypatch.setattr(simbridge, "SEND_BUFFER_CAP", cap)
+    transport = SimTransport(hub)
     ends, *_ = pair_up(hub, transport)
     payload = bytes(range(256)) * 4096  # 1 MiB
     received = []
@@ -274,7 +276,7 @@ def test_write_backpressure_bounds_the_send_buffer():
             hub.sleep(0.001)
         client = ends["client"]
         client.write_all(payload)
-        high_water.append(client._conn.flow.pending_bytes())
+        high_water.append(len(client._path._pending))
         client.close()
 
     def server_side():
@@ -337,34 +339,44 @@ def test_listener_close_unparks_acceptor():
     hub.run()
 
 
-def test_abort_truncates_the_peer_stream():
+@pytest.mark.parametrize("aborter", ["client", "server"])
+def test_abort_truncates_the_peer_stream(aborter):
+    peer = "server" if aborter == "client" else "client"
     hub = make_hub()
     transport = SimTransport(hub)
     ends, *_ = pair_up(hub, transport)
     seen = {}
 
-    def client_side():
-        while "client" not in ends:
+    def aborting_side():
+        while aborter not in ends:
             hub.sleep(0.001)
-        client = ends["client"]
-        client.write_all(b"x" * 100_000)
-        client.abort()
-        seen["client_read"] = client.read_some()  # own read end is dead too
+        stream = ends[aborter]
+        stream.write_all(b"x" * 100_000)
+        seen["aborted_at"] = hub.now()
+        stream.abort()
+        seen["own_read"] = stream.read_some()  # own read end is dead too
 
-    def server_side():
-        while "server" not in ends:
+    def peer_side():
+        while peer not in ends:
             hub.sleep(0.001)
         total = 0
-        while (data := ends["server"].read_some()) != b"":
+        while (data := ends[peer].read_some()) != b"":
             total += len(data)
-        seen["server_bytes"] = total
+        seen["peer_bytes"] = total
+        seen["eof_at"] = hub.now()
 
-    hub.spawn(client_side, name="client")
-    hub.spawn(server_side, name="server")
+    hub.spawn(aborting_side, name=aborter)
+    hub.spawn(peer_side, name=peer)
     hub.run()
-    assert seen["client_read"] == b""
-    # The server sees a clean EOF with at most the bytes already committed.
-    assert seen["server_bytes"] <= 100_000
+    assert seen["own_read"] == b""
+    if aborter == "client":
+        # The server sees a clean EOF with at most the bytes already committed.
+        assert seen["peer_bytes"] <= 100_000
+    else:
+        # The reverse path drops nothing: every byte written before the abort
+        # arrives, then the EOF one one-way delay after the abort.
+        assert seen["peer_bytes"] == 100_000
+        assert seen["eof_at"] == pytest.approx(seen["aborted_at"] + FAST_LINK.one_way_delay)
 
 
 # ---------------------------------------------------------------------------

@@ -385,8 +385,8 @@ def test_in_flight_never_exceeds_window_at_send():
     network.add_flow(CheckedFlow("f0", link))
     network.add_flow(CheckedFlow("f1", link))
     network.run_until(20.0)
-    for state in network.flow_states().values():
-        assert state.cwnd >= 1.0
+    for flow in network.flows.values():
+        assert flow.cwnd >= 1.0
 
 
 def test_synchronized_loss_matches_reduction_formula():
@@ -396,9 +396,9 @@ def test_synchronized_loss_matches_reduction_formula():
     for i in range(k):
         network.add_flow(AimdFlow(f"f{i}", FAT_LINK))
     network.run_until(3.0)
-    pre = sum(s.cwnd for s in network.flow_states().values())
+    pre = sum(flow.cwnd for flow in network.flows.values())
     network.inject_loss([f"f{i}" for i in range(m)])
-    post = sum(s.cwnd for s in network.flow_states().values())
+    post = sum(flow.cwnd for flow in network.flows.values())
     expected = 1.0 - aggregate_window_reduction(k, m)
     assert abs(post - expected * pre) <= 1.0  # within one segment
 
@@ -406,9 +406,9 @@ def test_synchronized_loss_matches_reduction_formula():
     network1 = Network(FAT_LINK)
     network1.add_flow(AimdFlow("solo", FAT_LINK))
     network1.run_until(3.0)
-    pre1 = network1.flow_states()["solo"].cwnd
+    pre1 = network1.flows["solo"].cwnd
     network1.inject_loss()
-    assert network1.flow_states()["solo"].cwnd == pre1 / 2
+    assert network1.flows["solo"].cwnd == pre1 / 2
 
 
 def test_parse_scenario_defaults():
