@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +35,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # also False for nan
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -69,7 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
     recv.add_argument("--out", default=".", help="directory for received payloads")
     recv.add_argument("--once", action="store_true", help="exit after one transfer")
     recv.add_argument(
-        "--idle-timeout", type=float, default=30.0, help="per-connection stall limit in seconds"
+        "--idle-timeout",
+        type=_positive_seconds,
+        default=30.0,
+        help="per-connection stall limit in seconds",
     )
     recv.set_defaults(run=cmd_recv)
 

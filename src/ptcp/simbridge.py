@@ -3,10 +3,10 @@
 The simulator is strictly single-threaded, but the transfer code is written
 against blocking streams.  SimHub marries the two with a token: tasks run on
 OS threads, yet only the thread holding the token ever runs.  A task that
-would block (empty read buffer, full send buffer, accept with nothing
-pending, join, sleep) parks, and while it still holds the token it picks
-who runs next: the first ready task, else it steps the network until an
-event or a virtual timer makes some task ready.  When that is the parking
+would block (a read short of its bytes, full send buffer, accept with
+nothing pending, join, sleep) parks, and while it still holds the token it
+picks who runs next: the first ready task, else it steps the network until
+an event or a virtual timer makes some task ready.  When that is the parking
 task itself it carries on at once; otherwise it releases the chosen task's
 own baton and blocks on its own.  The thread inside ``run()`` has a baton
 too and gets the token back when the tasks are done, the clock reaches
@@ -26,6 +26,14 @@ same flow, so it obeys ordering, loss, and retransmission like any data.
 The reverse path carries the accept side's writes and close: pure
 propagation delay, no bandwidth, no loss, which mirrors how the simulator
 treats acks.
+
+Reads wake at a low-water mark.  An inbox keeps the waiting reader's
+``min_bytes`` and wakes it only once that many bytes are in, at end of
+stream or on abort, so a reader waiting for a 64 KiB frame wakes once, not
+once per delivered segment.  The wake-ups this skips had no effect on the
+network, so the interleaving is the same.  A read's idle timer that fires
+after bytes came in since the read began is re-armed one timeout after the
+last of them.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ from collections import deque
 from functools import partial
 
 from .simnet import AimdFlow, Network
+from .transport import READ_CHUNK
 
-READ_CHUNK = 64 * 1024
 SEND_BUFFER_CAP = 256 * 1024
 
 
@@ -286,18 +294,24 @@ class SimChannel:
 
 
 class _Inbox:
-    """One side's inbound bytes, put there by the peer's path."""
+    """One side's inbound bytes, put there by the peer's path.  The reader
+    is woken only once ``low_water`` bytes are buffered, or at the end."""
 
     def __init__(self):
         self.buf = bytearray()
         self.eof = False
+        self.low_water = 1  # the last reader's min_bytes
+        self.last_arrival = 0.0  # virtual time the last byte came in
         self.readable: list[_Task] = []
 
     def put_locked(self, hub: SimHub, data: bytes, eof: bool = False) -> None:
-        self.buf.extend(data)
+        if data:
+            self.buf.extend(data)
+            self.last_arrival = hub.network.now
         if eof:
             self.eof = True
-        hub._notify_locked(self.readable)
+        if self.eof or len(self.buf) >= self.low_water:
+            hub._notify_locked(self.readable)
 
 
 class _StreamFlow(AimdFlow):
@@ -374,14 +388,21 @@ class SimStream:
         self._path = path
         self._write_closed = False
 
-    def read_some(self, max_bytes: int = READ_CHUNK, timeout: float | None = None) -> bytes:
+    def read_some(
+        self, max_bytes: int = READ_CHUNK, timeout: float | None = None, min_bytes: int = 1
+    ) -> bytes:
         hub = self._hub
         inbox = self._inbox
         with hub._lock:
-            deadline = None if timeout is None else hub.network.now + timeout
-            while not inbox.buf and not inbox.eof:
+            start = hub.network.now
+            deadline = None if timeout is None else start + timeout
+            inbox.low_water = min_bytes
+            while len(inbox.buf) < min_bytes and not inbox.eof:
                 if not hub._wait_on_locked(inbox.readable, deadline):
-                    raise TimeoutError("read timed out")
+                    # Bytes that came in since the read began restart the idle clock.
+                    deadline = max(start, inbox.last_arrival) + timeout
+                    if hub.network.now >= deadline:
+                        raise TimeoutError("read timed out")
             if not inbox.buf:
                 return b""
             with memoryview(inbox.buf) as view:

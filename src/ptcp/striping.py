@@ -25,11 +25,13 @@ and every reason, on either side, reads ``"{kind.value}: {detail}"``.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
+from .transport import READ_CHUNK
 from .wire import (
     Data,
     Fin,
@@ -189,9 +191,10 @@ def _reason(kind: FailureKind, detail: object) -> str:
 
 
 def _frames(stream, timeout: float):
-    """The frames ``stream`` carries, decoded as they arrive, up to its end."""
+    """The frames ``stream`` carries, decoded as they arrive, up to its end.
+    Each read waits for the bytes the next frame needs, not for any byte."""
     decoder = FrameDecoder()
-    while data := stream.read_some(timeout=timeout):
+    while data := stream.read_some(max(READ_CHUNK, decoder.needed), timeout, decoder.needed):
         yield from decoder.feed(data)
 
 
@@ -394,6 +397,8 @@ class Receiver:
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         buffer_cap: int = DEFAULT_BUFFER_CAP,
     ):
+        if not 0 < idle_timeout < math.inf:  # also False for nan
+            raise ValueError(f"idle_timeout must be positive and finite, got {idle_timeout}")
         self._transport = transport
         self._sink = sink
         self._idle_timeout = idle_timeout

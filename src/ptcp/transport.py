@@ -9,9 +9,14 @@ A transport bundles everything the striping layer needs from its environment:
     transport.now()              -> monotonic seconds
 
 Streams expose blocking ``read_some`` / ``write_all`` / ``close`` with TCP
-semantics; ``read_some`` returns b"" at end of stream and raises
-``TimeoutError`` when a read deadline passes.  ``abort`` may be called from
-another thread and wakes a reader blocked on the stream.  Backends here:
+semantics.  ``read_some(max_bytes, timeout, min_bytes=1)`` is a low-water
+read, like ``SO_RCVLOWAT`` in socket(7): it blocks until ``min_bytes`` (at
+most ``max_bytes``) are buffered or the stream ends, then returns up to
+``max_bytes``; fewer than ``min_bytes`` only at the end, and b"" once the
+end is reached.  ``timeout`` is an idle timeout: each byte that arrives
+restarts it, and ``TimeoutError`` is raised only after ``timeout`` seconds
+with no new byte.  ``abort`` may be called from another thread and wakes a
+reader blocked on the stream.  Backends here:
 real OS TCP sockets and an in-process memory pipe.  The simulated-bottleneck
 backend lives in ``ptcp.simbridge``.
 """
@@ -24,7 +29,7 @@ import socket
 import threading
 import time
 
-READ_CHUNK = 64 * 1024
+READ_CHUNK = 64 * 1024  # read_some's default max_bytes, on every backend
 LISTEN_BACKLOG = 64
 
 
@@ -76,12 +81,24 @@ class TcpStream:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
 
-    def read_some(self, max_bytes: int = READ_CHUNK, timeout: float | None = None) -> bytes:
+    def read_some(
+        self, max_bytes: int = READ_CHUNK, timeout: float | None = None, min_bytes: int = 1
+    ) -> bytearray:
+        # The socket timeout bounds each recv, so it is an idle timeout.
         self._sock.settimeout(timeout)
-        try:
-            return self._sock.recv(max_bytes)
-        except socket.timeout as exc:
-            raise TimeoutError("read timed out") from exc
+        data = bytearray(max_bytes)
+        got = 0
+        with memoryview(data) as view:
+            try:
+                while got < min_bytes:
+                    n = self._sock.recv_into(view[got:])
+                    if n == 0:
+                        break
+                    got += n
+            except socket.timeout as exc:
+                raise TimeoutError("read timed out") from exc
+        del data[got:]
+        return data
 
     def write_all(self, data: bytes) -> None:
         self._sock.settimeout(None)
@@ -169,10 +186,15 @@ class MemoryStream:
         self._rx = rx
         self._tx = tx
 
-    def read_some(self, max_bytes: int = READ_CHUNK, timeout: float | None = None) -> bytes:
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def read_some(
+        self, max_bytes: int = READ_CHUNK, timeout: float | None = None, min_bytes: int = 1
+    ) -> bytes:
+        seen = -1
         with self._rx.cv:
-            while not self._rx.buf and not self._rx.closed:
+            while len(self._rx.buf) < min_bytes and not self._rx.closed:
+                if len(self._rx.buf) != seen:  # a new byte restarts the idle clock
+                    seen = len(self._rx.buf)
+                    deadline = None if timeout is None else time.monotonic() + timeout
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()

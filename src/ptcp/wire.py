@@ -205,11 +205,16 @@ class FrameDecoder:
 
     Feed arbitrary byte slices; complete frames come out as they close.
     Feeding byte-by-byte yields the same frames as feeding one shot.
+    ``needed`` is how many more bytes the next frame needs before feeding
+    can yield it: the rest of the header, of a fixed body, or of a DATA
+    payload.  It is at least 1 and at most one maximal DATA frame, since an
+    oversize length is rejected before it is asked for.
     """
 
     def __init__(self):
         self._buf = bytearray()
         self._consumed = 0  # absolute offset of _buf[0] in the stream
+        self.needed = _HEADER.size
 
     @property
     def residual(self) -> bytes:
@@ -221,6 +226,7 @@ class FrameDecoder:
         while True:
             frame, used = self._try_decode_one()
             if frame is None:
+                self.needed = used
                 break
             del self._buf[:used]
             self._consumed += used
@@ -228,11 +234,12 @@ class FrameDecoder:
         return frames
 
     def _try_decode_one(self) -> tuple[Frame | None, int]:
+        """``(frame, bytes it used)``, or ``(None, bytes still missing)``."""
         buf = self._buf
         if len(buf) < _HEADER.size:
             if buf and not MAGIC.startswith(bytes(buf[:4])):
                 raise ProtocolError("bad frame magic", self._consumed)
-            return None, 0
+            return None, _HEADER.size - len(buf)
         magic, version, kind = _HEADER.unpack_from(buf)
         if magic != MAGIC:
             raise ProtocolError("bad frame magic", self._consumed)
@@ -241,12 +248,12 @@ class FrameDecoder:
         pos = _HEADER.size
         if kind == FrameKind.HELLO:
             if len(buf) < pos + _HELLO_BODY.size:
-                return None, 0
+                return None, pos + _HELLO_BODY.size - len(buf)
             (tid, total, count, idx, off, length, digest) = _HELLO_BODY.unpack_from(buf, pos)
             return Hello(tid, total, count, idx, off, length, digest), pos + _HELLO_BODY.size
         if kind == FrameKind.DATA:
             if len(buf) < pos + _DATA_HEAD.size:
-                return None, 0
+                return None, pos + _DATA_HEAD.size - len(buf)
             idx, off, plen = _DATA_HEAD.unpack_from(buf, pos)
             if plen > MAX_DATA_PAYLOAD:
                 raise ProtocolError(f"DATA payload length {plen} exceeds cap", self._consumed + pos)
@@ -254,13 +261,13 @@ class FrameDecoder:
                 raise ProtocolError("zero-length DATA payload", self._consumed + pos)
             end = pos + _DATA_HEAD.size + plen
             if len(buf) < end:
-                return None, 0
+                return None, end - len(buf)
             with memoryview(buf) as view:  # released before feed() trims the buffer
                 payload = bytes(view[pos + _DATA_HEAD.size : end])
             return Data(idx, off, payload), end
         if kind == FrameKind.FIN:
             if len(buf) < pos + _FIN_BODY.size:
-                return None, 0
+                return None, pos + _FIN_BODY.size - len(buf)
             idx, digest = _FIN_BODY.unpack_from(buf, pos)
             return Fin(idx, digest), pos + _FIN_BODY.size
         raise ProtocolError(f"unknown frame kind 0x{kind:02x}", self._consumed + 5)

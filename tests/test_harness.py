@@ -378,6 +378,15 @@ def test_cli_streams_zero_is_usage_error(capsys):
     assert excinfo.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cli_recv_idle_timeout_must_be_positive_and_finite(value, capsys):
+    # Any of these made every worker's socket fail before HELLO, so --once hung.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recv", "--listen", "127.0.0.1:0", "--once", "--idle-timeout", value])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "--idle-timeout" in capsys.readouterr().err
+
+
 def test_cli_bad_host_port_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["send", "--to", "nowhere", "--file", "x"])

@@ -13,8 +13,8 @@ import pytest
 from ptcp import simbridge
 from ptcp.simbridge import SimChannel, SimHub, SimTransport
 from ptcp.simnet import LinkConfig, Network
-from ptcp.striping import Receiver, send_transfer, serve
-from ptcp.wire import sha256
+from ptcp.striping import FailureKind, Receiver, send_transfer, serve
+from ptcp.wire import Data, Hello, TransferManifest, encode_frame, sha256
 
 FAST_LINK = LinkConfig(
     capacity=100_000_000, one_way_delay=0.01, queue_limit=1_000, loss_probability=0.0
@@ -460,6 +460,34 @@ def test_more_connections_move_more_data_under_loss():
     assert double >= 1.3 * single
 
 
+def test_receiver_wakes_about_once_per_frame(monkeypatch):
+    # Each read waits for the bytes its frame needs, so a 64 KiB DATA frame
+    # costs at most two reads, and a reader parks only until its frame is in,
+    # not once per delivered segment (about 45 per frame).
+    reads = []
+    parks = []
+    real_read_some = simbridge.SimStream.read_some
+    real_wait = SimHub._wait_on_locked
+
+    def counting_read_some(self, *args, **kwargs):
+        reads.append(self._inbox.readable)
+        return real_read_some(self, *args, **kwargs)
+
+    def counting_wait(self, point, *args, **kwargs):
+        if any(point is readable for readable in reads):
+            parks.append(point)
+        return real_wait(self, point, *args, **kwargs)
+
+    monkeypatch.setattr(simbridge.SimStream, "read_some", counting_read_some)
+    monkeypatch.setattr(SimHub, "_wait_on_locked", counting_wait)
+    payload = bytes(range(256)) * 4096  # 1 MiB: 8 DATA frames on each of 2 streams
+    box, _ = run_transfer(payload, 2, FAST_LINK)
+    assert box["report"].ok and box["result"].ok
+    data_frames, connections = 16, 2
+    assert len(reads) <= 2 * data_frames + 4 * connections
+    assert len(parks) <= 2 * data_frames + 4 * connections
+
+
 def test_same_seed_same_virtual_outcome():
     payload = bytes((7 * i) % 256 for i in range(150_000))
     link = LinkConfig(
@@ -507,3 +535,44 @@ def test_interleaving_golden():
     assert network.log_digest() == "b928060d3ace535706b48f87b5fe8f2323e7a1c67940080b1c9d48bcdc79f669"
     assert repr(box["report"].wall_time) == "0.4824000000000002"
     assert repr(box["result"].wall_time) == "0.2821600000000002"
+
+
+def test_stall_mid_frame_times_out_one_idle_timeout_after_the_last_byte():
+    # The peer sends HELLO and the first 30,000 bytes of a DATA frame, then
+    # goes quiet without closing.  The receiver's read waits for the whole
+    # frame, yet it must still give up one idle timeout after the last byte
+    # arrived, not one after the read began.
+    hub = make_hub(LinkConfig(capacity=10_000_000, one_way_delay=0.01, queue_limit=100))
+    transport = SimTransport(hub)
+    receiver = Receiver(transport, idle_timeout=5.0)
+    payload = bytes(range(256)) * 256
+    manifest = TransferManifest.for_payload(payload, 1)
+    chunk = manifest.chunks[0]
+    hello = Hello(
+        manifest.transfer_id,
+        manifest.total_size,
+        1,
+        chunk.index,
+        chunk.offset,
+        chunk.length,
+        manifest.payload_digest,
+    )
+    box = {}
+
+    def peer():
+        stream = transport.connect()
+        stream.write_all(encode_frame(hello))
+        stream.write_all(encode_frame(Data(0, 0, payload))[:30_000])
+        hub.sleep(20.0)
+        stream.abort()
+
+    def waiter():
+        box["result"] = receiver.serve_one()
+        box["at"] = hub.now()
+        receiver.close()
+
+    hub.spawn(peer, name="peer")
+    hub.spawn(waiter, name="waiter")
+    hub.run()
+    assert box["result"].failure_kind is FailureKind.STALLED
+    assert box["at"] == pytest.approx(5.1372)

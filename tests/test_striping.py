@@ -384,6 +384,14 @@ def test_stalled_connection_hits_idle_timeout():
     assert "stalled" in result.reason
 
 
+@pytest.mark.parametrize("idle_timeout", [0.0, -1.0, float("nan"), float("inf")])
+def test_receiver_rejects_idle_timeout_not_positive_and_finite(idle_timeout):
+    transport = TcpTransport("127.0.0.1", 0)
+    with pytest.raises(ValueError, match="idle_timeout"):
+        Receiver(transport, idle_timeout=idle_timeout)
+    assert transport.port == 0  # rejected before it listened
+
+
 def test_buffer_cap_rejects_oversized_transfer():
     payload = b"c" * 2048
     manifest = TransferManifest.for_payload(payload, 1)

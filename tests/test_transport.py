@@ -1,10 +1,13 @@
-"""Transport seam: in-memory pipes and TCP loopback behave alike."""
+"""Transport seam: in-memory pipes, TCP loopback and the simulated link behave alike."""
 
 import gc
+import time
 import warnings
 
 import pytest
 
+from ptcp.simbridge import SimHub, SimTransport
+from ptcp.simnet import LinkConfig, Network
 from ptcp.transport import MemoryTransport, TcpTransport
 
 
@@ -154,3 +157,131 @@ def test_tcp_listen_failure_closes_its_socket():
         listener.close()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert leaks == [], [str(w.message) for w in leaks]
+
+
+# ---------------------------------------------------------------------------
+# read_some(min_bytes=) on every backend: one side writes a script of
+# (pause, bytes) steps, the other reads, and the reader's clock is measured.
+# ---------------------------------------------------------------------------
+
+GAP = 0.05  # seconds between scripted writes
+IDLE = 0.3  # the reader's idle timeout; several GAPs, so thread wake-up jitter fits
+
+
+class _Threaded:
+    """Memory pipes or TCP loopback: the writer is a thread, the reader runs here."""
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.now = time.monotonic
+        self.sleep = time.sleep
+
+    def run(self, writer, reader):
+        listener = self.transport.listen()
+        client = self.transport.connect()
+        server = listener.accept()
+        listener.close()
+        handle = self.transport.spawn(lambda: writer(server))
+        try:
+            return reader(client)
+        finally:
+            client.abort()  # lets a TCP close() in the writer finish its drain
+            handle.join(timeout=10.0)
+            server.abort()
+
+
+class _Simulated:
+    """Simulated bottleneck: writer and reader are hub tasks on a virtual clock;
+    the writer's bytes take the reverse path, one 10 ms delay."""
+
+    def __init__(self):
+        link = LinkConfig(capacity=10_000_000, one_way_delay=0.01, queue_limit=100)
+        self.hub = SimHub(Network(link))
+        self.transport = SimTransport(self.hub)
+        self.now = self.hub.now
+        self.sleep = self.hub.sleep
+
+    def run(self, writer, reader):
+        listener = self.transport.listen()
+        box = {}
+
+        def read_side():
+            box["out"] = reader(self.transport.connect())
+
+        self.hub.spawn(lambda: writer(listener.accept()), name="writer")
+        self.hub.spawn(read_side, name="reader")
+        self.hub.run()
+        return box["out"]
+
+
+@pytest.fixture(params=["memory", "tcp", "sim"])
+def backend(request):
+    if request.param == "memory":
+        return _Threaded(MemoryTransport())
+    if request.param == "tcp":
+        return _Threaded(TcpTransport("127.0.0.1", 0))
+    return _Simulated()
+
+
+def _script(backend, steps, close=False, written_at=None):
+    """Writer doing each step in turn; appends to ``written_at`` the time each
+    write began, which no byte of it can arrive before."""
+
+    def writer(stream):
+        for pause, data in steps:
+            backend.sleep(pause)
+            if written_at is not None:
+                written_at.append(backend.now())
+            stream.write_all(data)
+        if close:
+            stream.close()
+
+    return writer
+
+
+def _timed_read(backend, *reads):
+    """Reader doing each ``(max_bytes, min_bytes)`` read in turn; returns the
+    results, or the exception that ended them, and when it began and ended."""
+
+    def reader(stream):
+        start = backend.now()
+        out = []
+        try:
+            for max_bytes, min_bytes in reads:
+                out.append(bytes(stream.read_some(max_bytes, IDLE, min_bytes)))
+        except TimeoutError as exc:
+            out.append(exc)
+        return out, start, backend.now()
+
+    return reader
+
+
+def test_read_some_blocks_until_min_bytes_are_buffered(backend):
+    steps = [(GAP, b"x" * 10)] * 4
+    out, *_ = backend.run(_script(backend, steps), _timed_read(backend, (100, 35)))
+    assert out == [b"x" * 40]  # not the 10 or 20 bytes buffered before
+
+
+def test_read_some_returns_fewer_bytes_at_end_of_stream(backend):
+    steps = [(GAP, b"tail")]
+    reader = _timed_read(backend, (100, 50), (100, 50))
+    out, *_ = backend.run(_script(backend, steps, close=True), reader)
+    assert out == [b"tail", b""]
+
+
+def test_read_some_idle_clock_restarts_on_each_byte(backend):
+    # Eight bytes, one per GAP: the read takes longer than IDLE, yet no gap
+    # between two bytes does.
+    steps = [(GAP, b"y")] * 8
+    out, start, end = backend.run(_script(backend, steps), _timed_read(backend, (100, 8)))
+    assert out == [b"y" * 8]
+    assert end - start > IDLE
+
+
+def test_read_some_times_out_only_after_idle_seconds_without_a_byte(backend):
+    steps = [(GAP, b"z")] * 4
+    written_at = []
+    writer = _script(backend, steps, written_at=written_at)
+    out, _, end = backend.run(writer, _timed_read(backend, (100, 10)))
+    assert len(out) == 1 and isinstance(out[0], TimeoutError)
+    assert end - written_at[-1] >= IDLE

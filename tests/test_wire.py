@@ -1,10 +1,14 @@
 """Codec and partition contract tests."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptcp.wire import (
+    MAX_DATA_PAYLOAD,
     ChunkAssignment,
     Data,
     Fin,
@@ -93,6 +97,53 @@ def test_codec_round_trip_random_frames():
         decoded, residual = decode_frames(encode_frame(frame))
         assert decoded == [frame]
         assert residual == b""
+
+
+_u32 = st.integers(0, 2**32 - 1)
+_u64 = st.integers(0, 2**64 - 1)
+_frames = st.lists(
+    st.one_of(
+        st.builds(
+            Hello,
+            st.binary(min_size=16, max_size=16),
+            _u64,
+            _u32,
+            _u32,
+            _u64,
+            _u64,
+            st.binary(min_size=32, max_size=32),
+        ),
+        st.builds(
+            lambda index, offset, size: Data(index, offset, bytes([size % 251]) * size),
+            _u32,
+            _u64,
+            st.one_of(st.integers(1, 64), st.integers(1, MAX_DATA_PAYLOAD)),
+        ),
+        st.builds(Fin, _u32, st.binary(min_size=32, max_size=32)),
+    ),
+    max_size=6,
+)
+LARGEST_FRAME = len(encode_frame(Data(0, 0, bytes(MAX_DATA_PAYLOAD))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=_frames, data=st.data())
+def test_decoder_needed_reads_whole_frames(frames, data):
+    stream = b"".join(encode_frame(f) for f in frames)
+    decoder = FrameDecoder()
+    out = []
+    pos = 0
+    while pos < len(stream):
+        needed = decoder.needed
+        assert 1 <= needed <= min(LARGEST_FRAME, len(stream) - pos)
+        # Fewer than ``needed`` bytes never complete a frame.
+        probe = copy.deepcopy(decoder)
+        short = data.draw(st.integers(0, needed - 1), label="short")
+        assert probe.feed(stream[pos : pos + short]) == []
+        out += decoder.feed(stream[pos : pos + needed])
+        pos += needed
+    assert out == frames == decode_frames(stream)[0]
+    assert decoder.residual == b""
 
 
 def test_fin_layout_is_exact():
