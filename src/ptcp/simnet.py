@@ -4,8 +4,15 @@ Topology is a dumbbell collapsed to its only interesting part: every flow's
 segments enter a single drop-tail FIFO served at link capacity, then cross
 a fixed propagation delay.  Acks return on the reverse path, which is pure
 delay: no bandwidth, no loss.  Random forward loss is Bernoulli per
-serviced segment, drawn from a PCG64 generator seeded in LinkConfig, so a
+queued segment, drawn from a PCG64 generator seeded in LinkConfig, so a
 scenario is a pure function of its configuration.
+
+A segment is admitted to the bottleneck when it is sent: the service time
+is constant, so its departure time is fixed then, and the queue is a deque
+of departure times.  Its loss is drawn then too, in FIFO order, and it
+costs two heap events: deliver (or loss, counted at its departure) and
+ack.  A deliver and an ack that share a timestamp run in the order of the
+deliver's send and the ack's delivery.
 
 Congestion control is plain AIMD: cwnd grows by 1/cwnd per new ack (one
 segment per RTT), halves on loss with at most one halving per base RTT,
@@ -223,16 +230,22 @@ class AimdFlow:
     def on_segment_arrival(self, seq: int, now: float) -> bool:
         """True if this segment is new; duplicates are still acked but not
         counted as delivered."""
-        if seq < self._next_expected or seq in self._received:
-            return False
-        # Payload size is read before the release loop: releasing a segment
-        # may consume its backing bytes in stream-backed subclasses.
-        payload = self.segment_payload(seq)
-        self._received.add(seq)
-        while self._next_expected in self._received:
-            self._received.discard(self._next_expected)
-            self._release(self._next_expected, now)
-            self._next_expected += 1
+        received = self._received
+        # Payload size is read before releasing: releasing a segment may
+        # consume its backing bytes in stream-backed subclasses.
+        if seq != self._next_expected:
+            if seq < self._next_expected or seq in received:
+                return False
+            payload = self.segment_payload(seq)
+            received.add(seq)  # out of order: nothing can be released yet
+        else:
+            payload = self.segment_payload(seq)
+            self._release(seq, now)
+            self._next_expected = seq = seq + 1
+            while seq in received:
+                received.discard(seq)
+                self._release(seq, now)
+                self._next_expected = seq = seq + 1
         self.delivered_bytes += payload
         self.delivery_log.append((now, payload))
         return True
@@ -246,13 +259,17 @@ class Network:
 
     def __init__(self, link: LinkConfig, *, record_events: bool = False):
         self.link = link
+        # Read for every segment; LinkConfig.service_time is a computed property.
+        self.service_time = link.service_time
+        self.one_way_delay = link.one_way_delay
+        self.loss_probability = link.loss_probability
+        self.queue_limit = link.queue_limit
         self.rng = np.random.Generator(np.random.PCG64(link.seed))
         self.now = 0.0
         self.flows: dict[str, AimdFlow] = {}
         self._heap: list = []
         self._counter = itertools.count()
-        self._queue: deque[tuple[AimdFlow, int, int]] = deque()
-        self._service_scheduled = False
+        self._departures: deque[float] = deque()  # of the segments in the bottleneck
         self.drops = 0
         self.bernoulli_losses = 0
         self.max_queue_len = 0
@@ -274,7 +291,8 @@ class Network:
         self.event_log.append(EventRecord(self.now, kind, flow.flow_id, seq))
 
     def pump(self, flow: AimdFlow) -> None:
-        """Transmit as much as the flow's window allows right now."""
+        """Transmit as much as the flow's window allows right now, admitting
+        each segment to the bottleneck as it is sent."""
         now = self.now
         if now < flow.start_time:
             return
@@ -282,11 +300,28 @@ class Network:
         counter = self._counter
         timers = flow._timers
         fires_at = now + flow.timeout_interval
-        while (tx := flow.next_transmission(now)) is not None:
+        departures = self._departures
+        while departures and departures[0] <= now:
+            departures.popleft()
+        while flow.in_flight < flow.cwnd and (tx := flow.next_transmission(now)) is not None:
             seq, tid = tx
+            segment = (flow, seq, tid)
             if self.event_log is not None:
                 self._log("send", flow, seq)
-            heapq.heappush(heap, (now, next(counter), Network._on_arrival, (flow, seq, tid)))
+            if len(departures) >= self.queue_limit:
+                self.drops += 1
+                if self.event_log is not None:
+                    heapq.heappush(heap, (now, next(counter), Network._on_drop, segment))
+            else:
+                departure = (departures[-1] if departures else now) + self.service_time
+                departures.append(departure)
+                if len(departures) > self.max_queue_len:
+                    self.max_queue_len = len(departures)
+                if self.loss_probability > 0.0 and self.rng.random() < self.loss_probability:
+                    heapq.heappush(heap, (departure, next(counter), Network._on_loss, segment))
+                else:
+                    t = departure + self.one_way_delay
+                    heapq.heappush(heap, (t, next(counter), Network._on_deliver, segment))
             timers.append((fires_at, next(counter), seq, tid))
             if len(timers) == 1:
                 heapq.heappush(heap, (fires_at, timers[0][1], Network._on_timeout, flow))
@@ -340,32 +375,13 @@ class Network:
 
     # -- event handlers: called as handler(network, data) --
 
-    def _on_arrival(self, segment: tuple[AimdFlow, int, int]) -> None:
-        queue = self._queue
-        if len(queue) >= self.link.queue_limit:
-            self.drops += 1
-            if self.event_log is not None:
-                self._log("drop", segment[0], segment[1])
-            return
-        queue.append(segment)
-        if len(queue) > self.max_queue_len:
-            self.max_queue_len = len(queue)
-        if not self._service_scheduled:
-            self._service_scheduled = True
-            self._schedule(self.now + self.link.service_time, Network._on_service, None)
+    def _on_drop(self, segment: tuple[AimdFlow, int, int]) -> None:
+        self._log("drop", segment[0], segment[1])  # pushed only when recording
 
-    def _on_service(self, _) -> None:
-        segment = self._queue.popleft()
-        if self._queue:
-            self._schedule(self.now + self.link.service_time, Network._on_service, None)
-        else:
-            self._service_scheduled = False
-        if self.link.loss_probability > 0.0 and self.rng.random() < self.link.loss_probability:
-            self.bernoulli_losses += 1
-            if self.event_log is not None:
-                self._log("loss", segment[0], segment[1])
-            return
-        self._schedule(self.now + self.link.one_way_delay, Network._on_deliver, segment)
+    def _on_loss(self, segment: tuple[AimdFlow, int, int]) -> None:
+        self.bernoulli_losses += 1
+        if self.event_log is not None:
+            self._log("loss", segment[0], segment[1])
 
     def _on_deliver(self, segment: tuple[AimdFlow, int, int]) -> None:
         flow, seq, _ = segment
@@ -373,7 +389,7 @@ class Network:
         if self.event_log is not None:
             self._log("deliver" if fresh else "dup", flow, seq)
         # Per-segment ack on the lossless reverse path: delay, no queue.
-        self._schedule(self.now + self.link.one_way_delay, Network._on_ack, segment)
+        self._schedule(self.now + self.one_way_delay, Network._on_ack, segment)
 
     def _on_ack(self, segment: tuple[AimdFlow, int, int]) -> None:
         flow, seq, _ = segment
