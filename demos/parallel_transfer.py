@@ -41,7 +41,10 @@ for stat in report.per_connection:
 print(f"\nreceiver: ok={result.ok}, {result.total_size} bytes in {result.wall_time:.3f} s")
 print(f"digests match: {sha256(received['payload']) == sha256(payload)}")
 
-# The receiver-side timeline records (time, chunk, bytes) per DATA frame;
-# the first few entries show all four streams interleaving.
-for t, chunk_index, nbytes in result.timeline[:8]:
-    print(f"  t={t:.4f}s chunk {chunk_index} +{nbytes} bytes")
+# The receiver times each connection too, from its HELLO to its verified
+# FIN, in seconds after the transfer's first HELLO.
+for stat in result.per_connection:
+    print(
+        f"  connection {stat.chunk_index}: {stat.bytes} bytes "
+        f"[{stat.start_time:.4f} s .. {stat.end_time:.4f} s]"
+    )

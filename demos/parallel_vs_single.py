@@ -9,7 +9,7 @@ the pipe itself becomes the limit.  This sweep measures that trend on a
 50 Mbit/s link with 1% loss.
 """
 
-from ptcp.harness import experiment_from_keys, run_level_sim
+from ptcp.harness import experiment_from_keys, run_level
 
 config = experiment_from_keys(
     {
@@ -28,7 +28,7 @@ print(f"{'n':>3} {'targeted Mbit/s':>16} {'vs n=1':>7} {'link share':>11} {'JFI'
 
 baseline = None
 for n in config.levels:
-    result = run_level_sim(config, n, 0)
+    result = run_level(config, n, 0)
     baseline = baseline or result.targeted_bps
     print(
         f"{n:>3} {result.targeted_bps / 1e6:>16.3f} "

@@ -1,7 +1,8 @@
 """Command line interface: transfer endpoints and the experiment driver.
 
 Exit codes: 0 success, 2 network failure (unreachable peer, bind error),
-3 transfer failed (broken stream, digest mismatch), 64 usage error.
+3 transfer failed (broken stream, digest mismatch), 64 usage error (bad
+flags, a config error, or a sweep whose flows deliver nothing to measure).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
+from .metrics import UndefinedFairnessError
 from .striping import FailureKind, Receiver, send_transfer
 from .transport import TcpTransport
 
@@ -173,12 +175,9 @@ def cmd_experiment(args) -> int:
         config = replace(config, out_dir=args.out)
     try:
         harness.run_experiment(config, write_traces=args.traces, log=print)
-    except ConnectionError as exc:
-        print(f"network failure: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except RuntimeError as exc:
+    except UndefinedFairnessError as exc:
         print(f"experiment failed: {exc}", file=sys.stderr)
-        return EXIT_TRANSFER
+        return EXIT_USAGE
     print(f"results written to {config.out_dir}")
     return EXIT_OK
 

@@ -5,36 +5,21 @@ For each parallelism level n and repetition, one targeted application
 through a shared bottleneck.  Simulated runs drive the event loop and are
 bit-reproducible per seed (repetition r uses seed ``base_seed + r``).  The
 seed drives only random loss, so at ``loss_prob = 0`` one simulation per
-level serves every repetition: the rows differ only in ``rep``.  Socket
-runs use real loopback connections and measure whatever the host
-delivers, so they run every repetition.  Results land in
-``throughput.csv`` and ``fairness.csv`` plus a ``meta.txt`` recording the
-resolved configuration, with optional per-flow trace dumps.
+level serves every repetition: the rows differ only in ``rep``.  Results
+land in ``throughput.csv`` and ``fairness.csv`` plus a ``meta.txt``
+recording the resolved configuration, with optional per-flow trace dumps.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
-import time
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
-
-from .metrics import (
-    FairnessReport,
-    FlowTrace,
-    fairness_report,
-    report_from_rates,
-    steady_window,
-    throughput_ratio,
-)
+from .metrics import FairnessReport, FlowTrace, fairness_report, steady_window, throughput_ratio
 from .simnet import FlowSpec, LinkConfig, run_scenario
-from .striping import Receiver, send_transfer
-from .transport import TcpTransport
 
 TRACE_BUCKET_WIDTH = 0.1
 BACKGROUND_HEAD_START = 1.0  # competitor is established before targeted flows start
@@ -44,15 +29,11 @@ BACKGROUND_HEAD_START = 1.0  # competitor is established before targeted flows s
 class ExperimentConfig:
     """Resolved experiment matrix: sweep levels x repetitions on one link."""
 
-    mode: str  # "sim" or "sockets"
     levels: tuple[int, ...]  # parallelism sweep, ascending
-    payload_size: int  # bytes per transfer (socket mode)
     repetitions: int
     link: LinkConfig
     duration: float  # measurement length per simulated run
     background_count: int
-    host: str
-    port: int
     out_dir: str
 
 
@@ -116,7 +97,6 @@ class _Key(NamedTuple):
 _g = "{:g}".format
 
 _KEYS = {
-    "mode": _Key("sim", str, "mode", lambda v: v in ("sim", "sockets"), "'sim' or 'sockets'"),
     "levels": _Key(
         "1,2,4,8,16",
         _levels,
@@ -125,18 +105,15 @@ _KEYS = {
         "distinct integers >= 1",
         lambda v: ",".join(map(str, v)),
     ),
-    "payload_bytes": _Key(str(4 * 1024 * 1024), int, "payload_size", lambda v: v >= 1, ">= 1"),
     "repetitions": _Key("3", int, "repetitions", lambda v: v >= 1, ">= 1"),
-    "host": _Key("127.0.0.1", str, "host"),
-    "port": _Key("0", int, "port", lambda v: 0 <= v <= 65535, "in [0, 65535]"),
     "out": _Key("results", str, "out_dir"),
     "capacity_bps": _Key("10000000", float, "link.capacity", lambda v: v > 0, "> 0", _g),
     "one_way_delay_s": _Key("0.05", float, "link.one_way_delay", lambda v: v >= 0, ">= 0", _g),
     "queue_limit_pkts": _Key("50", int, "link.queue_limit", lambda v: v >= 1, ">= 1"),
     "loss_prob": _Key("0.0", float, "link.loss_probability", lambda v: 0 <= v <= 1, "in [0, 1]", _g),
     "mss_bytes": _Key("1500", int, "link.mss", lambda v: v >= 1, ">= 1"),
-    "seed": _Key("0", int, "link.seed"),
-    "duration_s": _Key("30.0", float, "duration", lambda v: v > 0, "> 0", _g),
+    "seed": _Key("0", int, "link.seed", lambda v: v >= 0, ">= 0"),
+    "duration_s": _Key("30.0", float, "duration", lambda v: v > BACKGROUND_HEAD_START, f"> {BACKGROUND_HEAD_START:g}", _g),
     "flows": _Key(
         "1+1",
         _background_flows,
@@ -211,8 +188,9 @@ def sim_flow_specs(n: int, background_count: int) -> list[FlowSpec]:
     return background + targeted
 
 
-def run_level_sim(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
-    link = replace(config.link, seed=config.link.seed + rep)
+def run_level(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
+    """One cell, simulated: n targeted flows against the background flows."""
+    link =replace(config.link, seed=config.link.seed + rep)
     traces = run_scenario(
         link,
         sim_flow_specs(n, config.background_count),
@@ -223,99 +201,6 @@ def run_level_sim(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
     return LevelResult(n, rep, targeted * 8.0, background * 8.0, ratio, report, traces)
 
 
-def _bucketize(flow_id: str, role: str, events: list[tuple[float, int]]) -> FlowTrace:
-    """Accumulate (time, bytes) events into fixed-width buckets from t=0."""
-    width = TRACE_BUCKET_WIDTH
-    last = max((t for t, _ in events), default=0.0)
-    buckets = np.zeros(int(last // width) + 1, dtype=np.float64)
-    for t, nbytes in events:
-        buckets[int(t // width)] += nbytes
-    return FlowTrace(flow_id, role, width, buckets)
-
-
-def _random_payload(size: int, seed: int) -> bytes:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, 256, size, dtype=np.uint8).tobytes()
-
-
-def run_level_sockets(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
-    """One loopback run: background sender, head start, targeted sender."""
-    recv_transport = TcpTransport(config.host, config.port)
-    receiver = Receiver(recv_transport)
-    try:
-        transport = TcpTransport(config.host, recv_transport.port)
-        seed = config.link.seed + rep
-        payloads = {
-            "background": _random_payload(config.payload_size, 2 * seed),
-            "targeted": _random_payload(config.payload_size, 2 * seed + 1),
-        }
-        reports = {}
-        offsets = {}
-        t0 = time.monotonic()
-
-        def run_one(role: str, connections: int):
-            offsets[role] = time.monotonic() - t0
-            reports[role] = send_transfer(payloads[role], transport, connections)
-
-        background = threading.Thread(target=run_one, args=("background", 1))
-        background.start()
-        time.sleep(BACKGROUND_HEAD_START)
-        targeted = threading.Thread(target=run_one, args=("targeted", n))
-        targeted.start()
-        background.join()
-        targeted.join()
-        # A sender that failed may have started no transfer the receiver could complete.
-        for role in ("background", "targeted"):
-            if not reports[role].ok:
-                raise RuntimeError(f"{role} transfer failed: {reports[role].failure_reason}")
-
-        received = {}
-        for _ in range(2):
-            result = receiver.serve_one()
-            for role, report in reports.items():
-                if result.transfer_id == report.transfer_id:
-                    received[role] = result
-    finally:
-        receiver.close()
-
-    for role in ("background", "targeted"):
-        if role not in received or not received[role].ok:
-            reason = received[role].reason if role in received else "no completion"
-            raise RuntimeError(f"{role} transfer failed at the receiver: {reason}")
-
-    traces = []
-    for role, result in sorted(received.items()):
-        base = offsets[role]
-        per_flow: dict[int, list[tuple[float, int]]] = {}
-        for t, chunk_index, nbytes in result.timeline:
-            per_flow.setdefault(chunk_index, []).append((base + t, nbytes))
-        for chunk_index, events in sorted(per_flow.items()):
-            traces.append(_bucketize(f"{role}-{chunk_index}", role, events))
-
-    # Real transfers are bursts at staggered offsets, so rates come from each
-    # connection's own active interval rather than a shared steady window.
-    per_flow_rates = []
-    for role in sorted(received):
-        for stat in received[role].per_connection:
-            per_flow_rates.append(stat.bytes / max(stat.end_time - stat.start_time, 1e-9))
-    per_application = {
-        role: result.total_size / max(result.wall_time, 1e-9)
-        for role, result in received.items()
-    }
-    capacity_bytes = config.link.capacity / 8.0
-    report = report_from_rates(per_flow_rates, per_application, capacity_bytes)
-    targeted_rate = per_application["targeted"]
-    background_rate = per_application["background"]
-    ratio = throughput_ratio(targeted_rate, capacity_bytes)
-    return LevelResult(n, rep, targeted_rate * 8.0, background_rate * 8.0, ratio, report, traces)
-
-
-def run_level(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
-    if config.mode == "sim":
-        return run_level_sim(config, n, rep)
-    return run_level_sockets(config, n, rep)
-
-
 # ---------------------------------------------------------------------------
 # The full matrix and its output files
 # ---------------------------------------------------------------------------
@@ -324,7 +209,7 @@ def run_level(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
 def run_experiment(config: ExperimentConfig, *, write_traces: bool = False, log=None) -> list[LevelResult]:
     # Without random loss a simulated cell never draws from its seed, so
     # every repetition of a level would repeat the first one's simulation.
-    reuse = config.mode == "sim" and config.link.loss_probability == 0
+    reuse = config.link.loss_probability == 0
     results = []
     for n in config.levels:
         for rep in range(config.repetitions):

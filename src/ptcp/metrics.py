@@ -109,22 +109,6 @@ def steady_window(traces, discard: float = 0.2) -> tuple[float, float]:
     return (discard * extent, extent)
 
 
-def report_from_rates(
-    per_flow: list[float], per_application: dict[str, float], capacity: float | None = None
-) -> FairnessReport:
-    """Jain index over per-flow rates; shares and utilization from the
-    per-application rates (role -> bytes/second)."""
-    total = sum(per_application.values())
-    return FairnessReport(
-        per_flow_throughput=per_flow,
-        flow_count=len(per_flow),
-        fairness_index=jain_fairness(per_flow),
-        per_application=per_application,
-        shares={role: (rate / total if total > 0 else 0.0) for role, rate in per_application.items()},
-        utilization=(total / capacity if capacity else None),
-    )
-
-
 def fairness_report(
     traces,
     window: tuple[float, float] | None = None,
@@ -140,4 +124,12 @@ def fairness_report(
     per_app: dict[str, float] = {}
     for trace, rate in zip(traces, per_flow):
         per_app[trace.role] = per_app.get(trace.role, 0.0) + rate
-    return report_from_rates(per_flow, per_app, capacity)
+    total = sum(per_app.values())
+    return FairnessReport(
+        per_flow_throughput=per_flow,
+        flow_count=len(per_flow),
+        fairness_index=jain_fairness(per_flow),
+        per_application=per_app,
+        shares={role: (rate / total if total > 0 else 0.0) for role, rate in per_app.items()},
+        utilization=(total / capacity if capacity else None),
+    )

@@ -232,7 +232,6 @@ class ReceivedTransfer:
     total_size: int
     wall_time: float
     per_connection: list[ConnectionStat]
-    timeline: list[tuple[float, int, int]]  # (time, chunk_index, bytes)
     failure_kind: FailureKind | None = None
 
 
@@ -263,7 +262,6 @@ class _TransferMonitor:
         self.streams: list = []  # every registered stream; a failure aborts them all
         self.buffer: bytearray | None = None  # whole payload; allocated by the first valid HELLO
         self.stats: list[ConnectionStat] = []  # one per completed chunk
-        self.timeline: list[tuple[float, int, int]] = []
         self.finished = False
         self.failed: str | None = None
 
@@ -309,7 +307,7 @@ class _TransferMonitor:
     # rejects a second stream for a chunk), so its _Chunk and its slice of
     # the buffer need no lock.
 
-    def data(self, frame: Data, now: float) -> None:
+    def data(self, frame: Data) -> None:
         index, size = frame.chunk_index, len(frame.payload)
         chunk = self.chunks[index]
         if frame.offset_in_chunk != chunk.filled:
@@ -322,8 +320,6 @@ class _TransferMonitor:
         self.buffer[start : start + size] = frame.payload
         chunk.hasher.update(frame.payload)
         chunk.filled += size
-        with self.lock:
-            self.timeline.append((now - self.started_at, index, size))
 
     def complete(self, frame: Fin, now: float) -> bool:
         """Verify and mark one chunk done; True when this was the last chunk."""
@@ -359,7 +355,6 @@ class _TransferMonitor:
             total_size=self.total_size,
             wall_time=now - self.started_at,
             per_connection=sorted(self.stats, key=lambda s: s.chunk_index),
-            timeline=list(self.timeline),
             failure_kind=kind,
         )
 
@@ -469,7 +464,7 @@ class Receiver:
                         f"{frame.kind.name} for chunk {frame.chunk_index} on the chunk-{index} stream"
                     )
                 if isinstance(frame, Data):
-                    monitor.data(frame, self._transport.now())
+                    monitor.data(frame)
                     continue
                 last = monitor.complete(frame, self._transport.now())
                 # complete() verified this digest against the buffered chunk.

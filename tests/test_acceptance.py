@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptcp.harness import experiment_from_keys, run_experiment, run_level_sim
+from ptcp.harness import experiment_from_keys, run_experiment, run_level
 from ptcp.metrics import jain_fairness
 from ptcp.simnet import (
     AimdFlow,
@@ -187,7 +187,7 @@ def test_criterion_5_parallelism_raises_throughput():
                 "repetitions": "1",
             }
         )
-        rates = {n: run_level_sim(config, n, 0).targeted_bps for n in config.levels}
+        rates = {n: run_level(config, n, 0).targeted_bps for n in config.levels}
         assert all(rates[b] >= rates[a] for a, b in zip(config.levels, config.levels[1:]))
         assert rates[8] >= 1.5 * rates[1]
 
@@ -206,7 +206,7 @@ def test_criterion_6_fairness_with_background_flow():
                 "repetitions": "1",
             }
         )
-        result = run_level_sim(config, 4, 0)
+        result = run_level(config, 4, 0)
         report = result.fairness
         assert report.flow_count == 5
         assert report.fairness_index >= 0.9

@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import threading
+import re
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,10 @@ from ptcp.harness import (
     run_experiment,
     run_level,
 )
-from ptcp.transport import TcpTransport
 from ptcp.wire import sha256
 
 SIM_CONFIG = """
 # small deterministic sweep
-mode = sim
 levels = 1,2
 repetitions = 2
 capacity_bps = 10000000
@@ -40,7 +39,6 @@ duration_s = 8.0
 # At the default loss_prob = 0 the link seed is never drawn, so every
 # repetition of a level repeats the same simulation.
 LOSSLESS_CONFIG = """
-mode = sim
 levels = 1,2
 repetitions = 3
 duration_s = 8.0
@@ -70,7 +68,6 @@ def test_parse_kv_rejects_duplicates_and_garbage():
 
 def test_defaults_resolve():
     config = experiment_from_keys({})
-    assert config.mode == "sim"
     assert config.levels == (1, 2, 4, 8, 16)
     assert config.repetitions == 3
     assert config.background_count == 1
@@ -81,8 +78,6 @@ def test_defaults_resolve():
     assert config.link.loss_probability == 0.0
     assert config.link.seed == 0
     assert config.duration == 30.0
-    assert config.payload_size == 4 * 1024 * 1024
-    assert (config.host, config.port) == ("127.0.0.1", 0)
     assert config.out_dir == "results"
 
 
@@ -120,24 +115,35 @@ def test_link_keys_full_parse():
 @pytest.mark.parametrize(
     ("overrides", "key"),
     [
-        ({"mode": "telepathy"}, "mode"),
+        ({"mode": "sockets"}, "mode"),  # socket-mode keys are unknown now
         ({"levels": "1,2,two"}, "levels"),
         ({"levels": "0,1"}, "levels"),
         ({"levels": "4,4"}, "levels"),
-        ({"payload_bytes": "-5"}, "payload_bytes"),
-        ({"payload_bytes": "much"}, "payload_bytes"),
+        ({"payload_bytes": "4194304"}, "payload_bytes"),
+        ({"seed": "-1"}, "seed"),
         ({"repetitions": "0"}, "repetitions"),
-        ({"port": "99999"}, "port"),
+        ({"port": "0"}, "port"),
         ({"flows": "4+0"}, "flows"),
         ({"loss_prob": "1.5"}, "loss_prob"),
         ({"bandwidth": "fast"}, "bandwidth"),
         ({"queue_limit_pkts": "zero"}, "queue_limit_pkts"),
         ({"flows": "4"}, "flows"),
+        ({"duration_s": "0.5"}, "duration_s"),  # ends before the targeted flows start
     ],
 )
 def test_config_errors_name_the_offending_key(overrides, key):
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=key) as excinfo:
         experiment_from_keys(dict(overrides))
+    if key in ("mode", "payload_bytes", "port", "bandwidth"):
+        assert str(excinfo.value) == f"unknown config key: {key}"
+
+
+def test_readme_config_block_shows_the_defaults():
+    # The README's config block is the key table's documentation: every key,
+    # each at its default, and nothing the table does not have.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    assert parse_kv(block) == {key: spec.default for key, spec in harness._KEYS.items()}
 
 
 def test_levels_are_sorted():
@@ -192,15 +198,11 @@ def test_meta_records_resolved_config(sim_results):
         "capacity_bps=1e+07\n"
         "duration_s=8\n"
         "flows=sweep+1\n"
-        "host=127.0.0.1\n"
         "levels=1,2\n"
         "loss_prob=0.01\n"
-        "mode=sim\n"
         "mss_bytes=1500\n"
         "one_way_delay_s=0.05\n"
         f"out={out}\n"
-        "payload_bytes=4194304\n"
-        "port=0\n"
         "queue_limit_pkts=50\n"
         "repetitions=2\n"
         "rng=pcg64\n"
@@ -278,7 +280,7 @@ def test_lossy_sweep_simulates_every_cell(tmp_path, monkeypatch):
 
 
 def test_rerun_same_seed_is_byte_identical(tmp_path):
-    text = "mode = sim\nlevels = 1,2\nrepetitions = 1\nduration_s = 5.0\nloss_prob = 0.01\nseed = 7\n"
+    text = "levels = 1,2\nrepetitions = 1\nduration_s = 5.0\nloss_prob = 0.01\nseed = 7\n"
     config_a = parse_experiment(text + f"out = {tmp_path / 'a'}\n")
     config_b = parse_experiment(text + f"out = {tmp_path / 'b'}\n")
     paths_a = [p for p in harness.write_outputs(config_a, run_experiment(config_a)) if p.suffix == ".csv"]
@@ -309,62 +311,6 @@ def test_background_head_start_shows_in_traces(sim_results):
     tg_first = next(i for i, v in enumerate(by_id["targeted-0"].buckets) if v > 0)
     # the background flow is established about a second earlier
     assert tg_first - bg_first >= int(0.8 / harness.TRACE_BUCKET_WIDTH)
-
-
-# ---------------------------------------------------------------------------
-# Socket-mode experiment
-# ---------------------------------------------------------------------------
-
-
-def test_socket_mode_level(tmp_path):
-    config = experiment_from_keys(
-        {
-            "mode": "sockets",
-            "levels": "2",
-            "repetitions": "1",
-            "payload_bytes": str(512 * 1024),
-            "out": str(tmp_path / "sock"),
-        }
-    )
-    result = run_level(config, 2, 0)
-    assert result.n == 2
-    assert result.targeted_bps > 0
-    assert result.background_bps > 0
-    roles = {t.role for t in result.traces}
-    assert roles == {"targeted", "background"}
-    assert sum(t.role == "targeted" for t in result.traces) == 2
-
-
-def test_socket_mode_failed_sender_fails_the_level(tmp_path, monkeypatch):
-    # The targeted sender's first connect is refused, so it writes no HELLO
-    # and the receiver never completes its transfer: the level must fail on
-    # the sender's report, not wait for that completion forever.
-    config = experiment_from_keys(
-        {"mode": "sockets", "levels": "2", "repetitions": "1", "out": str(tmp_path / "sock")}
-    )
-    real_connect = TcpTransport.connect
-    calls = []
-
-    def connect(self):
-        calls.append(self)
-        if len(calls) == 2:  # background opens the first connection, targeted the second
-            raise ConnectionRefusedError("refused")
-        return real_connect(self)
-
-    monkeypatch.setattr(TcpTransport, "connect", connect)
-    monkeypatch.setattr(harness, "BACKGROUND_HEAD_START", 0.2)
-    outcome = {}
-
-    def level():
-        with pytest.raises(RuntimeError) as excinfo:
-            harness.run_level_sockets(config, 2, 0)
-        outcome["error"] = str(excinfo.value)
-
-    worker = threading.Thread(target=level, daemon=True)
-    worker.start()
-    worker.join(timeout=10.0)
-    assert not worker.is_alive(), "run_level_sockets hung on a failed sender"
-    assert outcome["error"].startswith("targeted transfer failed: connect failed: ")
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +466,22 @@ def test_cli_send_prints_per_connection_rows(tmp_path, capsys):
 
 def test_cli_experiment_bad_config_names_key(tmp_path, capsys):
     config = tmp_path / "bad.conf"
-    config.write_text("mode = sim\nqueue_limit_pkts = banana\n")
+    config.write_text("queue_limit_pkts = banana\n")
     code = main(["experiment", "--config", str(config)])
     assert code == EXIT_USAGE
     assert "queue_limit_pkts" in capsys.readouterr().err
+
+
+def test_cli_experiment_with_nothing_to_measure_is_usage_error(tmp_path, capsys):
+    # Every segment is still in flight when the run ends, so the steady
+    # window holds no delivered byte and fairness is undefined.
+    config = tmp_path / "far.conf"
+    config.write_text(f"one_way_delay_s = 100\nduration_s = 5\nout = {tmp_path / 'out'}\n")
+    code = main(["experiment", "--config", str(config)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_experiment_missing_config(tmp_path, capsys):
@@ -534,7 +492,7 @@ def test_cli_experiment_missing_config(tmp_path, capsys):
 def test_cli_experiment_and_report(tmp_path, capsys):
     config = tmp_path / "sweep.conf"
     config.write_text(
-        "mode = sim\nlevels = 1,2\nrepetitions = 1\nduration_s = 5.0\n"
+        "levels = 1,2\nrepetitions = 1\nduration_s = 5.0\n"
         "loss_prob = 0.01\nseed = 3\n"
     )
     out = tmp_path / "results"

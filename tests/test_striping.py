@@ -667,7 +667,6 @@ def test_many_workers_under_fast_thread_switching():
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
     assert store[report.transfer_id] == payload
-    assert sum(size for _, _, size in result.timeline) == len(payload)
 
 
 @settings(max_examples=40, deadline=None)
