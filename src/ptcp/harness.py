@@ -18,7 +18,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .metrics import FairnessReport, FlowTrace, fairness_report, steady_window, throughput_ratio
+from .metrics import FairnessReport, FlowTrace, UndefinedFairnessError, fairness_report, steady_window, throughput_ratio
 from .simnet import FlowSpec, LinkConfig, run_scenario
 
 TRACE_BUCKET_WIDTH = 0.1
@@ -198,6 +198,8 @@ def run_level(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
         bucket_width=TRACE_BUCKET_WIDTH,
     )
     targeted, background, ratio, report = _measure(traces, link)
+    if targeted == 0:
+        raise UndefinedFairnessError(f"n={n} rep={rep}: the targeted flows delivered nothing to measure")
     return LevelResult(n, rep, targeted * 8.0, background * 8.0, ratio, report, traces)
 
 

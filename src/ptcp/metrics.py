@@ -13,7 +13,8 @@ import numpy as np
 
 
 class UndefinedFairnessError(Exception):
-    """Fairness index requested for an all-zero throughput vector."""
+    """Nothing to measure: a fairness index over an all-zero throughput
+    vector, or a sweep cell whose targeted flows delivered nothing."""
 
 
 @dataclass(frozen=True)

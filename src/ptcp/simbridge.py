@@ -27,13 +27,22 @@ The reverse path carries the accept side's writes and close: pure
 propagation delay, no bandwidth, no loss, which mirrors how the simulator
 treats acks.
 
+Bytes are stored once: a write goes into the peer's inbox by reference at
+once, and a path carries byte counts only (each new segment is bound to
+the next MSS of written bytes and delivers that count).  A read that takes
+exactly one written chunk returns it as it is, any other makes one join,
+so a ``bytes`` write is copied at most once on its way; ``write_all``
+copies any other buffer first, since its caller may reuse it.
+
 Reads wake at a low-water mark.  An inbox keeps the waiting reader's
 ``min_bytes`` and wakes it only once that many bytes are in, at end of
 stream or on abort, so a reader waiting for a 64 KiB frame wakes once, not
 once per delivered segment.  The wake-ups this skips had no effect on the
 network, so the interleaving is the same.  A read's idle timer that fires
 after bytes came in since the read began is re-armed one timeout after the
-last of them.
+last of them.  A task keeps at most one timer on the network: a later
+deadline reuses it (it re-arms if it fires early), only an earlier one
+schedules another.
 """
 
 from __future__ import annotations
@@ -70,7 +79,8 @@ class _Task:
         self.baton = _baton()
         self.parked = True  # starts parked and queued; a token holder picks it
         self.queued = True
-        self.park_gen = 0
+        self.deadline: float | None = None  # of the timed park in progress
+        self.timer_at: float | None = None  # when the task's armed timer fires
         self.finished = False
         self.error: BaseException | None = None
         self.error_seen = False
@@ -223,7 +233,6 @@ class SimHub:
             self._lock.acquire()
 
     def _park_locked(self, task: _Task) -> None:
-        task.park_gen += 1
         task.parked = True
         successor = self._pick_locked()
         if successor is not task:
@@ -253,23 +262,35 @@ class SimHub:
         if deadline is not None:
             if self.network.now >= deadline:
                 return False
-            gen = task.park_gen + 1
-
-            def timer():
-                if task.park_gen == gen:
-                    self._unpark_locked(task)
-
-            self.network.schedule_call(deadline, timer)
+            if task.timer_at is None or deadline < task.timer_at:
+                self._arm_locked(task, deadline)
+        task.deadline = deadline
         point.append(task)
         if idle:
             self._live.discard(task)
         self._park_locked(task)
         if idle:
             self._live.add(task)
+        task.deadline = None
         if task in point:  # woken by the timer, not the point
             point.remove(task)
             return False
         return True
+
+    def _arm_locked(self, task: _Task, at: float) -> None:
+        task.timer_at = at
+        self.network.schedule_call(at, partial(self._on_timer_locked, task, at))
+
+    def _on_timer_locked(self, task: _Task, at: float) -> None:
+        """A task's timer fired: it wakes a park whose deadline is now and
+        re-arms at a later one.  A timer an earlier one replaced does nothing."""
+        if task.timer_at != at:
+            return
+        task.timer_at = None
+        if task.deadline is not None and task.deadline <= at:
+            self._unpark_locked(task)
+        elif task.deadline is not None:
+            self._arm_locked(task, task.deadline)
 
 
 class SimChannel:
@@ -294,24 +315,53 @@ class SimChannel:
 
 
 class _Inbox:
-    """One side's inbound bytes, put there by the peer's path.  The reader
-    is woken only once ``low_water`` bytes are buffered, or at the end."""
+    """One side's inbound bytes: the peer's writes, of which the first
+    ``ready`` bytes were delivered.  The reader is woken only once
+    ``low_water`` bytes are ready, or at the end."""
 
     def __init__(self):
-        self.buf = bytearray()
+        self.chunks: deque[bytes] = deque()  # written by the peer, not yet read
+        self.offset = 0  # read position in chunks[0]
+        self.ready = 0
         self.eof = False
         self.low_water = 1  # the last reader's min_bytes
         self.last_arrival = 0.0  # virtual time the last byte came in
         self.readable: list[_Task] = []
 
-    def put_locked(self, hub: SimHub, data: bytes, eof: bool = False) -> None:
-        if data:
-            self.buf.extend(data)
+    def put_locked(self, hub: SimHub, size: int, eof: bool = False) -> None:
+        if size:
+            self.ready += size
             self.last_arrival = hub.network.now
         if eof:
             self.eof = True
-        if self.eof or len(self.buf) >= self.low_water:
+        if self.eof or self.ready >= self.low_water:
             hub._notify_locked(self.readable)
+
+    def take(self, size: int) -> bytes:
+        """The next ``size`` ready bytes: a whole written chunk as it is,
+        else one join of the pieces."""
+        chunks = self.chunks
+        self.ready -= size
+        if self.offset == 0 and len(chunks[0]) == size:
+            return chunks.popleft()
+        pieces = []
+        while size:
+            piece = memoryview(chunks[0])[self.offset : self.offset + size]
+            pieces.append(piece)
+            size -= len(piece)
+            self.offset += len(piece)
+            if self.offset == len(chunks[0]):
+                chunks.popleft()
+                self.offset = 0
+        return b"".join(pieces)
+
+    def drop_tail(self, size: int) -> None:
+        """Forget the last ``size`` written bytes, never delivered."""
+        chunks = self.chunks
+        while size and len(chunks[-1]) <= size:
+            size -= len(chunks.pop())
+        if size:
+            chunks[-1] = chunks[-1][:-size]
 
 
 class _StreamFlow(AimdFlow):
@@ -323,42 +373,44 @@ class _StreamFlow(AimdFlow):
         super().__init__(flow_id, hub.network.link, start_time=hub.network.now)
         self._hub = hub
         self._peer = peer
-        self._pending = bytearray()  # written, not yet bound to a segment
-        self._seg_data: dict[int, bytes] = {}
+        self._unbound = 0  # bytes written, not yet bound to a segment
+        self._seg_size: dict[int, int] = {}
         self._closing = False
         self._fin_seq: int | None = None
         self._writable: list[_Task] = []
 
     def write_locked(self, data: bytes) -> None:
-        self._pending.extend(data)
+        if data:
+            self._peer.chunks.append(data)
+            self._unbound += len(data)
         self._hub.network.pump(self)
-        while len(self._pending) > SEND_BUFFER_CAP:
+        while self._unbound > SEND_BUFFER_CAP:
             self._hub._wait_on_locked(self._writable)
 
     def close_locked(self, discard_pending: bool = False) -> None:
         if discard_pending:
-            self._pending.clear()
+            self._peer.drop_tail(self._unbound)
+            self._unbound = 0
         self._closing = True
         self._hub.network.pump(self)
 
     def _new_segment_ready(self) -> bool:
-        return bool(self._pending) or (self._closing and self._fin_seq is None)
+        return self._unbound > 0 or (self._closing and self._fin_seq is None)
 
     def _on_new_seq(self, seq: int) -> None:
-        take = min(self.link.mss, len(self._pending))
-        with memoryview(self._pending) as view:
-            self._seg_data[seq] = bytes(view[:take])
-        del self._pending[:take]
-        if self._closing and not self._pending and self._fin_seq is None:
+        take = min(self.link.mss, self._unbound)
+        self._seg_size[seq] = take
+        self._unbound -= take
+        if self._closing and not self._unbound and self._fin_seq is None:
             self._fin_seq = seq  # the last segment doubles as end-of-stream
-        if take and len(self._pending) <= SEND_BUFFER_CAP:
+        if take and self._unbound <= SEND_BUFFER_CAP:
             self._hub._notify_locked(self._writable)
 
     def segment_payload(self, seq: int) -> int:
-        return len(self._seg_data[seq])
+        return self._seg_size[seq]
 
     def _release(self, seq: int, now: float) -> None:
-        self._peer.put_locked(self._hub, self._seg_data.pop(seq), eof=(seq == self._fin_seq))
+        self._peer.put_locked(self._hub, self._seg_size.pop(seq), eof=(seq == self._fin_seq))
 
 
 class _DelayLine:
@@ -371,7 +423,9 @@ class _DelayLine:
 
     def write_locked(self, data: bytes, eof: bool = False) -> None:
         network = self._hub.network
-        arrive = partial(self._peer.put_locked, self._hub, bytes(data), eof)
+        if data:
+            self._peer.chunks.append(data)
+        arrive = partial(self._peer.put_locked, self._hub, len(data), eof)
         network.schedule_call(network.now + network.link.one_way_delay, arrive)
 
     def close_locked(self, discard_pending: bool = False) -> None:
@@ -397,20 +451,19 @@ class SimStream:
             start = hub.network.now
             deadline = None if timeout is None else start + timeout
             inbox.low_water = min_bytes
-            while len(inbox.buf) < min_bytes and not inbox.eof:
+            while inbox.ready < min_bytes and not inbox.eof:
                 if not hub._wait_on_locked(inbox.readable, deadline):
                     # Bytes that came in since the read began restart the idle clock.
                     deadline = max(start, inbox.last_arrival) + timeout
                     if hub.network.now >= deadline:
                         raise TimeoutError("read timed out")
-            if not inbox.buf:
+            if not inbox.ready:
                 return b""
-            with memoryview(inbox.buf) as view:
-                data = bytes(view[:max_bytes])
-            del inbox.buf[: len(data)]
-            return data
+            return inbox.take(min(max_bytes, inbox.ready))
 
     def write_all(self, data: bytes) -> None:
+        if not isinstance(data, bytes):
+            data = bytes(data)  # kept by reference until read, so the caller may reuse its buffer
         with self._hub._lock:
             if self._write_closed:
                 raise ConnectionError("stream closed for writing")
@@ -429,7 +482,7 @@ class SimStream:
             if not self._write_closed:
                 self._write_closed = True
                 self._path.close_locked(discard_pending=True)
-            self._inbox.put_locked(self._hub, b"", eof=True)
+            self._inbox.put_locked(self._hub, 0, eof=True)
 
 
 class SimListener:

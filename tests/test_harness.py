@@ -484,6 +484,19 @@ def test_cli_experiment_with_nothing_to_measure_is_usage_error(tmp_path, capsys)
     assert "Traceback" not in err
 
 
+def test_cli_experiment_with_silent_targeted_flows_is_usage_error(tmp_path, capsys):
+    # The targeted flows start at the 1.0 s head start and deliver nothing
+    # before a 1.05 s run ends: a zero-throughput row would measure nothing.
+    config = tmp_path / "short.conf"
+    config.write_text(f"levels = 1,2\nduration_s = 1.05\nout = {tmp_path / 'out'}\n")
+    code = main(["experiment", "--config", str(config)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("experiment failed: n=1 rep=0: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "throughput.csv").exists()
+
+
 def test_cli_experiment_missing_config(tmp_path, capsys):
     code = main(["experiment", "--config", str(tmp_path / "none.conf")])
     assert code == EXIT_USAGE

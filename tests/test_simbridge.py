@@ -1,16 +1,18 @@
 """Tests for the simulated-network stream bridge.
 
 Covers the hub scheduler (task lifecycle, virtual sleep, channels, idle servers,
-deadlock detection), the stream semantics (EOF, timeouts, backpressure,
-refused connects), and the headline property: the transfer code runs
+deadlock detection, read timers), the stream semantics (EOF, timeouts,
+backpressure, refused connects, the byte path), and the headline property: the transfer code runs
 unmodified over the simulated bottleneck, deterministically.
 """
 
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptcp import simbridge
+from ptcp import simbridge, simnet
 from ptcp.simbridge import SimChannel, SimHub, SimTransport
 from ptcp.simnet import LinkConfig, Network
 from ptcp.striping import FailureKind, Receiver, send_transfer, serve
@@ -276,7 +278,7 @@ def test_write_backpressure_bounds_the_send_buffer(monkeypatch):
             hub.sleep(0.001)
         client = ends["client"]
         client.write_all(payload)
-        high_water.append(len(client._path._pending))
+        high_water.append(client._path._unbound)
         client.close()
 
     def server_side():
@@ -379,6 +381,133 @@ def test_abort_truncates_the_peer_stream(aborter):
         assert seen["eof_at"] == pytest.approx(seen["aborted_at"] + FAST_LINK.one_way_delay)
 
 
+def exchange(hub, transport, writes, reads):
+    """The client writes ``writes[0]`` and closes, then the server writes
+    ``writes[1]`` and closes; each side reads until EOF, cycling through
+    ``reads`` as ``(max_bytes, min_bytes)``.  Returns what each side read."""
+    ends, *_ = pair_up(hub, transport)
+    got = {}
+
+    def read_all(stream):
+        chunks = []
+        i = 0
+        while True:
+            max_bytes, min_bytes = reads[i % len(reads)]
+            i += 1
+            data = stream.read_some(max_bytes, min_bytes=min_bytes)
+            if data == b"":
+                return b"".join(chunks)
+            assert len(data) <= max_bytes
+            chunks.append(bytes(data))
+
+    def side(name, outgoing, read_first):
+        while name not in ends:
+            hub.sleep(0.001)
+        stream = ends[name]
+        if read_first:
+            got[name] = read_all(stream)
+        for data in outgoing:
+            stream.write_all(data)
+        stream.close()
+        if not read_first:
+            got[name] = read_all(stream)
+
+    hub.spawn(lambda: side("client", writes[0], False), name="client")
+    hub.spawn(lambda: side("server", writes[1], True), name="server")
+    hub.run()
+    return got
+
+
+BUFFER_TYPES = {"bytes": bytes, "bytearray": bytearray, "memoryview": lambda b: memoryview(bytearray(b))}
+writes_strategy = st.lists(
+    st.tuples(st.integers(0, 7000), st.sampled_from(sorted(BUFFER_TYPES))), max_size=6
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    forward=writes_strategy,
+    reverse=writes_strategy,
+    reads=st.lists(st.tuples(st.integers(1, 9000), st.integers(1, 9000)), min_size=1, max_size=5),
+    salt=st.integers(0, 255),
+)
+def test_stream_bytes_arrive_intact_in_both_directions(forward, reverse, reads, salt):
+    def make(spec):
+        return [
+            BUFFER_TYPES[kind](bytes((salt + i * 7 + j) % 256 for j in range(size)))
+            for i, (size, kind) in enumerate(spec)
+        ]
+
+    writes = make(forward), make(reverse)
+    hub = make_hub()
+    got = exchange(hub, SimTransport(hub), writes, reads)
+    assert got["server"] == b"".join(bytes(w) for w in writes[0])
+    assert got["client"] == b"".join(bytes(w) for w in writes[1])
+
+
+@pytest.mark.parametrize("writer", ["client", "server"])
+def test_buffer_mutated_after_write_does_not_change_what_the_peer_reads(writer):
+    # The stream keeps what was written until the peer reads it, so a caller
+    # buffer reused after write_all must not show through.
+    original = bytes(range(256)) * 20
+    buffer = bytearray(original)
+    hub = make_hub()
+    transport = SimTransport(hub)
+    ends, *_ = pair_up(hub, transport)
+    peer = "server" if writer == "client" else "client"
+    got = {}
+
+    def writing_side():
+        while writer not in ends:
+            hub.sleep(0.001)
+        ends[writer].write_all(buffer)
+        buffer[:] = bytes(len(buffer))
+        ends[writer].close()
+
+    def reading_side():
+        while peer not in ends:
+            hub.sleep(0.001)
+        chunks = []
+        while (data := ends[peer].read_some()) != b"":
+            chunks.append(data)
+        got["data"] = b"".join(chunks)
+
+    hub.spawn(writing_side, name=writer)
+    hub.spawn(reading_side, name=peer)
+    hub.run()
+    assert got["data"] == original
+
+
+def test_abort_delivers_exactly_the_bound_bytes_then_eof():
+    hub = make_hub()
+    transport = SimTransport(hub)
+    ends, *_ = pair_up(hub, transport)
+    payload = bytes(range(251)) * 400  # a period prime to the MSS, so any shift shows
+    seen = {}
+
+    def client_side():
+        while "client" not in ends:
+            hub.sleep(0.001)
+        client = ends["client"]
+        client.write_all(payload)
+        seen["unbound"] = client._path._unbound
+        client.abort()
+
+    def server_side():
+        while "server" not in ends:
+            hub.sleep(0.001)
+        chunks = []
+        while (data := ends["server"].read_some()) != b"":
+            chunks.append(data)
+        seen["received"] = b"".join(chunks)
+
+    hub.spawn(client_side, name="client")
+    hub.spawn(server_side, name="server")
+    hub.run()
+    assert 0 < seen["unbound"] < len(payload)
+    assert seen["received"] == payload[: len(payload) - seen["unbound"]]
+
+
 # ---------------------------------------------------------------------------
 # Transfers over the simulated bottleneck
 # ---------------------------------------------------------------------------
@@ -403,6 +532,40 @@ def run_transfer(payload, connections, link, *, record_events=False, until=None)
     hub.spawn(send_task, name="send")
     hub.run(until=until)
     return box, network
+
+
+def test_a_transfer_leaves_at_most_one_timer_per_task():
+    # Every read parks with an idle timer; a task keeps at most one armed,
+    # so the network heap does not fill with timers of reads long done.
+    network = Network(FAST_LINK)
+    hub = SimHub(network)
+    transport = SimTransport(hub)
+    payload = bytes(range(256)) * 4096
+    box = {}
+    hub.spawn(lambda: box.__setitem__("result", serve(transport, sink=lambda tid, data: None)), name="serve")
+    hub.spawn(lambda: box.__setitem__("report", send_transfer(payload, transport, 2)), name="send")
+    hub.run()
+    assert box["report"].ok and box["result"].ok
+    # Callbacks left on the heap past the end; the flows' own last events aside.
+    timers = [e for e in network._heap if e[0] > network.now and e[2] is simnet._call]
+    assert len(timers) <= len(hub._tasks)
+
+
+def test_simwire_lossy_seed0_fingerprint():
+    # The benchmark's simwire_lossy run at seed 0: 16 MiB over 2 connections
+    # through a 100 Mbit/s, 10 ms, 100-packet, 1%-loss bottleneck.  Virtual
+    # completion time, segments sent and losses depend on segment sizes and
+    # binding times only, so a byte-path change that shifts them fails here.
+    link = LinkConfig(
+        capacity=100e6, one_way_delay=0.010, queue_limit=100, loss_probability=0.01, seed=0
+    )
+    payload = bytes(range(256)) * 65536
+    box, network = run_transfer(payload, 2, link)
+    assert box["report"].ok and box["result"].ok
+    assert box["payload"] == payload
+    sent = sum(flow.sent_segments for flow in network.flows.values())
+    fingerprint = (repr(box["report"].wall_time), sent, network.bernoulli_losses)
+    assert fingerprint == ("7.796399999999838", 11297, 103)
 
 
 def test_striped_transfer_over_sim_is_intact():
