@@ -29,10 +29,9 @@ treats acks.
 
 Bytes are stored once: a write goes into the peer's inbox by reference at
 once, and a path carries byte counts only (each new segment is bound to
-the next MSS of written bytes and delivers that count).  A read that takes
-exactly one written chunk returns it as it is, any other makes one join,
-so a ``bytes`` write is copied at most once on its way; ``write_all``
-copies any other buffer first, since its caller may reuse it.
+the next MSS of written bytes and delivers that count).  A read joins the
+pieces it takes, so a ``bytes`` write is copied once on its way;
+``write_all`` copies any other buffer first, since its caller may reuse it.
 
 Reads wake at a low-water mark.  An inbox keeps the waiting reader's
 ``min_bytes`` and wakes it only once that many bytes are in, at end of
@@ -338,12 +337,9 @@ class _Inbox:
             hub._notify_locked(self.readable)
 
     def take(self, size: int) -> bytes:
-        """The next ``size`` ready bytes: a whole written chunk as it is,
-        else one join of the pieces."""
+        """The next ``size`` ready bytes, joined from the written chunks."""
         chunks = self.chunks
         self.ready -= size
-        if self.offset == 0 and len(chunks[0]) == size:
-            return chunks.popleft()
         pieces = []
         while size:
             piece = memoryview(chunks[0])[self.offset : self.offset + size]
@@ -380,9 +376,8 @@ class _StreamFlow(AimdFlow):
         self._writable: list[_Task] = []
 
     def write_locked(self, data: bytes) -> None:
-        if data:
-            self._peer.chunks.append(data)
-            self._unbound += len(data)
+        self._peer.chunks.append(data)
+        self._unbound += len(data)
         self._hub.network.pump(self)
         while self._unbound > SEND_BUFFER_CAP:
             self._hub._wait_on_locked(self._writable)
@@ -423,8 +418,7 @@ class _DelayLine:
 
     def write_locked(self, data: bytes, eof: bool = False) -> None:
         network = self._hub.network
-        if data:
-            self._peer.chunks.append(data)
+        self._peer.chunks.append(data)
         arrive = partial(self._peer.put_locked, self._hub, len(data), eof)
         network.schedule_call(network.now + network.link.one_way_delay, arrive)
 
