@@ -488,9 +488,9 @@ def run_scenario(
     n_buckets = math.ceil(duration / bucket_width)
     traces = []
     for spec in flows:
-        flow = network.flows[spec.flow_id]
-        buckets = [0.0] * n_buckets
-        for t, nbytes in flow.delivery_log:
-            buckets[min(int(t / bucket_width), n_buckets - 1)] += nbytes
+        log = network.flows[spec.flow_id].delivery_log
+        deliveries = np.fromiter(log, dtype=[("t", "f8"), ("nbytes", "f8")], count=len(log))
+        index = np.minimum((deliveries["t"] / bucket_width).astype(np.int64), n_buckets - 1)
+        buckets = np.bincount(index, weights=deliveries["nbytes"], minlength=n_buckets)
         traces.append(FlowTrace(spec.flow_id, spec.role, bucket_width, buckets))
     return traces

@@ -1,22 +1,25 @@
 """Sender and receiver sides of the parallel striped transfer.
 
 Sender: split the payload into one chunk per connection, open the
-connections, then pump every chunk concurrently — HELLO, DATA frames in
-order, FIN with the chunk digest.  After FIN each sender worker waits for
-the receiver's receipt (a FIN frame echoing the digest the receiver
-computed) so corruption is observable end to end.
+connections, then pump every chunk concurrently, the calling thread
+running chunk 0 — HELLO, DATA frames in order, FIN with the chunk digest.
+After FIN each sender worker waits for the receiver's receipt (a FIN frame
+echoing the digest the receiver computed) so corruption is observable end
+to end.
 
-Receiver: an accept loop hands each new stream to a worker that reads one
-sequence from it: HELLO, which registers the stream with its transfer's
-monitor (the first valid HELLO allocates one buffer for the whole payload),
-DATA frames written in place at the chunk's offset and fed to its running
-digest, and FIN, which completes the chunk once that digest verifies.  When
-the last chunk completes, the hash-list root over the verified chunk digests
-is checked against HELLO's payload digest, and the buffer itself goes to the
-sink.  A failure on any stream fails the whole transfer and aborts all its
-streams; there is no retry, and late streams of a finished transfer are
-turned away.  A stream that does not open with a valid HELLO names no
-transfer: it is aborted and reported nowhere.
+Receiver: workers take turns in accept(), each serving the one stream it
+accepted before it accepts again, so workers outlive their streams.  A
+worker reads one sequence from its stream: HELLO, which registers the
+stream with its transfer's monitor (the first valid HELLO allocates one
+buffer for the whole payload), DATA frames written in place at the chunk's
+offset and fed to its running digest, and FIN, which completes the chunk
+once that digest verifies.  When the last chunk completes, the hash-list
+root over the verified chunk digests is checked against HELLO's payload
+digest, and the buffer itself goes to the sink.  A failure on any stream
+fails the whole transfer and aborts all its streams; there is no retry,
+and late streams of a finished transfer are turned away.  A stream that
+does not open with a valid HELLO names no transfer: it is aborted and
+reported nowhere.
 
 Every failed transfer carries a ``FailureKind`` next to its reason string,
 and every reason, on either side, reads ``"{kind.value}: {detail}"``.
@@ -150,8 +153,9 @@ def send_transfer(
 
     if len(streams) == connection_count:
         handles = [
-            transport.spawn(lambda i=i: worker(i), name=f"send-{i}") for i in range(connection_count)
+            transport.spawn(lambda i=i: worker(i), name=f"send-{i}") for i in range(1, connection_count)
         ]
+        worker(0)
         for h in handles:
             h.join()
 
@@ -370,7 +374,10 @@ class _TransferMonitor:
 
 
 class Receiver:
-    """Accept loop plus per-connection workers feeding per-transfer monitors.
+    """Workers that take turns accepting streams, feeding per-transfer monitors.
+
+    Each worker serves one stream at a time and lives until ``close()``,
+    which ends those in accept(); a busy one ends at its next accept().
 
     Supports concurrent transfers with distinct transfer ids on one
     listener.  ``serve_one`` blocks until the next transfer finalizes
@@ -403,7 +410,8 @@ class Receiver:
         self._monitors_lock = threading.Lock()
         self._finished_ids: deque[bytes] = deque(maxlen=FINISHED_IDS_KEPT)
         self._completions = transport.channel()
-        self._acceptor = transport.spawn(self._accept_loop, name="recv-accept")
+        self._accepting = 0  # workers waiting in accept(); guarded by _monitors_lock
+        self._acceptor = transport.spawn(self._worker, name="recv-conn")
 
     @property
     def listener(self):
@@ -422,13 +430,23 @@ class Receiver:
 
     # -- internals --
 
-    def _accept_loop(self):
+    def _worker(self):
+        """Accept a stream, serve it, accept again until the listener closes.  A
+        worker that leaves none waiting in accept() first starts one that will."""
         while True:
+            with self._monitors_lock:
+                self._accepting += 1
             try:
                 stream = self._listener.accept()
             except (ConnectionError, OSError):
                 return
-            self._transport.spawn(lambda s=stream: self._connection_worker(s), name="recv-conn")
+            finally:
+                with self._monitors_lock:
+                    self._accepting -= 1
+                    lead = self._accepting == 0
+            if lead:
+                self._transport.spawn(self._worker, name="recv-conn")
+            self._connection_worker(stream)
 
     def _monitor_for(self, hello: Hello, now: float) -> _TransferMonitor | None:
         """The transfer's monitor, made on its first HELLO; None once it

@@ -237,6 +237,7 @@ class MemoryListener:
     def accept(self) -> MemoryStream:
         stream = self._pending.get()
         if stream is None:
+            self._pending.put(None)  # pass the wake-up on to the next acceptor
             raise ConnectionError("listener closed")
         return stream
 

@@ -90,8 +90,9 @@ def test_deadlock_detection_names_the_task():
 
 
 def test_idle_receiver_keeps_no_run_going():
-    # The receiver's accept loop is a task of its own, spawned outside any
-    # other task; once the transfer is done it only waits for a connection.
+    # The receiver's first worker is a task of its own, spawned outside any
+    # other task; once the transfer is done its workers only wait for a
+    # connection.
     hub = make_hub()
     transport = SimTransport(hub)
     box = {}
@@ -104,6 +105,29 @@ def test_idle_receiver_keeps_no_run_going():
     assert box["report"].ok
     assert result.ok and result.transfer_id == box["report"].transfer_id
     assert box["payload"] == payload
+
+
+def test_unclosed_receiver_serves_transfers_with_workers_it_keeps():
+    # Workers outlive their streams: a receiver serving three 3-stream
+    # transfers keeps 4 workers (3 streams at once, plus one in accept()),
+    # and each transfer starts 2 sender workers.  Never closed, the workers
+    # end up idle servers, so run() still returns.
+    hub = make_hub()
+    transport = SimTransport(hub)
+    receiver = Receiver(transport)
+    results = []
+
+    def sender():
+        for i in range(3):
+            results.append((send_transfer(bytes([i]) * 30_000, transport, 3), receiver.serve_one()))
+
+    hub.spawn(sender, name="send")
+    hub.run()
+    assert [(report.ok, result.ok) for report, result in results] == [(True, True)] * 3
+    names = [task.name for task in hub._tasks]
+    assert names.count("recv-conn") == 4
+    assert sorted(set(names) - {"recv-conn"}) == ["send", "send-1", "send-2"]
+    assert len(names) == 1 + 4 + 3 * 2
 
 
 def test_deadlock_beside_an_idle_server_names_only_the_stuck_task():

@@ -16,27 +16,7 @@ from ptcp.striping import FailureKind, Receiver, send_transfer, serve
 from ptcp.transport import MemoryTransport, TcpTransport
 from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
 
-
-@pytest.fixture(autouse=True)
-def no_thread_outlives_the_test():
-    # Every worker ends with its stream, and a failed transfer ends all of
-    # its streams, so nothing a test started may outlive it for long.
-    before = set(threading.enumerate())
-    yield
-
-    def left():
-        return [t.name for t in threading.enumerate() if t not in before]
-
-    assert wait_until(lambda: not left()), left()
-
-
-def wait_until(condition, timeout: float = 2.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.01)
-    return True
+from conftest import wait_until
 
 
 def collect_sink(store):
@@ -179,8 +159,8 @@ def test_stream_without_hello_completes_nothing():
 )
 def test_failure_ends_every_stream_of_the_transfer(make_transport):
     # The chunk-1 stream sends its HELLO and goes quiet; then chunk 0 fails
-    # with a short FIN.  The failure must end the quiet stream and its worker
-    # at once, not at the 30 s idle timeout.
+    # with a short FIN.  The failure must end the quiet stream at once, not at
+    # the 30 s idle timeout, and send its worker back to accept().
     manifest = TransferManifest.for_payload(b"Q" * 1000, 2)
     transport = make_transport()
     receiver = Receiver(transport, idle_timeout=30.0)
@@ -195,10 +175,52 @@ def test_failure_ends_every_stream_of_the_transfer(make_transport):
         assert result.failure_kind is FailureKind.PROTOCOL
         assert "FIN after 0 of 500" in result.reason
         assert quiet.read_some(timeout=1.0) == b""
-        assert wait_until(lambda: not any(t.name == "recv-conn" for t in threading.enumerate()), 1.0)
+        assert wait_until(lambda: receiver._accepting == _live_workers(), 1.0)
     finally:
         quiet.abort()
         failing.abort()
+        receiver.close()
+
+
+def _live_workers() -> int:
+    return sum(t.name == "recv-conn" for t in threading.enumerate())
+
+
+@pytest.mark.parametrize("connections", [1, 3])
+@pytest.mark.parametrize(
+    "make_transport", [MemoryTransport, lambda: TcpTransport("127.0.0.1", 0)], ids=["memory", "tcp"]
+)
+def test_transfers_start_threads_only_at_the_sender(make_transport, connections):
+    # Receiver workers outlive their streams and the sender runs chunk 0 on
+    # the calling thread, so once the receiver has served `connections`
+    # streams at once, each transfer starts connections - 1 threads, all of
+    # them the sender's.  Held streams bring the receiver there: how many
+    # workers a first transfer leaves depends on thread timing.
+    transport = make_transport()
+    spawned = []
+    spawn = transport.spawn
+
+    def counting_spawn(fn, name=None):
+        spawned.append(name)
+        return spawn(fn, name)
+
+    transport.spawn = counting_spawn
+    receiver = Receiver(transport)
+    try:
+        held = [transport.connect() for _ in range(connections)]
+        assert wait_until(lambda: _live_workers() == connections + 1 and receiver._accepting == 1)
+        for stream in held:
+            stream.abort()
+        for i in range(3):
+            # Every worker is back in accept() before the next transfer.
+            assert wait_until(lambda: receiver._accepting == _live_workers())
+            spawned.clear()
+            report = send_transfer(bytes([i]) * 30_000, transport, connections)
+            result = receiver.serve_one()
+            assert report.ok and result.ok, (report.failure_reason, result.reason)
+            assert spawned == [f"send-{k}" for k in range(1, connections)]
+        assert _live_workers() == connections + 1
+    finally:
         receiver.close()
 
 

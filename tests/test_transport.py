@@ -121,6 +121,27 @@ def test_tcp_loopback_roundtrip():
     listener.close()
 
 
+@pytest.mark.parametrize(
+    "make_transport", [MemoryTransport, lambda: TcpTransport("127.0.0.1", 0)], ids=["memory", "tcp"]
+)
+def test_listener_close_wakes_every_acceptor(make_transport):
+    transport = make_transport()
+    listener = transport.listen()
+    raised = []
+
+    def acceptor():
+        with pytest.raises(OSError):  # ConnectionError, an OSError, on memory
+            listener.accept()
+        raised.append(True)
+
+    handles = [transport.spawn(acceptor, name="acceptor") for _ in range(3)]
+    time.sleep(0.05)  # let every acceptor block in accept()
+    listener.close()
+    for handle in handles:
+        handle.join(timeout=1.0)
+    assert len(raised) == 3
+
+
 def test_tcp_read_timeout():
     transport = TcpTransport("127.0.0.1", 0)
     listener = transport.listen()
