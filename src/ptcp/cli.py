@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -107,7 +108,8 @@ def cmd_send(args) -> int:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     host, port = args.to
-    report = send_transfer(payload, TcpTransport(host, port), args.streams)
+    with closing(TcpTransport(host, port)) as transport:  # ends the kept streams' workers at once
+        report = send_transfer(payload, transport, args.streams)
     rate = report.bytes_sent * 8 / report.wall_time / 1e6 if report.wall_time > 0 else 0.0
     status = "OK" if report.ok else f"FAILED ({report.failure_reason})"
     print(
@@ -200,10 +202,20 @@ def cmd_report(args) -> int:
         cell["targeted"].append(float(row["targeted_bps"]))
         cell["background"].append(float(row["background_bps"]))
         cell["ratio"].append(float(row["throughput_ratio"]))
+    if not by_level:
+        print(f"{throughput_path}: no rows", file=sys.stderr)
+        return EXIT_USAGE
     for row in rows(fairness_path):
-        cell = by_level[int(row["n"])]
+        cell = by_level.get(int(row["n"]))
+        if cell is None:
+            print(f"{fairness_path}: level n={row['n']} is not in {throughput_path.name}", file=sys.stderr)
+            return EXIT_USAGE
         cell.setdefault("jfi", []).append(float(row["jfi_per_flow"]))
         cell.setdefault("share", []).append(float(row["targeted_share"]))
+    missing = next((n for n, cell in sorted(by_level.items()) if "jfi" not in cell), None)
+    if missing is not None:
+        print(f"{fairness_path}: no row for level n={missing} of {throughput_path.name}", file=sys.stderr)
+        return EXIT_USAGE
 
     def mean(values):
         return sum(values) / len(values)
@@ -215,8 +227,8 @@ def cmd_report(args) -> int:
             f"{n:>4} {mean(cell['targeted']) / 1e6:>16.3f} "
             f"{mean(cell['background']) / 1e6:>18.3f} "
             f"{mean(cell['ratio']):>8.3f} "
-            f"{mean(cell.get('jfi', [0.0])):>8.4f} "
-            f"{mean(cell.get('share', [0.0])):>15.3f}"
+            f"{mean(cell['jfi']):>8.4f} "
+            f"{mean(cell['share']):>15.3f}"
         )
     return EXIT_OK
 

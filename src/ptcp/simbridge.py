@@ -545,6 +545,9 @@ class SimTransport:
                 raise ConnectionRefusedError("listener closed during handshake")
             return client
 
+    def release(self, stream: SimStream) -> None:
+        stream.close()  # no stream is kept, so the wire carries what it always did
+
     def listen(self) -> SimListener:
         with self._hub._lock:
             if self._listener is not None and not self._listener.closed:

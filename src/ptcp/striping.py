@@ -5,21 +5,22 @@ connections, then pump every chunk concurrently, the calling thread
 running chunk 0 — HELLO, DATA frames in order, FIN with the chunk digest.
 After FIN each sender worker waits for the receiver's receipt (a FIN frame
 echoing the digest the receiver computed) so corruption is observable end
-to end.
+to end, then hands the stream back to the transport, which may keep it.
 
 Receiver: workers take turns in accept(), each serving the one stream it
 accepted before it accepts again, so workers outlive their streams.  A
-worker reads one sequence from its stream: HELLO, which registers the
-stream with its transfer's monitor (the first valid HELLO allocates one
-buffer for the whole payload), DATA frames written in place at the chunk's
-offset and fed to its running digest, and FIN, which completes the chunk
-once that digest verifies.  When the last chunk completes, the hash-list
-root over the verified chunk digests is checked against HELLO's payload
-digest, and the buffer itself goes to the sink.  A failure on any stream
-fails the whole transfer and aborts all its streams; there is no retry,
-and late streams of a finished transfer are turned away.  A stream that
-does not open with a valid HELLO names no transfer: it is aborted and
-reported nowhere.
+worker reads one sequence after another from its stream, of any transfer,
+until the stream ends or idles out: HELLO, which registers the stream with
+its transfer's monitor (the first valid HELLO allocates one buffer for the
+whole payload), DATA frames written in place at the chunk's offset and fed
+to its running digest, and FIN, which completes the chunk once that digest
+verifies.  When the last chunk completes, the hash-list root over the
+verified chunk digests is checked against HELLO's payload digest, and the
+buffer itself goes to the sink.  A failure on any stream fails the whole
+transfer and aborts the streams of its chunks not yet complete; there is
+no retry, and late streams of a finished transfer are turned away.  A
+stream whose sequence does not open with a valid HELLO names no transfer:
+it is aborted and reported nowhere.
 
 Every failed transfer carries a ``FailureKind`` next to its reason string,
 and every reason, on either side, reads ``"{kind.value}: {detail}"``.
@@ -145,7 +146,7 @@ def send_transfer(
             digest = manifest.chunk_digests[index]
             stream.write_all(encode_frame(Fin(chunk.index, digest)))
             _read_receipt(stream, chunk.index, digest)
-            stream.close()
+            transport.release(stream)  # the transport may keep it for its next transfer
             stats[index] = ConnectionStat(chunk.index, len(body), start, transport.now() - t0)
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
             errors[index] = (_failure_kind(exc), exc)
@@ -263,7 +264,7 @@ class _TransferMonitor:
         self.started_at = received_at
         self.lock = threading.Lock()
         self.chunks: dict[int, _Chunk] = {}
-        self.streams: list = []  # every registered stream; a failure aborts them all
+        self.streams: dict = {}  # chunk index -> stream of each chunk not yet complete
         self.buffer: bytearray | None = None  # whole payload; allocated by the first valid HELLO
         self.stats: list[ConnectionStat] = []  # one per completed chunk
         self.finished = False
@@ -304,7 +305,7 @@ class _TransferMonitor:
             self.chunks[hello.chunk_index] = _Chunk(
                 hello.chunk_offset, hello.chunk_length, hashlib.sha256(), now - self.started_at
             )
-            self.streams.append(stream)
+            self.streams[hello.chunk_index] = stream
             return True
 
     # data() and complete() run on the chunk's own worker only (register()
@@ -335,6 +336,7 @@ class _TransferMonitor:
             raise _CorruptChunk(f"chunk {index} digest mismatch")
         chunk.digest = frame.chunk_digest
         with self.lock:
+            del self.streams[index]  # it may carry another transfer next, so a failure spares it
             self.stats.append(ConnectionStat(index, chunk.length, chunk.started, now - self.started_at))
             return len(self.stats) == self.connection_count
 
@@ -346,8 +348,9 @@ class _TransferMonitor:
                 return False
             self.finished = True
             self.failed = reason
+            streams = list(self.streams.values())  # register() adds none once finished
         if reason is not None:
-            for stream in self.streams:  # register() adds none once finished
+            for stream in streams:
                 stream.abort()
         return True
 
@@ -376,8 +379,12 @@ class _TransferMonitor:
 class Receiver:
     """Workers that take turns accepting streams, feeding per-transfer monitors.
 
-    Each worker serves one stream at a time and lives until ``close()``,
-    which ends those in accept(); a busy one ends at its next accept().
+    Each worker serves one stream at a time, one chunk after another, and
+    lives until ``close()``, which ends the workers in accept() and aborts
+    the streams waiting for a HELLO; a worker busy with a chunk ends at its
+    next accept().  A kept stream retired here (idle timeout, ``close()``)
+    just as its sender starts a transfer on it fails that transfer as
+    ``FailureKind.CONNECTION``, like any broken stream.
 
     Supports concurrent transfers with distinct transfer ids on one
     listener.  ``serve_one`` blocks until the next transfer finalizes
@@ -411,6 +418,8 @@ class Receiver:
         self._finished_ids: deque[bytes] = deque(maxlen=FINISHED_IDS_KEPT)
         self._completions = transport.channel()
         self._accepting = 0  # workers waiting in accept(); guarded by _monitors_lock
+        self._waiting: set = set()  # streams waiting for a HELLO; guarded by _monitors_lock
+        self._closed = False
         self._acceptor = transport.spawn(self._worker, name="recv-conn")
 
     @property
@@ -427,6 +436,11 @@ class Receiver:
 
     def close(self) -> None:
         self._listener.close()
+        with self._monitors_lock:
+            self._closed = True
+            waiting = list(self._waiting)
+        for stream in waiting:
+            stream.abort()
 
     # -- internals --
 
@@ -446,7 +460,9 @@ class Receiver:
                     lead = self._accepting == 0
             if lead:
                 self._transport.spawn(self._worker, name="recv-conn")
-            self._connection_worker(stream)
+            frames = _frames(stream, self._idle_timeout)
+            while self._serve_chunk(stream, frames):
+                pass
 
     def _monitor_for(self, hello: Hello, now: float) -> _TransferMonitor | None:
         """The transfer's monitor, made on its first HELLO; None once it
@@ -460,23 +476,34 @@ class Receiver:
                 self._monitors[hello.transfer_id] = monitor
             return monitor
 
-    def _connection_worker(self, stream):
-        """One stream's sequence: HELLO, DATA frames in order, FIN, receipt."""
+    def _serve_chunk(self, stream, frames) -> bool:
+        """One sequence on ``stream``: HELLO, DATA frames in order, FIN,
+        receipt.  True when the stream may carry another."""
         monitor: _TransferMonitor | None = None
         try:
-            frames = _frames(stream, self._idle_timeout)
-            hello = next(frames, None)
+            with self._monitors_lock:
+                if self._closed:
+                    raise ConnectionError("receiver closed")
+                self._waiting.add(stream)  # close() aborts it until HELLO comes
+            try:
+                hello = next(frames, None)
+            finally:
+                with self._monitors_lock:
+                    self._waiting.discard(stream)
+            if hello is None:
+                stream.close()  # the sender ended it between sequences
+                return False
             now = self._transport.now()
             monitor = self._monitor_for(hello, now) if isinstance(hello, Hello) else None
             if monitor is None or not monitor.register(hello, stream, now):
                 stream.abort()  # no valid HELLO, or its transfer has finished
-                return
+                return False
             index = hello.chunk_index
             for frame in frames:
                 if monitor.finished:
-                    return  # the transfer failed and aborted this stream
+                    return False  # the transfer failed and aborted this stream
                 if isinstance(frame, Hello):
-                    raise ProtocolError("second HELLO on one stream")
+                    raise ProtocolError("second HELLO within one chunk")
                 if frame.chunk_index != index:
                     raise ProtocolError(
                         f"{frame.kind.name} for chunk {frame.chunk_index} on the chunk-{index} stream"
@@ -487,15 +514,15 @@ class Receiver:
                 last = monitor.complete(frame, self._transport.now())
                 # complete() verified this digest against the buffered chunk.
                 stream.write_all(encode_frame(Fin(index, frame.chunk_digest)))
-                stream.close()
                 if last:
                     self._finalize(monitor)
-                return
+                return True
             raise ProtocolError(f"stream for chunk {index} ended before FIN")
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
-            stream.abort()
+            stream.abort()  # also how a stream idle between sequences is retired
             if monitor is not None:
                 self._complete(monitor, _failure_kind(exc), exc)
+            return False
 
     def _finalize(self, monitor: _TransferMonitor) -> None:
         # Every chunk digest was verified against its bytes in complete(), and

@@ -3,6 +3,8 @@
 A transport bundles everything the striping layer needs from its environment:
 
     transport.connect()          -> Stream (reliable, ordered, duplex)
+    transport.release(stream)    -> take back a cleanly ended stream: TCP keeps
+                                    it for a later connect(), others close it
     transport.listen()           -> Listener with accept() / close()
     transport.spawn(fn)          -> worker handle with join()
     transport.channel()          -> FIFO with put() / blocking get()
@@ -59,7 +61,10 @@ class ThreadHandle:
 
 
 class _ThreadedTransportBase:
-    """spawn/channel/now for backends scheduled by the OS."""
+    """release/spawn/channel/now for backends scheduled by the OS."""
+
+    def release(self, stream) -> None:
+        stream.close()
 
     def spawn(self, fn, name: str | None = None) -> ThreadHandle:
         return ThreadHandle(fn, name)
@@ -150,14 +155,40 @@ class TcpListener:
 
 
 class TcpTransport(_ThreadedTransportBase):
-    """host:port addressed OS TCP sockets."""
+    """host:port addressed OS TCP sockets.  connect() reuses a released stream
+    unless the peer closed, reset or wrote to it; close() closes the kept ones."""
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
+        self._kept: list[TcpStream] = []
+        self._kept_lock = threading.Lock()
 
     def connect(self) -> TcpStream:
+        while True:
+            with self._kept_lock:
+                if not self._kept:
+                    break
+                stream = self._kept.pop()
+            stream._sock.settimeout(0)  # with a timeout, recv() would poll first
+            try:
+                stream._sock.recv(1, socket.MSG_PEEK)  # a byte, or b"" at the end: not quiet
+            except BlockingIOError:
+                return stream  # nothing to read, no end, no error
+            except OSError:
+                pass  # reset
+            stream.abort()
         return TcpStream(socket.create_connection((self.host, self.port), timeout=10.0))
+
+    def release(self, stream: TcpStream) -> None:
+        with self._kept_lock:
+            self._kept.append(stream)
+
+    def close(self) -> None:
+        with self._kept_lock:
+            kept, self._kept = self._kept, []
+        for stream in kept:
+            stream.abort()  # nothing is in flight on a kept stream, so nothing to drain
 
     def listen(self) -> TcpListener:
         listener = TcpListener(self.host, self.port)

@@ -1,7 +1,9 @@
 """Binary wire protocol and chunk partitioning for parallel striped transfers.
 
 Every connection of a striped transfer carries the same self-delimiting frame
-stream.  Frame layout (all integers big-endian):
+stream.  A connection carries one chunk sequence after another (HELLO, DATA,
+FIN, the receiver's FIN receipt) until the sender closes it; each HELLO may
+name another transfer.  Frame layout (all integers big-endian):
 
     magic    4 bytes   0x50 0x54 0x43 0x50 ("PTCP")
     version  u8        2

@@ -136,6 +136,9 @@ class _StaggeredTransport:
         self._issued += 1
         return _StaggeredStream(self._inner.connect(), delay)
 
+    def release(self, stream) -> None:
+        stream.close()  # a kept wrapper would carry its delay into the next transfer
+
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
@@ -150,13 +153,12 @@ def test_criterion_4_loopback_integrity_matrix():
             store = {}
             recv_transport = TcpTransport("127.0.0.1", 0)
             receiver = Receiver(recv_transport, sink=lambda tid, data: store.update(data=data))
+            sender = TcpTransport("127.0.0.1", recv_transport.port)
             try:
-                transport = TcpTransport("127.0.0.1", recv_transport.port)
-                if wrap is not None:
-                    transport = wrap(transport)
-                report = send_transfer(payload, transport, n)
+                report = send_transfer(payload, sender if wrap is None else wrap(sender), n)
                 result = receiver.serve_one()
             finally:
+                sender.close()
                 receiver.close()
             assert report.ok, report.failure_reason
             assert result.ok, result.reason

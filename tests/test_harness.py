@@ -523,3 +523,34 @@ def test_cli_experiment_and_report(tmp_path, capsys):
 def test_cli_report_missing_dir(tmp_path, capsys):
     code = main(["report", "--dir", str(tmp_path / "empty")])
     assert code == EXIT_USAGE
+
+
+THROUGHPUT_HEADER = "n,rep,targeted_bps,background_bps,throughput_ratio\n"
+FAIRNESS_HEADER = "n,rep,jfi_per_flow,targeted_share,background_share\n"
+
+
+@pytest.mark.parametrize(
+    ("throughput", "fairness", "message"),
+    [
+        (
+            "1,0,5e6,5e6,1.0\n",
+            "1,0,0.9,0.5,0.5\n2,0,0.9,0.6,0.4\n",
+            "fairness.csv: level n=2 is not in throughput.csv",
+        ),
+        (
+            "1,0,5e6,5e6,1.0\n2,0,6e6,4e6,1.5\n",
+            "1,0,0.9,0.5,0.5\n",
+            "fairness.csv: no row for level n=2 of throughput.csv",
+        ),
+        ("", "", "throughput.csv: no rows"),
+    ],
+    ids=["level-missing-from-throughput", "level-missing-from-fairness", "header-only"],
+)
+def test_cli_report_mismatched_csvs_are_usage_errors(tmp_path, capsys, throughput, fairness, message):
+    (tmp_path / "throughput.csv").write_text(THROUGHPUT_HEADER + throughput)
+    (tmp_path / "fairness.csv").write_text(FAIRNESS_HEADER + fairness)
+    code = main(["report", "--dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(message + "\n") and captured.err.count("\n") == 1

@@ -211,9 +211,15 @@ def test_transfers_start_threads_only_at_the_sender(make_transport, connections)
         assert wait_until(lambda: _live_workers() == connections + 1 and receiver._accepting == 1)
         for stream in held:
             stream.abort()
+
+        def settled():
+            # Every worker is back in accept() or waiting between chunks on a
+            # stream the sender kept; only TCP keeps streams.
+            kept = len(getattr(transport, "_kept", ()))
+            return (receiver._accepting, len(receiver._waiting)) == (_live_workers() - kept, kept)
+
         for i in range(3):
-            # Every worker is back in accept() before the next transfer.
-            assert wait_until(lambda: receiver._accepting == _live_workers())
+            assert wait_until(settled)  # before the next transfer
             spawned.clear()
             report = send_transfer(bytes([i]) * 30_000, transport, connections)
             result = receiver.serve_one()
@@ -221,6 +227,8 @@ def test_transfers_start_threads_only_at_the_sender(make_transport, connections)
             assert spawned == [f"send-{k}" for k in range(1, connections)]
         assert _live_workers() == connections + 1
     finally:
+        if isinstance(transport, TcpTransport):
+            transport.close()  # closes the streams it kept
         receiver.close()
 
 
@@ -531,10 +539,139 @@ def test_striping_over_tcp_loopback():
     receiver = Receiver(transport, collect_sink(store))
     report = send_transfer(payload, transport, 3)
     result = receiver.serve_one()
+    transport.close()
     receiver.close()
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
     assert store[report.transfer_id] == payload
+
+
+def _counting_accepts(transport):
+    """``transport`` with its listener's accept() calls counted in the list returned."""
+    accepted = []
+    listener = transport.listen()
+    accept = listener.accept
+
+    def counting_accept():
+        stream = accept()
+        accepted.append(stream)
+        return stream
+
+    listener.accept = counting_accept
+    transport.listen = lambda: listener
+    return accepted
+
+
+def test_back_to_back_tcp_transfers_reuse_their_connections():
+    # The sender keeps each stream whose receipt verified, and the receiver's
+    # worker takes the next HELLO on it: after the first transfer, none of
+    # the next three opens a connection.
+    recv_transport = TcpTransport("127.0.0.1", 0)
+    accepted = _counting_accepts(recv_transport)
+    store = {}
+    receiver = Receiver(recv_transport, collect_sink(store))
+    sender = TcpTransport("127.0.0.1", recv_transport.port)
+    try:
+        for i in range(4):
+            payload = bytes([i]) * 50_000
+            report = send_transfer(payload, sender, 2)
+            result = receiver.serve_one()
+            assert report.ok and result.ok, (report.failure_reason, result.reason)
+            assert store.pop(report.transfer_id) == payload
+        assert len(accepted) == 2
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def test_kept_stream_retired_by_the_receiver_is_replaced():
+    # The receiver retires a stream idle past its timeout; the sender's
+    # check before reuse finds it closed and opens a new connection.
+    recv_transport = TcpTransport("127.0.0.1", 0)
+    accepted = _counting_accepts(recv_transport)
+    receiver = Receiver(recv_transport, idle_timeout=0.3)
+    sender = TcpTransport("127.0.0.1", recv_transport.port)
+    try:
+        first = send_transfer(b"a" * 10_000, sender, 2)
+        assert first.ok and receiver.serve_one().ok
+        time.sleep(0.6)
+        second = send_transfer(b"b" * 10_000, sender, 2)
+        assert second.ok, second.failure_reason
+        result = receiver.serve_one()
+        assert result.ok and result.transfer_id == second.transfer_id
+        assert len(accepted) == 4
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def test_receiver_close_ends_workers_waiting_between_chunks():
+    # The sender still holds its streams open, so only close() can end the
+    # workers waiting on them; the suite's thread check allows 2 s.
+    recv_transport = TcpTransport("127.0.0.1", 0)
+    receiver = Receiver(recv_transport)
+    sender = TcpTransport("127.0.0.1", recv_transport.port)
+    try:
+        report = send_transfer(b"w" * 10_000, sender, 3)
+        assert report.ok and receiver.serve_one().ok
+        assert wait_until(lambda: len(receiver._waiting) == 3)
+        receiver.close()
+        assert wait_until(lambda: _live_workers() == 0, 2.0)
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def test_sender_that_closes_after_the_receipt_frees_the_worker():
+    # Senders that do not keep streams, as older ones did and as the
+    # simulated transport does, close after the receipt: the worker takes
+    # that end of stream and goes back to accept().
+    payload = b"c" * 5000
+    manifest = TransferManifest.for_payload(payload, 1)
+    transport = TcpTransport("127.0.0.1", 0)
+    receiver = Receiver(transport)
+    stream = transport.connect()
+    try:
+        for frame in (_hello_for(manifest, manifest.chunks[0]), Data(0, 0, payload), Fin(0, sha256(payload))):
+            stream.write_all(encode_frame(frame))
+        assert FrameDecoder().feed(stream.read_some(timeout=5.0)) == [Fin(0, sha256(payload))]
+        stream.close()
+        assert receiver.serve_one().ok
+        assert wait_until(lambda: receiver._accepting == _live_workers() and not receiver._waiting)
+    finally:
+        stream.abort()
+        receiver.close()
+
+
+def test_failure_spares_the_streams_of_completed_chunks():
+    # Chunk 0 of transfer A completes; then chunk 1 fails A.  The stream that
+    # carried chunk 0 may already carry the next transfer, so A's failure
+    # must not abort it.
+    transport = MemoryTransport()
+    store = {}
+    receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
+    first = TransferManifest.for_payload(b"A" * 1000, 2)
+    reused, failing = transport.connect(), transport.connect()
+    try:
+        body = b"A" * 500
+        for frame in (_hello_for(first, first.chunks[0]), Data(0, 0, body), Fin(0, sha256(body))):
+            reused.write_all(encode_frame(frame))
+        assert FrameDecoder().feed(reused.read_some(timeout=5.0)) == [Fin(0, sha256(body))]
+        failing.write_all(encode_frame(_hello_for(first, first.chunks[1])))
+        failing.write_all(encode_frame(Fin(1, sha256(b""))))
+        assert receiver.serve_one().failure_kind is FailureKind.PROTOCOL
+
+        payload = b"next transfer"
+        second = TransferManifest.for_payload(payload, 1)
+        for frame in (_hello_for(second, second.chunks[0]), Data(0, 0, payload), Fin(0, sha256(payload))):
+            reused.write_all(encode_frame(frame))
+        result = receiver.serve_one()
+        assert result.ok and result.transfer_id == second.transfer_id, result.reason
+        assert store[second.transfer_id] == payload
+    finally:
+        reused.abort()
+        failing.abort()
+        receiver.close()
 
 
 def test_closed_tcp_receiver_frees_its_port():

@@ -1,6 +1,8 @@
 """Transport seam: in-memory pipes, TCP loopback and the simulated link behave alike."""
 
 import gc
+import socket
+import struct
 import time
 import warnings
 
@@ -140,6 +142,67 @@ def test_listener_close_wakes_every_acceptor(make_transport):
     for handle in handles:
         handle.join(timeout=1.0)
     assert len(raised) == 3
+
+
+def _kept_pair(transport, listener):
+    """A connected (client, server) pair whose client ``transport`` keeps."""
+    client = transport.connect()
+    server = listener.accept()
+    transport.release(client)
+    return client, server
+
+
+def test_tcp_connect_reuses_a_quiet_released_stream():
+    transport = TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    client, server = _kept_pair(transport, listener)
+    try:
+        assert transport.connect() is client
+        client.write_all(b"still open")
+        assert server.read_some(timeout=5.0) == b"still open"
+    finally:
+        client.abort()
+        server.abort()
+        listener.close()
+
+
+@pytest.mark.parametrize("peer", ["closed", "wrote", "reset"])
+def test_tcp_connect_drops_a_released_stream_that_is_not_quiet(peer):
+    transport = TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    client, server = _kept_pair(transport, listener)
+    if peer == "closed":
+        server.abort()
+    elif peer == "wrote":
+        server.write_all(b"x")
+    else:
+        server._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        server._sock.close()  # a zero linger time sends a reset
+    time.sleep(0.05)  # let the FIN, byte or reset arrive
+    fresh = transport.connect()
+    reused = fresh is client
+    fresh.abort()
+    server.abort()
+    if not reused:
+        listener.accept().abort()
+    listener.close()
+    assert not reused
+    assert client._sock.fileno() == -1  # dropped, not left open
+
+
+def test_tcp_transport_close_closes_every_kept_stream():
+    transport = TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    clients = [transport.connect() for _ in range(3)]  # all open before any is released
+    servers = [listener.accept() for _ in clients]
+    for client in clients:
+        transport.release(client)
+    transport.close()
+    for client, server in zip(clients, servers):
+        assert client._sock.fileno() == -1
+        assert server.read_some(timeout=5.0) == b""  # the peer sees end of stream
+        server.abort()
+    listener.close()
 
 
 def test_tcp_read_timeout():
