@@ -192,43 +192,48 @@ def cmd_report(args) -> int:
         print(f"no experiment output in {out}", file=sys.stderr)
         return EXIT_USAGE
 
-    def rows(path):
+    def rows(path, *columns) -> dict[int, list[list[float]]]:
+        """The named columns of each row, as numbers, by level; a missing
+        column or a malformed value is a ValueError naming the file."""
+        by_level: dict[int, list[list[float]]] = {}
         with path.open(newline="") as fh:
-            return list(csv.DictReader(fh))
+            try:
+                for row in csv.DictReader(fh):
+                    by_level.setdefault(int(row["n"]), []).append([float(row[c]) for c in columns])
+            except KeyError as exc:
+                raise ValueError(f"{path}: no {exc} column") from None
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                raise ValueError(f"{path}: {exc}") from None
+        return by_level
 
-    by_level: dict[int, dict[str, list[float]]] = {}
-    for row in rows(throughput_path):
-        cell = by_level.setdefault(int(row["n"]), {"targeted": [], "background": [], "ratio": []})
-        cell["targeted"].append(float(row["targeted_bps"]))
-        cell["background"].append(float(row["background_bps"]))
-        cell["ratio"].append(float(row["throughput_ratio"]))
-    if not by_level:
+    try:
+        throughput = rows(throughput_path, "targeted_bps", "background_bps", "throughput_ratio")
+        fairness = rows(fairness_path, "jfi_per_flow", "targeted_share")
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    if not throughput:
         print(f"{throughput_path}: no rows", file=sys.stderr)
         return EXIT_USAGE
-    for row in rows(fairness_path):
-        cell = by_level.get(int(row["n"]))
-        if cell is None:
-            print(f"{fairness_path}: level n={row['n']} is not in {throughput_path.name}", file=sys.stderr)
-            return EXIT_USAGE
-        cell.setdefault("jfi", []).append(float(row["jfi_per_flow"]))
-        cell.setdefault("share", []).append(float(row["targeted_share"]))
-    missing = next((n for n, cell in sorted(by_level.items()) if "jfi" not in cell), None)
+    extra = next((n for n in fairness if n not in throughput), None)
+    if extra is not None:
+        print(f"{fairness_path}: level n={extra} is not in {throughput_path.name}", file=sys.stderr)
+        return EXIT_USAGE
+    missing = next((n for n in sorted(throughput) if n not in fairness), None)
     if missing is not None:
         print(f"{fairness_path}: no row for level n={missing} of {throughput_path.name}", file=sys.stderr)
         return EXIT_USAGE
 
-    def mean(values):
-        return sum(values) / len(values)
+    def means(cells):
+        return [sum(column) / len(column) for column in zip(*cells)]
 
     print(f"{'n':>4} {'targeted Mbit/s':>16} {'background Mbit/s':>18} {'ratio':>8} {'JFI':>8} {'targeted share':>15}")
-    for n in sorted(by_level):
-        cell = by_level[n]
+    for n in sorted(throughput):
+        targeted, background, ratio = means(throughput[n])
+        jfi, share = means(fairness[n])
         print(
-            f"{n:>4} {mean(cell['targeted']) / 1e6:>16.3f} "
-            f"{mean(cell['background']) / 1e6:>18.3f} "
-            f"{mean(cell['ratio']):>8.3f} "
-            f"{mean(cell['jfi']):>8.4f} "
-            f"{mean(cell['share']):>15.3f}"
+            f"{n:>4} {targeted / 1e6:>16.3f} {background / 1e6:>18.3f} "
+            f"{ratio:>8.3f} {jfi:>8.4f} {share:>15.3f}"
         )
     return EXIT_OK
 

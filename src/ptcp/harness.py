@@ -6,8 +6,9 @@ through a shared bottleneck.  Simulated runs drive the event loop and are
 bit-reproducible per seed (repetition r uses seed ``base_seed + r``).  The
 seed drives only random loss, so at ``loss_prob = 0`` one simulation per
 level serves every repetition: the rows differ only in ``rep``.  Results
-land in ``throughput.csv`` and ``fairness.csv`` plus a ``meta.txt``
-recording the resolved configuration, with optional per-flow trace dumps.
+land in ``throughput.csv`` and ``fairness.csv``, with optional per-flow
+trace dumps, plus a ``meta.txt`` holding the resolved configuration as a
+config file: ``ptcp experiment --config meta.txt`` replays the run.
 """
 
 from __future__ import annotations
@@ -76,25 +77,14 @@ def _levels(text: str) -> tuple[int, ...]:
     return tuple(sorted(int(part) for part in text.split(",")))
 
 
-def _background_flows(text: str) -> int:
-    """``T+B``: T >= 1 targeted flows and B background flows.  The sweep in
-    ``levels`` decides the targeted count of each run, so only B is kept."""
-    targeted, background = (int(part) for part in text.split("+"))
-    if targeted < 1:
-        raise ValueError(f"no targeted flow in {text!r}")
-    return background
-
-
 class _Key(NamedTuple):
     default: str
     convert: Callable[[str], Any]  # raises ValueError on malformed text
     field: str  # ExperimentConfig attribute; "link.<name>" for a LinkConfig one
     valid: Callable[[Any], bool] = lambda value: True
     rule: str = ""  # what ``valid`` demands, for the error message
-    show: Callable[[Any], str] = str  # meta.txt format
+    show: Callable[[Any], str] = str  # meta.txt format; ``convert`` reads it back exactly
 
-
-_g = "{:g}".format
 
 _KEYS = {
     "levels": _Key(
@@ -107,21 +97,14 @@ _KEYS = {
     ),
     "repetitions": _Key("3", int, "repetitions", lambda v: v >= 1, ">= 1"),
     "out": _Key("results", str, "out_dir"),
-    "capacity_bps": _Key("10000000", float, "link.capacity", lambda v: v > 0, "> 0", _g),
-    "one_way_delay_s": _Key("0.05", float, "link.one_way_delay", lambda v: v >= 0, ">= 0", _g),
+    "capacity_bps": _Key("10000000", float, "link.capacity", lambda v: v > 0, "> 0"),
+    "one_way_delay_s": _Key("0.05", float, "link.one_way_delay", lambda v: v >= 0, ">= 0"),
     "queue_limit_pkts": _Key("50", int, "link.queue_limit", lambda v: v >= 1, ">= 1"),
-    "loss_prob": _Key("0.0", float, "link.loss_probability", lambda v: 0 <= v <= 1, "in [0, 1]", _g),
+    "loss_prob": _Key("0.0", float, "link.loss_probability", lambda v: 0 <= v <= 1, "in [0, 1]"),
     "mss_bytes": _Key("1500", int, "link.mss", lambda v: v >= 1, ">= 1"),
     "seed": _Key("0", int, "link.seed", lambda v: v >= 0, ">= 0"),
-    "duration_s": _Key("30.0", float, "duration", lambda v: v > BACKGROUND_HEAD_START, f"> {BACKGROUND_HEAD_START:g}", _g),
-    "flows": _Key(
-        "1+1",
-        _background_flows,
-        "background_count",
-        lambda v: v >= 1,
-        "T+B with at least one background flow",
-        lambda v: f"sweep+{v}",
-    ),
+    "duration_s": _Key("30.0", float, "duration", lambda v: v > BACKGROUND_HEAD_START, f"> {BACKGROUND_HEAD_START:g}"),
+    "background_flows": _Key("1", int, "background_count", lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -155,25 +138,15 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def _meta_text(config: ExperimentConfig) -> str:
-    """The resolved configuration, one sorted key=value line per key."""
-    lines = [(key, spec.show(attrgetter(spec.field)(config))) for key, spec in _KEYS.items()]
-    lines.append(("rng", "pcg64"))
-    return "".join(f"{key}={value}\n" for key, value in sorted(lines))
+    """The resolved configuration as a config file, one sorted key=value
+    line per key, after a comment naming the loss generator."""
+    lines = sorted(f"{key}={spec.show(attrgetter(spec.field)(config))}\n" for key, spec in _KEYS.items())
+    return "".join(["# rng=pcg64\n", *lines])
 
 
 # ---------------------------------------------------------------------------
 # Running one cell of the matrix
 # ---------------------------------------------------------------------------
-
-
-def _measure(traces: list[FlowTrace], link: LinkConfig):
-    """Steady-window aggregate rates (bytes/s) and the fairness report."""
-    window = steady_window(traces)
-    capacity_bytes = link.capacity / 8.0
-    report = fairness_report(traces, window, capacity=capacity_bytes)
-    targeted = report.per_application.get("targeted", 0.0)
-    background = report.per_application.get("background", 0.0)
-    return targeted, background, throughput_ratio(targeted, capacity_bytes), report
 
 
 def sim_flow_specs(n: int, background_count: int) -> list[FlowSpec]:
@@ -190,16 +163,20 @@ def sim_flow_specs(n: int, background_count: int) -> list[FlowSpec]:
 
 def run_level(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
     """One cell, simulated: n targeted flows against the background flows."""
-    link =replace(config.link, seed=config.link.seed + rep)
+    link = replace(config.link, seed=config.link.seed + rep)
     traces = run_scenario(
         link,
         sim_flow_specs(n, config.background_count),
         config.duration,
         bucket_width=TRACE_BUCKET_WIDTH,
     )
-    targeted, background, ratio, report = _measure(traces, link)
+    # Aggregate rates over the steady window, in bytes/s.
+    report = fairness_report(traces, steady_window(traces))
+    targeted = report.per_application.get("targeted", 0.0)
     if targeted == 0:
         raise UndefinedFairnessError(f"n={n} rep={rep}: the targeted flows delivered nothing to measure")
+    background = report.per_application.get("background", 0.0)
+    ratio = throughput_ratio(targeted, link.capacity / 8.0)
     return LevelResult(n, rep, targeted * 8.0, background * 8.0, ratio, report, traces)
 
 
@@ -232,67 +209,42 @@ def run_experiment(config: ExperimentConfig, *, write_traces: bool = False, log=
     return results
 
 
+def _write_csv(path: Path, header: str, rows) -> Path:
+    with path.open("w", newline="") as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 def write_outputs(
     config: ExperimentConfig, results: list[LevelResult], *, write_traces: bool = False
 ) -> list[Path]:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out / "throughput.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "rep", "targeted_bps", "background_bps", "throughput_ratio"])
-        for r in results:
-            writer.writerow(
-                [
-                    r.n,
-                    r.rep,
-                    f"{r.targeted_bps:.3f}",
-                    f"{r.background_bps:.3f}",
-                    f"{r.throughput_ratio:.6f}",
-                ]
-            )
-    written.append(path)
-
-    path = out / "fairness.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "rep", "jfi_per_flow", "targeted_share", "background_share"])
-        for r in results:
-            writer.writerow(
-                [
-                    r.n,
-                    r.rep,
-                    f"{r.fairness.fairness_index:.6f}",
-                    f"{r.fairness.shares.get('targeted', 0.0):.6f}",
-                    f"{r.fairness.shares.get('background', 0.0):.6f}",
-                ]
-            )
-    written.append(path)
-
-    path = out / "meta.txt"
-    path.write_text(_meta_text(config))
-    written.append(path)
-
-    if write_traces:
-        for r in results:
-            path = out / f"traces_n{r.n}_rep{r.rep}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(
-                    ["flow_id", "role", "bucket_width_s", "bucket_index", "delivered_bytes"]
-                )
-                for trace in r.traces:
-                    for index, value in enumerate(trace.buckets):
-                        writer.writerow(
-                            [
-                                trace.flow_id,
-                                trace.role,
-                                f"{trace.bucket_width:g}",
-                                index,
-                                f"{value:.1f}",
-                            ]
-                        )
-            written.append(path)
+    meta = out / "meta.txt"
+    meta.write_text(_meta_text(config))
+    throughput = (
+        [r.n, r.rep, f"{r.targeted_bps:.3f}", f"{r.background_bps:.3f}", f"{r.throughput_ratio:.6f}"]
+        for r in results
+    )
+    fairness = (
+        [r.n, r.rep, f"{r.fairness.fairness_index:.6f}"]
+        + [f"{r.fairness.shares.get(role, 0.0):.6f}" for role in ("targeted", "background")]
+        for r in results
+    )
+    written = [
+        _write_csv(out / "throughput.csv", "n,rep,targeted_bps,background_bps,throughput_ratio", throughput),
+        _write_csv(out / "fairness.csv", "n,rep,jfi_per_flow,targeted_share,background_share", fairness),
+        meta,
+    ]
+    if not write_traces:
+        return written
+    for r in results:
+        rows = (
+            [trace.flow_id, trace.role, f"{trace.bucket_width:g}", index, f"{value:.1f}"]
+            for trace in r.traces
+            for index, value in enumerate(trace.buckets)
+        )
+        header = "flow_id,role,bucket_width_s,bucket_index,delivered_bytes"
+        written.append(_write_csv(out / f"traces_n{r.n}_rep{r.rep}.csv", header, rows))
     return written

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+STEADY_DISCARD = 0.2  # ramp-up share of a trace left out of the steady window
+
 
 class UndefinedFairnessError(Exception):
     """Nothing to measure: a fairness index over an all-zero throughput
@@ -103,11 +105,11 @@ class FairnessReport:
     utilization: float | None = None
 
 
-def steady_window(traces, discard: float = 0.2) -> tuple[float, float]:
-    """Measurement window skipping the ramp-up: drop the first ``discard``
-    fraction of the shortest trace."""
+def steady_window(traces) -> tuple[float, float]:
+    """Measurement window skipping the ramp-up: drop the first
+    ``STEADY_DISCARD`` fraction of the shortest trace."""
     extent = min(t.extent for t in traces)
-    return (discard * extent, extent)
+    return (STEADY_DISCARD * extent, extent)
 
 
 def fairness_report(

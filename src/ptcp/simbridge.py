@@ -529,19 +529,9 @@ class SimTransport:
             network.add_flow(flow)
             client = SimStream(hub, client_inbox, flow)
             server = SimStream(hub, server_inbox, _DelayLine(hub, client_inbox))
-            accepted: bool | None = None  # the handshake's outcome, once it is known
-            waiting: list[_Task] = []
-
-            def complete():
-                nonlocal accepted
-                accepted = listener._offer_locked(server)
-                hub._notify_locked(waiting)
-
             # Connection setup costs one base RTT before data can move.
-            network.schedule_call(network.now + network.link.rtt_base, complete)
-            while accepted is None:
-                hub._wait_on_locked(waiting)
-            if not accepted:
+            hub._wait_on_locked([], network.now + network.link.rtt_base)
+            if not listener._offer_locked(server):
                 raise ConnectionRefusedError("listener closed during handshake")
             return client
 

@@ -296,5 +296,7 @@ class MemoryTransport(_ThreadedTransportBase):
         return client
 
     def listen(self) -> MemoryListener:
+        if self._listener is not None and not self._listener._closed:
+            raise OSError("endpoint already has a listener")
         self._listener = MemoryListener()
         return self._listener

@@ -99,7 +99,7 @@ def test_link_keys_full_parse():
     mss_bytes = 1200
     seed = 42
     duration_s = 12.5
-    flows = 4+2
+    background_flows = 2
     """
     config = parse_experiment(text)
     assert config.link.capacity == 50_000_000
@@ -123,11 +123,11 @@ def test_link_keys_full_parse():
         ({"seed": "-1"}, "seed"),
         ({"repetitions": "0"}, "repetitions"),
         ({"port": "0"}, "port"),
-        ({"flows": "4+0"}, "flows"),
+        ({"background_flows": "0"}, "background_flows"),
         ({"loss_prob": "1.5"}, "loss_prob"),
         ({"bandwidth": "fast"}, "bandwidth"),
         ({"queue_limit_pkts": "zero"}, "queue_limit_pkts"),
-        ({"flows": "4"}, "flows"),
+        ({"background_flows": "two"}, "background_flows"),
         ({"duration_s": "0.5"}, "duration_s"),  # ends before the targeted flows start
     ],
 )
@@ -195,9 +195,10 @@ def test_fairness_csv_schema(sim_results):
 def test_meta_records_resolved_config(sim_results):
     config, results, out = sim_results
     assert (out / "meta.txt").read_text() == (
-        "capacity_bps=1e+07\n"
-        "duration_s=8\n"
-        "flows=sweep+1\n"
+        "# rng=pcg64\n"
+        "background_flows=1\n"
+        "capacity_bps=10000000.0\n"
+        "duration_s=8.0\n"
         "levels=1,2\n"
         "loss_prob=0.01\n"
         "mss_bytes=1500\n"
@@ -205,9 +206,31 @@ def test_meta_records_resolved_config(sim_results):
         f"out={out}\n"
         "queue_limit_pkts=50\n"
         "repetitions=2\n"
-        "rng=pcg64\n"
         "seed=7\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # the defaults
+        # values that six significant digits would round
+        "capacity_bps = 12345678.9\none_way_delay_s = 0.0123456789\nloss_prob = 0.00123456789\n"
+        "duration_s = 7.654321\nlevels = 16,3\nbackground_flows = 3\nseed = 11\n",
+    ],
+    ids=["defaults", "awkward-values"],
+)
+def test_meta_text_parses_back_to_its_config(text):
+    config = parse_experiment(text)
+    assert parse_experiment(harness._meta_text(config)) == config
+
+
+def test_experiment_replays_from_its_meta(sim_results, tmp_path, capsys):
+    config, results, out = sim_results
+    replay = tmp_path / "replay"
+    assert main(["experiment", "--config", str(out / "meta.txt"), "--out", str(replay)]) == EXIT_OK
+    for name in ("throughput.csv", "fairness.csv"):
+        assert (replay / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_trace_files_written(sim_results):
@@ -533,22 +556,38 @@ FAIRNESS_HEADER = "n,rep,jfi_per_flow,targeted_share,background_share\n"
     ("throughput", "fairness", "message"),
     [
         (
-            "1,0,5e6,5e6,1.0\n",
-            "1,0,0.9,0.5,0.5\n2,0,0.9,0.6,0.4\n",
+            THROUGHPUT_HEADER + "1,0,5e6,5e6,1.0\n",
+            FAIRNESS_HEADER + "1,0,0.9,0.5,0.5\n2,0,0.9,0.6,0.4\n",
             "fairness.csv: level n=2 is not in throughput.csv",
         ),
         (
-            "1,0,5e6,5e6,1.0\n2,0,6e6,4e6,1.5\n",
-            "1,0,0.9,0.5,0.5\n",
+            THROUGHPUT_HEADER + "1,0,5e6,5e6,1.0\n2,0,6e6,4e6,1.5\n",
+            FAIRNESS_HEADER + "1,0,0.9,0.5,0.5\n",
             "fairness.csv: no row for level n=2 of throughput.csv",
         ),
-        ("", "", "throughput.csv: no rows"),
+        (THROUGHPUT_HEADER, FAIRNESS_HEADER, "throughput.csv: no rows"),
+        (
+            "n,rep,targeted_bps,throughput_ratio\n1,0,5e6,1.0\n",
+            FAIRNESS_HEADER + "1,0,0.9,0.5,0.5\n",
+            "throughput.csv: no 'background_bps' column",
+        ),
+        (
+            THROUGHPUT_HEADER + "1,0,5e6,5e6,1.0\n",
+            FAIRNESS_HEADER + "1,0,abc,0.5,0.5\n",
+            "fairness.csv: could not convert string to float: 'abc'",
+        ),
     ],
-    ids=["level-missing-from-throughput", "level-missing-from-fairness", "header-only"],
+    ids=[
+        "level-missing-from-throughput",
+        "level-missing-from-fairness",
+        "header-only",
+        "column-missing",
+        "not-a-number",
+    ],
 )
 def test_cli_report_mismatched_csvs_are_usage_errors(tmp_path, capsys, throughput, fairness, message):
-    (tmp_path / "throughput.csv").write_text(THROUGHPUT_HEADER + throughput)
-    (tmp_path / "fairness.csv").write_text(FAIRNESS_HEADER + fairness)
+    (tmp_path / "throughput.csv").write_text(throughput)
+    (tmp_path / "fairness.csv").write_text(fairness)
     code = main(["report", "--dir", str(tmp_path)])
     assert code == EXIT_USAGE
     captured = capsys.readouterr()

@@ -307,6 +307,17 @@ def backend(request):
     return _Simulated()
 
 
+def test_second_listen_while_the_first_is_open_fails(backend):
+    # A second listener must not silently take the first one's connections.
+    listener = backend.transport.listen()
+    try:
+        with pytest.raises(OSError):
+            backend.transport.listen()
+    finally:
+        listener.close()
+    backend.transport.listen().close()  # free again once the first one is closed
+
+
 def _script(backend, steps, close=False, written_at=None):
     """Writer doing each step in turn; appends to ``written_at`` the time each
     write began, which no byte of it can arrive before."""
