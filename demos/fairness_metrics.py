@@ -28,9 +28,9 @@ traces = run_scenario(link, flows, duration=60.0)
 
 # Discard the ramp-up, then report both granularities.
 window = steady_window(traces)
-report = fairness_report(traces, window, capacity=link.capacity / 8.0)
-print(f"\nsteady window {window[0]:.0f}..{window[1]:.0f} s, "
-      f"link utilization {report.utilization:.1%}")
+report = fairness_report(traces, window)
+utilization = sum(report.per_application.values()) / (link.capacity / 8.0)
+print(f"\nsteady window {window[0]:.0f}..{window[1]:.0f} s, link utilization {utilization:.1%}")
 print(f"per-flow Jain index over {report.flow_count} flows: {report.fairness_index:.4f}")
 for trace, rate in zip(traces, report.per_flow_throughput):
     print(f"  {trace.flow_id:>12}: {rate * 8 / 1e6:.3f} Mbit/s")

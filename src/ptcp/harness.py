@@ -14,6 +14,7 @@ config file: ``ptcp experiment --config meta.txt`` replays the run.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -57,10 +58,11 @@ class LevelResult:
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse flat key=value lines; '#' starts a comment, blanks skipped."""
+    """Parse flat key=value lines, blanks skipped; '#' starts a comment at the
+    start of a line or after whitespace, so a value may hold one."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

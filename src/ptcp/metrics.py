@@ -102,7 +102,6 @@ class FairnessReport:
     fairness_index: float
     per_application: dict[str, float]  # role -> aggregate bytes/second
     shares: dict[str, float] = field(default_factory=dict)  # role -> fraction of total
-    utilization: float | None = None
 
 
 def steady_window(traces) -> tuple[float, float]:
@@ -112,11 +111,7 @@ def steady_window(traces) -> tuple[float, float]:
     return (STEADY_DISCARD * extent, extent)
 
 
-def fairness_report(
-    traces,
-    window: tuple[float, float] | None = None,
-    capacity: float | None = None,
-) -> FairnessReport:
+def fairness_report(traces, window: tuple[float, float] | None = None) -> FairnessReport:
     """Per-flow and per-application fairness over the steady-state window."""
     traces = list(traces)
     if len(traces) < 2:
@@ -134,5 +129,4 @@ def fairness_report(
         fairness_index=jain_fairness(per_flow),
         per_application=per_app,
         shares={role: (rate / total if total > 0 else 0.0) for role, rate in per_app.items()},
-        utilization=(total / capacity if capacity else None),
     )

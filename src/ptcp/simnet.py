@@ -125,7 +125,7 @@ class AimdFlow:
             self._seq_limit = math.inf
         else:
             self._seq_limit = math.ceil(byte_limit / link.mss)
-        self._outstanding: dict[int, tuple[int, float]] = {}  # seq -> (tid, sent_at)
+        self._outstanding: dict[int, int] = {}  # seq -> tid of its latest transmission
         self._next_tid = 0
         # Retransmission timers in firing order: (fires_at, order, seq, tid),
         # where ``order`` is the heap insertion sequence drawn at send time.
@@ -179,7 +179,7 @@ class AimdFlow:
             return None
         tid = self._next_tid
         self._next_tid += 1
-        self._outstanding[seq] = (tid, now)
+        self._outstanding[seq] = tid
         self.in_flight += 1
         self.sent_segments += 1
         return seq, tid
@@ -199,8 +199,7 @@ class AimdFlow:
     def on_timeout(self, seq: int, tid: int, now: float) -> bool:
         """Retransmission timer fired.  True if this detected a real loss;
         a stale timer (segment acked or already retransmitted) is ignored."""
-        entry = self._outstanding.get(seq)
-        if entry is None or entry[0] != tid:
+        if self._outstanding.get(seq) != tid:
             return False
         del self._outstanding[seq]
         self.in_flight -= 1
@@ -406,8 +405,7 @@ class Network:
         outstanding = flow._outstanding
         while timers:
             fires_at, order, next_seq, next_tid = timers[0]
-            entry = outstanding.get(next_seq)
-            if entry is not None and entry[0] == next_tid:
+            if outstanding.get(next_seq) == next_tid:
                 heapq.heappush(self._heap, (fires_at, order, Network._on_timeout, flow))
                 break
             timers.popleft()  # acked or resent since: it would do nothing

@@ -20,7 +20,8 @@ buffer itself goes to the sink.  A failure on any stream fails the whole
 transfer and aborts the streams of its chunks not yet complete; there is
 no retry, and late streams of a finished transfer are turned away.  A
 stream whose sequence does not open with a valid HELLO names no transfer:
-it is aborted and reported nowhere.
+it is aborted and reported nowhere.  One lock guards the receiver; a
+transfer it lists has not finished, and it finishes exactly once.
 
 Every failed transfer carries a ``FailureKind`` next to its reason string,
 and every reason, on either side, reads ``"{kind.value}: {detail}"``.
@@ -220,13 +221,12 @@ def _read_receipt(stream, chunk_index: int, expected_digest: bytes) -> None:
 
 @dataclass
 class ReceiverState:
-    """Snapshot of one transfer's progress at the monitor."""
+    """Snapshot of one unfinished transfer's progress at the monitor."""
 
     transfer_id: bytes
     connection_count: int
     registered: set[int]
     completed: set[int]
-    failed: str | None
 
 
 @dataclass
@@ -253,64 +253,56 @@ class _Chunk:
 
 
 class _TransferMonitor:
-    """Completion tracker for one transfer: register / data / complete / finish."""
+    """Completion tracker for one transfer: register / data / complete.
 
-    def __init__(self, hello: Hello, received_at: float, buffer_cap: int):
+    register() and complete() run under the receiver's lock; data() needs
+    none (see there).  The receiver's ``_finish`` ends the transfer."""
+
+    def __init__(self, hello: Hello, received_at: float):
         self.transfer_id = hello.transfer_id
         self.total_size = hello.total_size
         self.connection_count = hello.connection_count
         self.payload_digest = hello.payload_digest
-        self.buffer_cap = buffer_cap
         self.started_at = received_at
-        self.lock = threading.Lock()
         self.chunks: dict[int, _Chunk] = {}
         self.streams: dict = {}  # chunk index -> stream of each chunk not yet complete
         self.buffer: bytearray | None = None  # whole payload; allocated by the first valid HELLO
         self.stats: list[ConnectionStat] = []  # one per completed chunk
         self.finished = False
-        self.failed: str | None = None
 
-    def register(self, hello: Hello, stream, now: float) -> bool:
-        """Admit ``stream`` as the carrier of HELLO's chunk; False once the
-        transfer has finished, so the stream is turned away."""
-        with self.lock:
-            if self.finished:
-                return False
-            if (hello.total_size, hello.connection_count, hello.payload_digest) != (
-                self.total_size,
-                self.connection_count,
-                self.payload_digest,
-            ):
-                raise ProtocolError(
-                    f"HELLO fields inconsistent across connections of transfer {self.transfer_id.hex()}"
-                )
-            if hello.chunk_index in self.chunks:
-                raise ProtocolError(f"duplicate registration for chunk {hello.chunk_index}")
-            if hello.chunk_index >= self.connection_count:
-                raise ProtocolError(
-                    f"chunk index {hello.chunk_index} out of range for {self.connection_count} connections"
-                )
-            expected = chunk_assignment(self.total_size, self.connection_count, hello.chunk_index)
-            if (hello.chunk_offset, hello.chunk_length) != (expected.offset, expected.length):
-                raise ProtocolError(
-                    f"chunk {hello.chunk_index} placed at ({hello.chunk_offset}, {hello.chunk_length}), "
-                    f"expected ({expected.offset}, {expected.length})"
-                )
-            if self.total_size > self.buffer_cap:
-                raise ProtocolError(
-                    f"transfer of {self.total_size} bytes exceeds receiver buffer cap {self.buffer_cap}"
-                )
-            if self.buffer is None:
-                self.buffer = bytearray(self.total_size)
-            self.chunks[hello.chunk_index] = _Chunk(
-                hello.chunk_offset, hello.chunk_length, hashlib.sha256(), now - self.started_at
+    def register(self, hello: Hello, stream, now: float, buffer_cap: int) -> None:
+        """Admit ``stream`` as the carrier of HELLO's chunk."""
+        if (hello.total_size, hello.connection_count, hello.payload_digest) != (
+            self.total_size,
+            self.connection_count,
+            self.payload_digest,
+        ):
+            raise ProtocolError(
+                f"HELLO fields inconsistent across connections of transfer {self.transfer_id.hex()}"
             )
-            self.streams[hello.chunk_index] = stream
-            return True
+        if hello.chunk_index in self.chunks:
+            raise ProtocolError(f"duplicate registration for chunk {hello.chunk_index}")
+        if hello.chunk_index >= self.connection_count:
+            raise ProtocolError(
+                f"chunk index {hello.chunk_index} out of range for {self.connection_count} connections"
+            )
+        expected = chunk_assignment(self.total_size, self.connection_count, hello.chunk_index)
+        if (hello.chunk_offset, hello.chunk_length) != (expected.offset, expected.length):
+            raise ProtocolError(
+                f"chunk {hello.chunk_index} placed at ({hello.chunk_offset}, {hello.chunk_length}), "
+                f"expected ({expected.offset}, {expected.length})"
+            )
+        if self.total_size > buffer_cap:
+            raise ProtocolError(f"transfer of {self.total_size} bytes exceeds receiver buffer cap {buffer_cap}")
+        if self.buffer is None:
+            self.buffer = bytearray(self.total_size)
+        self.chunks[hello.chunk_index] = _Chunk(
+            hello.chunk_offset, hello.chunk_length, hashlib.sha256(), now - self.started_at
+        )
+        self.streams[hello.chunk_index] = stream
 
-    # data() and complete() run on the chunk's own worker only (register()
-    # rejects a second stream for a chunk), so its _Chunk and its slice of
-    # the buffer need no lock.
+    # data() runs on the chunk's own worker only (register() rejects a second
+    # stream for a chunk), so its _Chunk and its slice of the buffer need no lock.
 
     def data(self, frame: Data) -> None:
         index, size = frame.chunk_index, len(frame.payload)
@@ -335,45 +327,9 @@ class _TransferMonitor:
         if chunk.hasher.digest() != frame.chunk_digest:
             raise _CorruptChunk(f"chunk {index} digest mismatch")
         chunk.digest = frame.chunk_digest
-        with self.lock:
-            del self.streams[index]  # it may carry another transfer next, so a failure spares it
-            self.stats.append(ConnectionStat(index, chunk.length, chunk.started, now - self.started_at))
-            return len(self.stats) == self.connection_count
-
-    def finish(self, reason: str | None) -> bool:
-        """Claim the transfer's one completion, failed with ``reason`` or succeeded
-        when it is None; True if first.  A first failing claim aborts its streams."""
-        with self.lock:
-            if self.finished:
-                return False
-            self.finished = True
-            self.failed = reason
-            streams = list(self.streams.values())  # register() adds none once finished
-        if reason is not None:
-            for stream in streams:
-                stream.abort()
-        return True
-
-    def result(self, kind: FailureKind | None, reason: str | None, now: float) -> ReceivedTransfer:
-        return ReceivedTransfer(
-            transfer_id=self.transfer_id,
-            ok=reason is None,
-            reason=reason,
-            total_size=self.total_size,
-            wall_time=now - self.started_at,
-            per_connection=sorted(self.stats, key=lambda s: s.chunk_index),
-            failure_kind=kind,
-        )
-
-    def snapshot(self) -> ReceiverState:
-        with self.lock:
-            return ReceiverState(
-                transfer_id=self.transfer_id,
-                connection_count=self.connection_count,
-                registered=set(self.chunks),
-                completed={s.chunk_index for s in self.stats},
-                failed=self.failed,
-            )
+        del self.streams[index]  # it may carry another transfer next, so a failure spares it
+        self.stats.append(ConnectionStat(index, chunk.length, chunk.started, now - self.started_at))
+        return len(self.stats) == self.connection_count
 
 
 class Receiver:
@@ -387,7 +343,7 @@ class Receiver:
     ``FailureKind.CONNECTION``, like any broken stream.
 
     Supports concurrent transfers with distinct transfer ids on one
-    listener.  ``serve_one`` blocks until the next transfer finalizes
+    listener.  ``serve_one`` blocks until the next transfer finishes
     (success or failure) and returns its result.  A transfer succeeds when
     every chunk's bytes match its FIN digest and the hash-list root over
     those digests (``wire.root_digest``) matches HELLO's payload digest;
@@ -396,6 +352,10 @@ class Receiver:
     a ``bytearray`` the sink may keep; it is not copied into ``bytes``.  A
     failure aborts every stream of its transfer; a stream that does not open
     with a valid HELLO is aborted, and ``serve_one`` never sees it.
+
+    One lock, ``_lock``, guards the receiver and its monitors.  ``_monitors``
+    lists a transfer from its first HELLO until ``_finish`` marks it
+    finished, in one critical section, so a listed transfer has not finished.
     """
 
     def __init__(
@@ -413,12 +373,12 @@ class Receiver:
         self._idle_timeout = idle_timeout
         self._buffer_cap = buffer_cap
         self._listener = transport.listen()
-        self._monitors: dict[bytes, _TransferMonitor] = {}
-        self._monitors_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._monitors: dict[bytes, _TransferMonitor] = {}  # the transfers not yet finished
         self._finished_ids: deque[bytes] = deque(maxlen=FINISHED_IDS_KEPT)
         self._completions = transport.channel()
-        self._accepting = 0  # workers waiting in accept(); guarded by _monitors_lock
-        self._waiting: set = set()  # streams waiting for a HELLO; guarded by _monitors_lock
+        self._accepting = 0  # workers waiting in accept()
+        self._waiting: set = set()  # streams waiting for a HELLO
         self._closed = False
         self._acceptor = transport.spawn(self._worker, name="recv-conn")
 
@@ -427,16 +387,18 @@ class Receiver:
         return self._listener
 
     def transfer_states(self) -> list[ReceiverState]:
-        with self._monitors_lock:
-            monitors = list(self._monitors.values())
-        return [m.snapshot() for m in monitors]
+        with self._lock:
+            return [
+                ReceiverState(m.transfer_id, m.connection_count, set(m.chunks), {s.chunk_index for s in m.stats})
+                for m in self._monitors.values()
+            ]
 
     def serve_one(self) -> ReceivedTransfer:
         return self._completions.get()
 
     def close(self) -> None:
         self._listener.close()
-        with self._monitors_lock:
+        with self._lock:
             self._closed = True
             waiting = list(self._waiting)
         for stream in waiting:
@@ -448,14 +410,14 @@ class Receiver:
         """Accept a stream, serve it, accept again until the listener closes.  A
         worker that leaves none waiting in accept() first starts one that will."""
         while True:
-            with self._monitors_lock:
+            with self._lock:
                 self._accepting += 1
             try:
                 stream = self._listener.accept()
             except (ConnectionError, OSError):
                 return
             finally:
-                with self._monitors_lock:
+                with self._lock:
                     self._accepting -= 1
                     lead = self._accepting == 0
             if lead:
@@ -464,38 +426,31 @@ class Receiver:
             while self._serve_chunk(stream, frames):
                 pass
 
-    def _monitor_for(self, hello: Hello, now: float) -> _TransferMonitor | None:
-        """The transfer's monitor, made on its first HELLO; None once it
-        finished, whether it failed or succeeded."""
-        with self._monitors_lock:
-            if hello.transfer_id in self._finished_ids:
-                return None
-            monitor = self._monitors.get(hello.transfer_id)
-            if monitor is None:
-                monitor = _TransferMonitor(hello, now, self._buffer_cap)
-                self._monitors[hello.transfer_id] = monitor
-            return monitor
-
     def _serve_chunk(self, stream, frames) -> bool:
         """One sequence on ``stream``: HELLO, DATA frames in order, FIN,
         receipt.  True when the stream may carry another."""
         monitor: _TransferMonitor | None = None
         try:
-            with self._monitors_lock:
+            with self._lock:
                 if self._closed:
                     raise ConnectionError("receiver closed")
                 self._waiting.add(stream)  # close() aborts it until HELLO comes
             try:
                 hello = next(frames, None)
             finally:
-                with self._monitors_lock:
+                with self._lock:
                     self._waiting.discard(stream)
             if hello is None:
                 stream.close()  # the sender ended it between sequences
                 return False
             now = self._transport.now()
-            monitor = self._monitor_for(hello, now) if isinstance(hello, Hello) else None
-            if monitor is None or not monitor.register(hello, stream, now):
+            with self._lock:
+                if isinstance(hello, Hello) and hello.transfer_id not in self._finished_ids:
+                    monitor = self._monitors.get(hello.transfer_id)
+                    if monitor is None:
+                        monitor = self._monitors[hello.transfer_id] = _TransferMonitor(hello, now)
+                    monitor.register(hello, stream, now, self._buffer_cap)
+            if monitor is None:
                 stream.abort()  # no valid HELLO, or its transfer has finished
                 return False
             index = hello.chunk_index
@@ -511,39 +466,52 @@ class Receiver:
                 if isinstance(frame, Data):
                     monitor.data(frame)
                     continue
-                last = monitor.complete(frame, self._transport.now())
+                with self._lock:
+                    last = monitor.complete(frame, self._transport.now())
                 # complete() verified this digest against the buffered chunk.
                 stream.write_all(encode_frame(Fin(index, frame.chunk_digest)))
                 if last:
-                    self._finalize(monitor)
+                    # Every chunk digest was verified against its bytes, and
+                    # register() pinned each chunk to its partition entry, so
+                    # the root over them stands for the whole buffer.
+                    chunk_digests = (monitor.chunks[i].digest for i in range(monitor.connection_count))
+                    ok = root_digest(chunk_digests) == monitor.payload_digest
+                    self._finish(monitor, None if ok else FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
                 return True
             raise ProtocolError(f"stream for chunk {index} ended before FIN")
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
             stream.abort()  # also how a stream idle between sequences is retired
             if monitor is not None:
-                self._complete(monitor, _failure_kind(exc), exc)
+                self._finish(monitor, _failure_kind(exc), exc)
             return False
 
-    def _finalize(self, monitor: _TransferMonitor) -> None:
-        # Every chunk digest was verified against its bytes in complete(), and
-        # register() pinned each chunk to its partition entry, so the root over
-        # them stands for the whole buffer.
-        chunk_digests = (monitor.chunks[i].digest for i in range(monitor.connection_count))
-        ok = root_digest(chunk_digests) == monitor.payload_digest
-        self._complete(monitor, None if ok else FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
-
-    def _complete(self, monitor: _TransferMonitor, kind: FailureKind | None, detail=None) -> None:
+    def _finish(self, monitor: _TransferMonitor, kind: FailureKind | None, detail) -> None:
         """Deliver the transfer's one completion, succeeded when ``kind`` is
-        None; later claims are dropped."""
-        reason = None if kind is None else _reason(kind, detail)
-        if not monitor.finish(reason):
-            return
-        with self._monitors_lock:
-            self._monitors.pop(monitor.transfer_id, None)
+        None; a failure aborts the streams of its chunks not yet complete.
+        Later calls for the transfer do nothing."""
+        with self._lock:
+            if monitor.finished:
+                return
+            monitor.finished = True
+            del self._monitors[monitor.transfer_id]
             self._finished_ids.append(monitor.transfer_id)
-        if reason is None and self._sink is not None:
+            streams = list(monitor.streams.values())
+        if kind is not None:
+            for stream in streams:
+                stream.abort()
+        elif self._sink is not None:
             self._sink(monitor.transfer_id, monitor.buffer)
-        self._completions.put(monitor.result(kind, reason, self._transport.now()))
+        self._completions.put(
+            ReceivedTransfer(
+                transfer_id=monitor.transfer_id,
+                ok=kind is None,
+                reason=None if kind is None else _reason(kind, detail),
+                total_size=monitor.total_size,
+                wall_time=self._transport.now() - monitor.started_at,
+                per_connection=sorted(monitor.stats, key=lambda s: s.chunk_index),
+                failure_kind=kind,
+            )
+        )
 
 
 def serve(transport, sink=None, **options) -> ReceivedTransfer:

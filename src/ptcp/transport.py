@@ -39,12 +39,11 @@ class ThreadHandle:
     """Join-able worker; re-raises the worker's exception on join."""
 
     def __init__(self, fn, name: str | None = None):
-        self._result = None
         self._exc: BaseException | None = None
 
         def run():
             try:
-                self._result = fn()
+                fn()
             except BaseException as exc:  # noqa: BLE001 - surfaced on join
                 self._exc = exc
 
@@ -57,7 +56,6 @@ class ThreadHandle:
             raise TimeoutError("worker did not finish in time")
         if self._exc is not None:
             raise self._exc
-        return self._result
 
 
 class _ThreadedTransportBase:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,10 @@ def file_digests(paths):
 def test_parse_kv_basics():
     kv = parse_kv("a = 1\n# comment\n\nb=two # trailing\n")
     assert kv == {"a": "1", "b": "two"}
+
+
+def test_parse_kv_hash_inside_a_value_is_not_a_comment():
+    assert parse_kv("out = /tmp/run#2  # note\n#out=x\n") == {"out": "/tmp/run#2"}
 
 
 def test_parse_kv_rejects_duplicates_and_garbage():
@@ -222,6 +227,11 @@ def test_meta_records_resolved_config(sim_results):
 )
 def test_meta_text_parses_back_to_its_config(text):
     config = parse_experiment(text)
+    assert parse_experiment(harness._meta_text(config)) == config
+
+
+def test_meta_text_keeps_a_hash_in_the_out_dir():
+    config = replace(parse_experiment(""), out_dir="/tmp/run#2")
     assert parse_experiment(harness._meta_text(config)) == config
 
 

@@ -167,15 +167,6 @@ def test_fairness_report_needs_two_flows():
         fairness_report([uniform_trace("t0", 1.0, 10.0)])
 
 
-def test_fairness_report_utilization():
-    traces = [
-        uniform_trace("t0", 400.0, 10.0),
-        uniform_trace("bg", 600.0, 10.0, role="background"),
-    ]
-    report = fairness_report(traces, capacity=2000.0)
-    assert report.utilization == pytest.approx(0.5)
-
-
 def test_steady_window_discards_first_fifth():
     traces = [uniform_trace("t0", 1.0, 50.0)]
     assert steady_window(traces) == (10.0, 50.0)

@@ -369,6 +369,38 @@ def test_fin_before_all_data_fails():
     assert "FIN after 20 of 50" in result.reason
 
 
+_MANIFEST_2 = TransferManifest.for_payload(b"e" * 1024, 2)  # chunk 0 is (0, 512)
+_HELLO_0 = _hello_for(_MANIFEST_2, _MANIFEST_2.chunks[0])
+
+
+@pytest.mark.parametrize(
+    ("frames", "detail"),
+    [
+        ([replace(_HELLO_0, chunk_index=2)], "chunk index 2 out of range for 2 connections"),
+        ([_HELLO_0, _HELLO_0], "second HELLO within one chunk"),
+        ([_HELLO_0, Data(1, 0, b"e")], "DATA for chunk 1 on the chunk-0 stream"),
+        ([_HELLO_0, Data(0, 0, b"e" * 513)], "chunk 0 overflows its declared length"),
+        ([_HELLO_0, Data(0, 0, b"e" * 100), None], "stream for chunk 0 ended before FIN"),  # None: close
+    ],
+    ids=["chunk-index-out-of-range", "second-hello", "data-for-other-chunk", "data-past-length", "closed-before-fin"],
+)
+def test_protocol_errors_fail_the_transfer_and_abort_its_stream(frames, detail):
+    transport = MemoryTransport()
+    receiver = Receiver(transport)
+    stream = transport.connect()
+    for frame in frames:
+        if frame is None:
+            stream.close()
+        else:
+            stream.write_all(encode_frame(frame))
+    result = receiver.serve_one()
+    receiver.close()
+    assert result.failure_kind is FailureKind.PROTOCOL
+    assert result.reason == f"protocol-error: {detail}"
+    assert stream.read_some(timeout=1.0) == b""
+    stream.close()
+
+
 def test_sender_rejects_bad_receipt_digest():
     # A hand-rolled receiver acknowledges with the wrong digest; the sender
     # must report the transfer as failed.
@@ -476,7 +508,6 @@ def test_transfer_states_snapshot_during_stall():
     assert states[0].connection_count == 2
     assert states[0].registered == {0}
     assert states[0].completed == set()
-    assert states[0].failed is None
     stream.abort()
     result = receiver.serve_one()
     assert not result.ok
