@@ -108,7 +108,7 @@ def cmd_send(args) -> int:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     host, port = args.to
-    with closing(TcpTransport(host, port)) as transport:  # ends the kept streams' workers at once
+    with closing(TcpTransport(host, port)) as transport:  # ends our parked workers and the peer's at once
         report = send_transfer(payload, transport, args.streams)
     rate = report.bytes_sent * 8 / report.wall_time / 1e6 if report.wall_time > 0 else 0.0
     status = "OK" if report.ok else f"FAILED ({report.failure_reason})"

@@ -163,7 +163,7 @@ class AimdFlow:
             self._rtx_queue.popleft()  # acked late, nothing to resend
         return bool(self._rtx_queue)
 
-    def next_transmission(self, now: float) -> tuple[int, int] | None:
+    def next_transmission(self) -> tuple[int, int] | None:
         """Pick the next segment to put on the wire, or None when window- or
         data-bound.  Retransmissions go first."""
         if self.in_flight >= self.cwnd:
@@ -302,7 +302,7 @@ class Network:
         departures = self._departures
         while departures and departures[0] <= now:
             departures.popleft()
-        while flow.in_flight < flow.cwnd and (tx := flow.next_transmission(now)) is not None:
+        while flow.in_flight < flow.cwnd and (tx := flow.next_transmission()) is not None:
             seq, tid = tx
             segment = (flow, seq, tid)
             if self.event_log is not None:

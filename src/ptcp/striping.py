@@ -5,7 +5,8 @@ connections, then pump every chunk concurrently, the calling thread
 running chunk 0 — HELLO, DATA frames in order, FIN with the chunk digest.
 After FIN each sender worker waits for the receiver's receipt (a FIN frame
 echoing the digest the receiver computed) so corruption is observable end
-to end, then hands the stream back to the transport, which may keep it.
+to end, then hands the stream back to the transport.  A TCP transport keeps
+the stream and the worker, so a transfer over kept ones starts no thread.
 
 Receiver: workers take turns in accept(), each serving the one stream it
 accepted before it accepts again, so workers outlive their streams.  A
@@ -38,6 +39,7 @@ from enum import Enum
 
 from .transport import READ_CHUNK
 from .wire import (
+    MAX_DATA_PAYLOAD,
     Data,
     Fin,
     FrameDecoder,
@@ -107,6 +109,8 @@ def send_transfer(
     """
     if connection_count < 1:
         raise ValueError(f"connection_count must be >= 1, got {connection_count}")
+    if not 1 <= data_frame_bytes <= MAX_DATA_PAYLOAD:
+        raise ValueError(f"data_frame_bytes must be in 1..{MAX_DATA_PAYLOAD}, got {data_frame_bytes}")
     manifest = TransferManifest.for_payload(payload, connection_count, transfer_id)
     t0 = transport.now()
     stats: list[ConnectionStat | None] = [None] * connection_count

@@ -6,7 +6,7 @@ A transport bundles everything the striping layer needs from its environment:
     transport.release(stream)    -> take back a cleanly ended stream: TCP keeps
                                     it for a later connect(), others close it
     transport.listen()           -> Listener with accept() / close()
-    transport.spawn(fn)          -> worker handle with join()
+    transport.spawn(fn, name)    -> worker handle with join(); TCP reuses parked workers
     transport.channel()          -> FIFO with put() / blocking get()
     transport.now()              -> monotonic seconds
 
@@ -38,21 +38,24 @@ LISTEN_BACKLOG = 64
 class ThreadHandle:
     """Join-able worker; re-raises the worker's exception on join."""
 
-    def __init__(self, fn, name: str | None = None):
+    def __init__(self, fn, name: str = "worker"):
+        self._fn = fn
+        self._name = name
         self._exc: BaseException | None = None
+        self.started = threading.Event()
+        self.done = threading.Event()  # set by the thread that ran it
 
-        def run():
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - surfaced on join
-                self._exc = exc
-
-        self._thread = threading.Thread(target=run, name=name, daemon=True)
-        self._thread.start()
+    def run(self) -> None:
+        threading.current_thread().name = self._name  # a reused thread takes the new name
+        self.started.set()
+        try:
+            self._fn()
+        except BaseException as exc:  # noqa: BLE001 - surfaced on join
+            self._exc = exc
+        self._fn = None  # a thread kept for later work keeps nothing of this one
 
     def join(self, timeout: float | None = None):
-        self._thread.join(timeout)
-        if self._thread.is_alive():
+        if not self.done.wait(timeout):
             raise TimeoutError("worker did not finish in time")
         if self._exc is not None:
             raise self._exc
@@ -64,8 +67,14 @@ class _ThreadedTransportBase:
     def release(self, stream) -> None:
         stream.close()
 
-    def spawn(self, fn, name: str | None = None) -> ThreadHandle:
-        return ThreadHandle(fn, name)
+    def spawn(self, fn, name: str = "worker") -> ThreadHandle:
+        handle = ThreadHandle(fn, name)
+        threading.Thread(target=self._work, args=(handle,), name=name, daemon=True).start()
+        return handle
+
+    def _work(self, handle: ThreadHandle) -> None:
+        handle.run()
+        handle.done.set()
 
     def channel(self) -> "queue.Queue":
         return queue.Queue()
@@ -154,17 +163,20 @@ class TcpListener:
 
 class TcpTransport(_ThreadedTransportBase):
     """host:port addressed OS TCP sockets.  connect() reuses a released stream
-    unless the peer closed, reset or wrote to it; close() closes the kept ones."""
+    unless the peer closed, reset or wrote to it.  A worker that returns parks
+    while more streams are kept than workers parked, for spawn() to reuse, so a
+    transfer over kept streams starts no thread.  close() ends both."""
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
         self._kept: list[TcpStream] = []
-        self._kept_lock = threading.Lock()
+        self._parked: list[queue.SimpleQueue] = []  # the inbox of each parked worker
+        self._lock = threading.Lock()  # guards both lists
 
     def connect(self) -> TcpStream:
         while True:
-            with self._kept_lock:
+            with self._lock:
                 if not self._kept:
                     break
                 stream = self._kept.pop()
@@ -176,17 +188,44 @@ class TcpTransport(_ThreadedTransportBase):
             except OSError:
                 pass  # reset
             stream.abort()
+            self._end_parked()
         return TcpStream(socket.create_connection((self.host, self.port), timeout=10.0))
 
     def release(self, stream: TcpStream) -> None:
-        with self._kept_lock:
+        with self._lock:
             self._kept.append(stream)
 
     def close(self) -> None:
-        with self._kept_lock:
+        with self._lock:
             kept, self._kept = self._kept, []
         for stream in kept:
             stream.abort()  # nothing is in flight on a kept stream, so nothing to drain
+        self._end_parked()
+
+    def spawn(self, fn, name: str = "worker") -> ThreadHandle:
+        with self._lock:
+            inbox = self._parked.pop() if self._parked else None
+        if inbox is None:
+            return super().spawn(fn, name)
+        inbox.put(handle := ThreadHandle(fn, name))
+        handle.started.wait()  # as Thread.start() waits for a new thread to run
+        return handle
+
+    def _work(self, handle: ThreadHandle | None) -> None:
+        inbox = queue.SimpleQueue()
+        while handle is not None:
+            handle.run()
+            with self._lock:
+                parks = len(self._kept) > len(self._parked)
+                if parks:
+                    self._parked.append(inbox)
+            handle.done.set()  # once parked, so a spawn() after join() finds this worker
+            handle = inbox.get() if parks else None  # None also ends a parked worker
+
+    def _end_parked(self) -> None:
+        with self._lock:
+            while len(self._parked) > len(self._kept):
+                self._parked.pop().put(None)
 
     def listen(self) -> TcpListener:
         listener = TcpListener(self.host, self.port)

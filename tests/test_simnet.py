@@ -121,7 +121,7 @@ def test_run_until_counts_through_network_step(monkeypatch):
 def test_full_window_acked_grows_by_about_one():
     flow = make_flow(initial_cwnd=10.0)
     sent = []
-    while (tx := flow.next_transmission(0.0)) is not None:
+    while (tx := flow.next_transmission()) is not None:
         sent.append(tx[0])
     assert len(sent) == 10
     for seq in sent:
@@ -132,7 +132,7 @@ def test_full_window_acked_grows_by_about_one():
 
 def test_single_ack_from_cwnd_one():
     flow = make_flow(initial_cwnd=1.0)
-    seq, _ = flow.next_transmission(0.0)
+    seq, _ = flow.next_transmission()
     flow.on_ack(seq, 0.1)
     assert flow.cwnd == 2.0
 
@@ -174,12 +174,12 @@ def test_two_losses_within_one_rtt_halve_once():
 
 def test_timeout_detects_loss_and_queues_retransmit():
     flow = make_flow(initial_cwnd=4.0)
-    seq, tid = flow.next_transmission(0.0)
+    seq, tid = flow.next_transmission()
     assert flow.on_timeout(seq, tid, flow.timeout_interval)
     assert flow.in_flight == 0
     assert flow.cwnd == 2.0
     # the retransmission goes out before any new sequence number
-    seq2, tid2 = flow.next_transmission(flow.timeout_interval)
+    seq2, tid2 = flow.next_transmission()
     assert seq2 == seq
     assert tid2 != tid
     # the original timer is now stale
@@ -188,10 +188,10 @@ def test_timeout_detects_loss_and_queues_retransmit():
 
 def test_late_ack_cancels_retransmission():
     flow = make_flow(initial_cwnd=4.0)
-    seq, tid = flow.next_transmission(0.0)
+    seq, tid = flow.next_transmission()
     flow.on_timeout(seq, tid, flow.timeout_interval)
     flow.on_ack(seq, flow.timeout_interval + 0.01)  # data arrived after all
-    assert flow.next_transmission(flow.timeout_interval + 0.02)[0] == seq + 1
+    assert flow.next_transmission()[0] == seq + 1
 
 
 def test_receiver_dedups_but_acks():
@@ -495,8 +495,8 @@ def test_log_digest_requires_recording():
 
 def test_in_flight_never_exceeds_window_at_send():
     class CheckedFlow(AimdFlow):
-        def next_transmission(self, now):
-            tx = super().next_transmission(now)
+        def next_transmission(self):
+            tx = super().next_transmission()
             if tx is not None:
                 assert self.in_flight <= math.ceil(self.cwnd)
             return tx

@@ -1,12 +1,15 @@
 """End-to-end striped transfers plus the failure paths of the receiver."""
 
+import gc
 import hashlib
 import random
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from ptcp.striping import FailureKind, Receiver, send_transfer, serve
 from ptcp.transport import MemoryTransport, TcpTransport
-from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
+from ptcp.wire import MAX_DATA_PAYLOAD, Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
 
 from conftest import wait_until
 
@@ -613,6 +616,99 @@ def test_back_to_back_tcp_transfers_reuse_their_connections():
     finally:
         sender.close()
         receiver.close()
+
+
+def _tcp_pair():
+    """A receiver on its own TCP transport and a sender transport aimed at it."""
+    recv_transport = TcpTransport("127.0.0.1", 0)
+    receiver = Receiver(recv_transport)
+    return receiver, TcpTransport("127.0.0.1", recv_transport.port)
+
+
+def _send_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("send-")]
+
+
+def test_back_to_back_tcp_transfers_start_no_sender_thread():
+    # A finished sender worker parks on the transport that keeps its stream,
+    # and the next transfer's spawn() hands it the next chunk.  The barrier
+    # keeps both chunks running at once: otherwise chunk 1 may finish before
+    # chunk 2 is spawned, and one parked worker then runs both.  Thread
+    # objects, not idents, tell threads apart: the OS reuses idents.
+    receiver, sender = _tcp_pair()
+    spawn = sender.spawn
+    spawned, ran_on = [], []
+    together = threading.Barrier(2)
+
+    def recording_spawn(fn, name):
+        spawned.append(name)
+
+        def recorded():
+            ran_on.append(threading.current_thread())
+            together.wait(timeout=5.0)
+            fn()
+
+        return spawn(recorded, name)
+
+    sender.spawn = recording_spawn
+    try:
+        for i in range(4):
+            spawned.clear()
+            ran_on.clear()
+            alive = set(threading.enumerate())
+            report = send_transfer(bytes([i]) * 30_000, sender, 3)
+            assert report.ok and receiver.serve_one().ok, report.failure_reason
+            assert spawned == ["send-1", "send-2"]
+            assert len(set(ran_on)) == 2
+            if i > 0:
+                assert set(ran_on) <= alive
+            assert len(sender._parked) == 2 <= len(sender._kept)
+    finally:
+        sender.close()
+        receiver.close()
+    assert wait_until(lambda: not _send_threads(), 2.0), _send_threads()
+
+
+def test_failed_tcp_transfer_leaves_no_worker_beyond_its_kept_streams():
+    receiver, sender = _tcp_pair()
+    try:
+        assert send_transfer(b"a" * 30_000, sender, 3).ok and receiver.serve_one().ok
+        assert sender._parked
+        receiver.close()  # aborts the kept streams at its end and stops listening
+        time.sleep(0.05)  # let the ends of stream arrive
+        report = send_transfer(b"b" * 30_000, sender, 3)
+        assert not report.ok
+        assert len(sender._parked) <= len(sender._kept)
+        assert wait_until(lambda: not _send_threads(), 2.0), _send_threads()
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def test_parked_sender_workers_hold_no_reference_to_the_payload():
+    receiver, sender = _tcp_pair()
+    try:
+        payload = np.full(100_000, 7, np.uint8)
+        sent = weakref.ref(payload)
+        report = send_transfer(payload, sender, 3)
+        assert report.ok and receiver.serve_one().ok, report.failure_reason
+        assert sender._parked
+        del payload
+        gc.collect()
+        assert sent() is None
+    finally:
+        sender.close()
+        receiver.close()
+
+
+@pytest.mark.parametrize("frame_bytes", [0, MAX_DATA_PAYLOAD + 1])
+def test_data_frame_bytes_out_of_range_fails_before_any_connect(frame_bytes):
+    transport = MemoryTransport()
+    listener = transport.listen()
+    with pytest.raises(ValueError, match="data_frame_bytes"):
+        send_transfer(b"x" * 1000, transport, 2, data_frame_bytes=frame_bytes)
+    assert listener._pending.empty()  # no stream was offered to accept()
+    listener.close()
 
 
 def test_kept_stream_retired_by_the_receiver_is_replaced():

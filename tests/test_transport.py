@@ -3,6 +3,8 @@
 import gc
 import socket
 import struct
+import sys
+import threading
 import time
 import warnings
 
@@ -203,6 +205,97 @@ def test_tcp_transport_close_closes_every_kept_stream():
         assert server.read_some(timeout=5.0) == b""  # the peer sees end of stream
         server.abort()
     listener.close()
+
+
+def test_memory_spawn_starts_a_thread_each_time():
+    transport = MemoryTransport()
+    ran_on = []
+    for _ in range(3):
+        transport.spawn(lambda: ran_on.append(threading.current_thread()), name="job").join(timeout=5.0)
+    assert len(set(ran_on)) == 3
+
+
+def test_tcp_worker_parks_only_while_more_streams_are_kept_than_parked():
+    transport = TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    transport.spawn(lambda: None, name="unmatched").join(timeout=5.0)
+    assert not transport._parked  # no kept stream, so the worker ended
+    _, server = _kept_pair(transport, listener)
+    together = threading.Barrier(2)
+    try:
+        handles = [transport.spawn(lambda: together.wait(timeout=5.0), name="job") for _ in range(2)]
+        for handle in handles:
+            handle.join(timeout=5.0)
+        assert len(transport._parked) == 1  # one kept stream, so one of the two parked
+    finally:
+        transport.close()
+        server.abort()
+        listener.close()
+
+
+def test_tcp_parked_worker_reraises_on_join_then_serves_the_next_spawn():
+    # One kept stream lets one finished worker park; it takes each later
+    # spawn under that spawn's name, a failed one included.
+    transport = TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    _, server = _kept_pair(transport, listener)
+    ran_on = []
+
+    def record():
+        ran_on.append((threading.current_thread(), threading.current_thread().name))
+
+    def boom():
+        record()
+        raise RuntimeError("worker died")
+
+    try:
+        transport.spawn(record, name="first").join(timeout=5.0)
+        with pytest.raises(RuntimeError, match="worker died"):
+            transport.spawn(boom, name="second").join(timeout=5.0)
+        transport.spawn(record, name="third").join(timeout=5.0)
+        assert len(transport._parked) == 1
+        assert len({thread for thread, _ in ran_on}) == 1
+        assert [name for _, name in ran_on] == ["first", "second", "third"]
+    finally:
+        transport.close()
+        server.abort()
+        listener.close()
+    assert not transport._parked
+
+
+def test_tcp_spawns_from_many_threads_each_run_once():
+    # Four spawning threads, more than the cores, with a short switch
+    # interval race for the parked workers of one transport with 3 kept
+    # streams; a lost hand-off would lose a run or hang a join.
+    transport = TcpTransport("127.0.0.1", 0)
+    listener = transport.listen()
+    clients = [transport.connect() for _ in range(3)]  # all open before any is released
+    servers = [listener.accept() for _ in clients]
+    for client in clients:
+        transport.release(client)
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+
+    def spawner(k):
+        for i in range(100):
+            transport.spawn(lambda i=i: ran.append((k, i)), name=f"job-{k}").join(timeout=5.0)
+
+    try:
+        spawners = [threading.Thread(target=spawner, args=(k,)) for k in range(4)]
+        for thread in spawners:
+            thread.start()
+        for thread in spawners:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert sorted(ran) == [(k, i) for k in range(4) for i in range(100)]
+        assert len(transport._parked) <= len(transport._kept) == 3
+    finally:
+        sys.setswitchinterval(interval)
+        transport.close()
+        for server in servers:
+            server.abort()
+        listener.close()
 
 
 def test_tcp_read_timeout():
