@@ -2,36 +2,42 @@
 A striped transfer, end to end
 ==============================
 
-One sender splits a payload over four concurrent connections; the
-receiver writes every chunk in place into one buffer and hands it over
-once the last FIN verifies.  The in-memory transport keeps this self-contained -- swap in
-TcpTransport and the same code runs over real sockets.
+One sender splits a payload over four concurrent TCP connections on the
+loopback interface; the receiver writes every chunk in place into one
+buffer and hands it over once the last FIN verifies.  Both ends run in
+this one process, so the demo needs no second terminal; ``ptcp recv`` and
+``ptcp send`` run the same code across hosts.
 """
+
+from contextlib import closing
 
 import numpy as np
 
 from ptcp.striping import Receiver, send_transfer
-from ptcp.transport import MemoryTransport
+from ptcp.transport import TcpTransport
 from ptcp.wire import sha256
 
 rng = np.random.Generator(np.random.PCG64(1))
 payload = rng.integers(0, 256, 1024 * 1024, dtype=np.uint8).tobytes()
 print(f"sending {len(payload)} bytes over 4 connections")
 
-transport = MemoryTransport()
 received = {}
 
-# The receiver listens before the sender connects, then serves one transfer
-# on the main thread; the sender runs in a transport-spawned worker, exactly
-# as the per-chunk senders do.
-receiver = Receiver(transport, sink=lambda tid, data: received.update(payload=data))
-sender = transport.spawn(
-    lambda: received.update(report=send_transfer(payload, transport, 4)),
-    name="sender",
+# The receiver listens on a free port before the sender connects, then
+# serves one transfer on the main thread; the sender runs in a
+# transport-spawned worker, exactly as the per-chunk senders do.  Closing
+# the sender's transport closes the connections it kept for a next transfer.
+receiver = Receiver(
+    TcpTransport("127.0.0.1", 0), sink=lambda tid, data: received.update(payload=data)
 )
-result = receiver.serve_one()
+with closing(TcpTransport("127.0.0.1", receiver.listener.address[1])) as transport:
+    sender = transport.spawn(
+        lambda: received.update(report=send_transfer(payload, transport, 4)),
+        name="sender",
+    )
+    result = receiver.serve_one()
+    sender.join()
 receiver.close()
-sender.join()
 
 report = received["report"]
 print(f"\nsender: ok={report.ok}, {report.bytes_sent} bytes in {report.wall_time:.3f} s")

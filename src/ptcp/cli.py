@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import harness
 from .metrics import UndefinedFairnessError
-from .striping import FailureKind, Receiver, send_transfer
+from .striping import DEFAULT_IDLE_TIMEOUT, FailureKind, Receiver, send_transfer
 from .transport import TcpTransport
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     recv.add_argument(
         "--idle-timeout",
         type=_positive_seconds,
-        default=30.0,
+        default=DEFAULT_IDLE_TIMEOUT,
         help="per-connection stall limit in seconds",
     )
     recv.set_defaults(run=cmd_recv)

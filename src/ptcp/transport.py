@@ -4,7 +4,7 @@ A transport bundles everything the striping layer needs from its environment:
 
     transport.connect()          -> Stream (reliable, ordered, duplex)
     transport.release(stream)    -> take back a cleanly ended stream: TCP keeps
-                                    it for a later connect(), others close it
+                                    it for a later connect(), the simulator closes it
     transport.listen()           -> Listener with accept() / close()
     transport.spawn(fn, name)    -> worker handle with join(); TCP reuses parked workers
     transport.channel()          -> FIFO with put() / blocking get()
@@ -18,9 +18,8 @@ most ``max_bytes``) are buffered or the stream ends, then returns up to
 end is reached.  ``timeout`` is an idle timeout: each byte that arrives
 restarts it, and ``TimeoutError`` is raised only after ``timeout`` seconds
 with no new byte.  ``abort`` may be called from another thread and wakes a
-reader blocked on the stream.  Backends here:
-real OS TCP sockets and an in-process memory pipe.  The simulated-bottleneck
-backend lives in ``ptcp.simbridge``.
+reader blocked on the stream.  The backend here is real OS TCP sockets; the
+simulated-bottleneck backend lives in ``ptcp.simbridge``.
 """
 
 from __future__ import annotations
@@ -59,28 +58,6 @@ class ThreadHandle:
             raise TimeoutError("worker did not finish in time")
         if self._exc is not None:
             raise self._exc
-
-
-class _ThreadedTransportBase:
-    """release/spawn/channel/now for backends scheduled by the OS."""
-
-    def release(self, stream) -> None:
-        stream.close()
-
-    def spawn(self, fn, name: str = "worker") -> ThreadHandle:
-        handle = ThreadHandle(fn, name)
-        threading.Thread(target=self._work, args=(handle,), name=name, daemon=True).start()
-        return handle
-
-    def _work(self, handle: ThreadHandle) -> None:
-        handle.run()
-        handle.done.set()
-
-    def channel(self) -> "queue.Queue":
-        return queue.Queue()
-
-    def now(self) -> float:
-        return time.monotonic()
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +138,7 @@ class TcpListener:
         self._sock.close()
 
 
-class TcpTransport(_ThreadedTransportBase):
+class TcpTransport:
     """host:port addressed OS TCP sockets.  connect() reuses a released stream
     unless the peer closed, reset or wrote to it.  A worker that returns parks
     while more streams are kept than workers parked, for spawn() to reuse, so a
@@ -205,10 +182,12 @@ class TcpTransport(_ThreadedTransportBase):
     def spawn(self, fn, name: str = "worker") -> ThreadHandle:
         with self._lock:
             inbox = self._parked.pop() if self._parked else None
+        handle = ThreadHandle(fn, name)
         if inbox is None:
-            return super().spawn(fn, name)
-        inbox.put(handle := ThreadHandle(fn, name))
-        handle.started.wait()  # as Thread.start() waits for a new thread to run
+            threading.Thread(target=self._work, args=(handle,), name=name, daemon=True).start()
+        else:
+            inbox.put(handle)
+            handle.started.wait()  # as Thread.start() waits for a new thread to run
         return handle
 
     def _work(self, handle: ThreadHandle | None) -> None:
@@ -233,107 +212,8 @@ class TcpTransport(_ThreadedTransportBase):
             self.port = listener.address[1]
         return listener
 
+    def channel(self) -> queue.Queue:
+        return queue.Queue()
 
-# ---------------------------------------------------------------------------
-# In-process memory pipes (loopback without sockets; also the base for test
-# doubles that delay or stall individual connections)
-# ---------------------------------------------------------------------------
-
-
-class _PipeEnd:
-    """One direction of a duplex memory stream."""
-
-    def __init__(self):
-        self.buf = bytearray()
-        self.closed = False
-        self.cv = threading.Condition()
-
-
-class MemoryStream:
-    def __init__(self, rx: _PipeEnd, tx: _PipeEnd):
-        self._rx = rx
-        self._tx = tx
-
-    def read_some(
-        self, max_bytes: int = READ_CHUNK, timeout: float | None = None, min_bytes: int = 1
-    ) -> bytes:
-        seen = -1
-        with self._rx.cv:
-            while len(self._rx.buf) < min_bytes and not self._rx.closed:
-                if len(self._rx.buf) != seen:  # a new byte restarts the idle clock
-                    seen = len(self._rx.buf)
-                    deadline = None if timeout is None else time.monotonic() + timeout
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError("read timed out")
-                self._rx.cv.wait(remaining)
-            if not self._rx.buf:
-                return b""
-            with memoryview(self._rx.buf) as view:
-                data = bytes(view[:max_bytes])
-            del self._rx.buf[: len(data)]
-            return data
-
-    def write_all(self, data: bytes) -> None:
-        with self._tx.cv:
-            if self._tx.closed:
-                raise ConnectionError("peer closed")
-            self._tx.buf.extend(data)
-            self._tx.cv.notify_all()
-
-    def close(self) -> None:
-        for end in (self._tx, self._rx):
-            with end.cv:
-                end.closed = True
-                end.cv.notify_all()
-
-    abort = close
-
-
-def memory_stream_pair() -> tuple[MemoryStream, MemoryStream]:
-    a_to_b, b_to_a = _PipeEnd(), _PipeEnd()
-    return MemoryStream(b_to_a, a_to_b), MemoryStream(a_to_b, b_to_a)
-
-
-class MemoryListener:
-    def __init__(self):
-        self._pending: "queue.Queue[MemoryStream | None]" = queue.Queue()
-        self._closed = False
-
-    def accept(self) -> MemoryStream:
-        stream = self._pending.get()
-        if stream is None:
-            self._pending.put(None)  # pass the wake-up on to the next acceptor
-            raise ConnectionError("listener closed")
-        return stream
-
-    def close(self) -> None:
-        self._closed = True
-        self._pending.put(None)
-
-    def _submit(self, stream: MemoryStream) -> None:
-        if self._closed:
-            raise ConnectionRefusedError("listener closed")
-        self._pending.put(stream)
-
-
-class MemoryTransport(_ThreadedTransportBase):
-    """Zero-copy in-process transport; one listener per instance."""
-
-    def __init__(self):
-        self._listener: MemoryListener | None = None
-
-    def connect(self) -> MemoryStream:
-        if self._listener is None or self._listener._closed:
-            raise ConnectionRefusedError("nothing listening")
-        client, server = memory_stream_pair()
-        self._listener._submit(server)
-        return client
-
-    def listen(self) -> MemoryListener:
-        if self._listener is not None and not self._listener._closed:
-            raise OSError("endpoint already has a listener")
-        self._listener = MemoryListener()
-        return self._listener
+    def now(self) -> float:
+        return time.monotonic()

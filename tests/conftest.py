@@ -1,18 +1,47 @@
-"""Suite-wide fixtures."""
+"""Suite-wide fixtures and helpers."""
 
 import threading
 import time
+from functools import partial
 
 import pytest
 
+from ptcp.simbridge import SimHub, SimTransport
+from ptcp.simnet import LinkConfig, Network
 
-def wait_until(condition, timeout: float = 2.0) -> bool:
-    deadline = time.monotonic() + timeout
+FAST_LINK = LinkConfig(
+    capacity=100_000_000, one_way_delay=0.01, queue_limit=1_000, loss_probability=0.0
+)
+
+
+def wait_until(condition, timeout: float = 2.0, hub: SimHub | None = None) -> bool:
+    """Poll ``condition`` every 10 ms until it holds (True) or ``timeout``
+    seconds pass (False): seconds of wall time, or of ``hub``'s virtual time
+    when called from one of its tasks."""
+    now, sleep = (time.monotonic, time.sleep) if hub is None else (hub.now, hub.sleep)
+    deadline = now() + timeout
     while not condition():
-        if time.monotonic() > deadline:
+        if now() > deadline:
             return False
-        time.sleep(0.01)
+        sleep(0.01)
     return True
+
+
+def run_on_sim(*tasks) -> list:
+    """Run each of ``tasks`` as a task on one fresh ``FAST_LINK`` simulation,
+    in the order given, each called with its ``SimTransport``; return their
+    results.  An error a task raises is raised here."""
+    hub = SimHub(Network(FAST_LINK))
+    transport = SimTransport(hub)
+    results = [None] * len(tasks)
+
+    def run(i):
+        results[i] = tasks[i](transport)
+
+    for i in range(len(tasks)):
+        hub.spawn(partial(run, i), name=f"test-{i}")
+    hub.run()
+    return results
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ptcp import harness
-from ptcp.cli import EXIT_NETWORK, EXIT_OK, EXIT_TRANSFER, EXIT_USAGE, main
+from ptcp.cli import EXIT_NETWORK, EXIT_OK, EXIT_TRANSFER, EXIT_USAGE, build_parser, main
 from ptcp.harness import (
     ExperimentConfig,
     experiment_from_keys,
@@ -22,6 +22,7 @@ from ptcp.harness import (
     run_experiment,
     run_level,
 )
+from ptcp.striping import DEFAULT_IDLE_TIMEOUT
 from ptcp.wire import sha256
 
 SIM_CONFIG = """
@@ -364,6 +365,10 @@ def test_cli_recv_idle_timeout_must_be_positive_and_finite(value, capsys):
         main(["recv", "--listen", "127.0.0.1:0", "--once", "--idle-timeout", value])
     assert excinfo.value.code == EXIT_USAGE
     assert "--idle-timeout" in capsys.readouterr().err
+
+
+def test_cli_recv_idle_timeout_defaults_to_the_receivers():
+    assert build_parser().parse_args(["recv"]).idle_timeout == DEFAULT_IDLE_TIMEOUT
 
 
 def test_cli_bad_host_port_is_usage_error():

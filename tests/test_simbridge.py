@@ -18,9 +18,7 @@ from ptcp.simnet import LinkConfig, Network
 from ptcp.striping import FailureKind, Receiver, send_transfer, serve
 from ptcp.wire import Data, Hello, TransferManifest, encode_frame, sha256
 
-FAST_LINK = LinkConfig(
-    capacity=100_000_000, one_way_delay=0.01, queue_limit=1_000, loss_probability=0.0
-)
+from conftest import FAST_LINK
 
 
 def make_hub(link: LinkConfig = FAST_LINK, **kwargs) -> SimHub:

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptcp.striping import FailureKind, Receiver, send_transfer, serve
-from ptcp.transport import MemoryTransport, TcpTransport
+from ptcp.striping import DEFAULT_IDLE_TIMEOUT, FailureKind, Receiver, send_transfer, serve
+from ptcp.transport import TcpTransport
 from ptcp.wire import MAX_DATA_PAYLOAD, Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
 
-from conftest import wait_until
+from conftest import run_on_sim, wait_until
 
 
 def collect_sink(store):
@@ -29,14 +29,26 @@ def collect_sink(store):
     return sink
 
 
-def test_roundtrip_memory_four_connections():
-    payload = random.Random(41).randbytes(1024 * 1024)
-    transport = MemoryTransport()
+def _sim_transfer(payload, connections, idle_timeout=DEFAULT_IDLE_TIMEOUT, **send_options):
+    """Send ``payload`` over ``connections`` simulated streams to a fresh
+    receiver; returns the sender's report, the receiver's result and the
+    payloads the sink stored."""
     store = {}
-    receiver = Receiver(transport, collect_sink(store))
-    report = send_transfer(payload, transport, 4)
-    result = receiver.serve_one()
-    receiver.close()
+
+    def run(transport):
+        receiver = Receiver(transport, collect_sink(store), idle_timeout=idle_timeout)
+        report = send_transfer(payload, transport, connections, **send_options)
+        result = receiver.serve_one()
+        receiver.close()
+        return report, result
+
+    [(report, result)] = run_on_sim(run)
+    return report, result, store
+
+
+def test_roundtrip_sim_four_connections():
+    payload = random.Random(41).randbytes(1024 * 1024)
+    report, result, store = _sim_transfer(payload, 4)
 
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
@@ -50,24 +62,14 @@ def test_roundtrip_memory_four_connections():
 
 
 def test_zero_byte_payload():
-    transport = MemoryTransport()
-    store = {}
-    receiver = Receiver(transport, collect_sink(store))
-    report = send_transfer(b"", transport, 2)
-    result = receiver.serve_one()
-    receiver.close()
+    report, result, store = _sim_transfer(b"", 2)
     assert report.ok and result.ok
     assert store[report.transfer_id] == b""
 
 
 def test_single_connection_baseline():
     payload = random.Random(7).randbytes(200_000)
-    transport = MemoryTransport()
-    store = {}
-    receiver = Receiver(transport, collect_sink(store))
-    report = send_transfer(payload, transport, 1, data_frame_bytes=8192)
-    result = receiver.serve_one()
-    receiver.close()
+    report, result, store = _sim_transfer(payload, 1, data_frame_bytes=8192)
     assert report.ok and result.ok
     assert store[report.transfer_id] == payload
     assert len(report.per_connection) == 1
@@ -79,37 +81,40 @@ def test_completion_order_does_not_matter():
     # index order.
     payload = b"A" * 10 + b"B" * 10
     manifest = TransferManifest.for_payload(payload, 2)
-    transport = MemoryTransport()
-    store = {}
-    receiver = Receiver(transport, collect_sink(store))
 
-    s0 = transport.connect()
-    s1 = transport.connect()
-    for stream, chunk in ((s0, manifest.chunks[0]), (s1, manifest.chunks[1])):
-        body = payload[chunk.offset : chunk.offset + chunk.length]
-        stream.write_all(
-            encode_frame(
-                Hello(
-                    manifest.transfer_id,
-                    manifest.total_size,
-                    2,
-                    chunk.index,
-                    chunk.offset,
-                    chunk.length,
-                    manifest.payload_digest,
+    def run(transport):
+        store = {}
+        receiver = Receiver(transport, collect_sink(store))
+
+        s0 = transport.connect()
+        s1 = transport.connect()
+        for stream, chunk in ((s0, manifest.chunks[0]), (s1, manifest.chunks[1])):
+            body = payload[chunk.offset : chunk.offset + chunk.length]
+            stream.write_all(
+                encode_frame(
+                    Hello(
+                        manifest.transfer_id,
+                        manifest.total_size,
+                        2,
+                        chunk.index,
+                        chunk.offset,
+                        chunk.length,
+                        manifest.payload_digest,
+                    )
                 )
             )
-        )
-        stream.write_all(encode_frame(Data(chunk.index, 0, body)))
-    # FIN chunk 1 first, wait for its receipt, then FIN chunk 0.
-    s1.write_all(encode_frame(Fin(1, sha256(b"B" * 10))))
-    assert s1.read_some(timeout=5.0) != b""
-    s0.write_all(encode_frame(Fin(0, sha256(b"A" * 10))))
+            stream.write_all(encode_frame(Data(chunk.index, 0, body)))
+        # FIN chunk 1 first, wait for its receipt, then FIN chunk 0.
+        s1.write_all(encode_frame(Fin(1, sha256(b"B" * 10))))
+        assert s1.read_some(timeout=5.0) != b""
+        s0.write_all(encode_frame(Fin(0, sha256(b"A" * 10))))
 
-    result = receiver.serve_one()
-    receiver.close()
-    assert result.ok, result.reason
-    assert store[manifest.transfer_id] == payload
+        result = receiver.serve_one()
+        receiver.close()
+        assert result.ok, result.reason
+        assert store[manifest.transfer_id] == payload
+
+    run_on_sim(run)
 
 
 def _hello_for(manifest, chunk):
@@ -127,62 +132,75 @@ def _hello_for(manifest, chunk):
 def test_duplicate_chunk_index_fails_transfer():
     payload = b"x" * 100
     manifest = TransferManifest.for_payload(payload, 2)
-    transport = MemoryTransport()
-    receiver = Receiver(transport)
 
-    s0 = transport.connect()
-    s1 = transport.connect()
-    s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    # Second stream claims chunk 0 as well.
-    s1.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+    def run(transport):
+        receiver = Receiver(transport)
 
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "duplicate" in result.reason
+        s0 = transport.connect()
+        s1 = transport.connect()
+        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        # Second stream claims chunk 0 as well.
+        s1.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "duplicate" in result.reason
+
+    run_on_sim(run)
 
 
 def test_stream_without_hello_completes_nothing():
     # A stream that opens with DATA names no transfer: it is aborted, and the
     # next completion is the next real transfer, not an anonymous failure.
-    transport = MemoryTransport()
-    receiver = Receiver(transport)
-    stray = transport.connect()
-    stray.write_all(encode_frame(Data(0, 0, b"orphan")))
-    assert stray.read_some(timeout=5.0) == b""
-    report = send_transfer(b"real" * 100, transport, 2)
-    result = receiver.serve_one()
-    receiver.close()
-    assert report.ok and result.ok, result.reason
-    assert result.transfer_id == report.transfer_id
+    def run(transport):
+        receiver = Receiver(transport)
+        stray = transport.connect()
+        stray.write_all(encode_frame(Data(0, 0, b"orphan")))
+        assert stray.read_some(timeout=5.0) == b""
+        report = send_transfer(b"real" * 100, transport, 2)
+        result = receiver.serve_one()
+        receiver.close()
+        assert report.ok and result.ok, result.reason
+        assert result.transfer_id == report.transfer_id
+
+    run_on_sim(run)
 
 
-@pytest.mark.parametrize(
-    "make_transport", [MemoryTransport, lambda: TcpTransport("127.0.0.1", 0)], ids=["memory", "tcp"]
-)
-def test_failure_ends_every_stream_of_the_transfer(make_transport):
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_failure_ends_every_stream_of_the_transfer(backend):
     # The chunk-1 stream sends its HELLO and goes quiet; then chunk 0 fails
     # with a short FIN.  The failure must end the quiet stream at once, not at
     # the 30 s idle timeout, and send its worker back to accept().
     manifest = TransferManifest.for_payload(b"Q" * 1000, 2)
-    transport = make_transport()
-    receiver = Receiver(transport, idle_timeout=30.0)
-    quiet = transport.connect()
-    failing = transport.connect()
-    try:
-        quiet.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
-        assert wait_until(lambda: [s.registered for s in receiver.transfer_states()] == [{1}])
-        failing.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-        failing.write_all(encode_frame(Fin(0, sha256(b""))))
-        result = receiver.serve_one()
-        assert result.failure_kind is FailureKind.PROTOCOL
-        assert "FIN after 0 of 500" in result.reason
-        assert quiet.read_some(timeout=1.0) == b""
-        assert wait_until(lambda: receiver._accepting == _live_workers(), 1.0)
-    finally:
-        quiet.abort()
-        failing.abort()
-        receiver.close()
+
+    def run(transport, hub=None):
+        receiver = Receiver(transport, idle_timeout=30.0)
+        quiet = transport.connect()
+        failing = transport.connect()
+        try:
+            quiet.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
+            assert wait_until(lambda: [s.registered for s in receiver.transfer_states()] == [{1}], hub=hub)
+            failing.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+            failing.write_all(encode_frame(Fin(0, sha256(b""))))
+            result = receiver.serve_one()
+            assert result.failure_kind is FailureKind.PROTOCOL
+            assert "FIN after 0 of 500" in result.reason
+            assert quiet.read_some(timeout=1.0) == b""
+            assert wait_until(lambda: receiver._accepting == _live_workers(), 1.0, hub)
+        finally:
+            quiet.abort()
+            failing.abort()
+            receiver.close()
+
+    if backend == "sim":
+        run_on_sim(lambda transport: run(transport, transport._hub))
+    else:
+        transport = TcpTransport("127.0.0.1", 0)
+        try:
+            run(transport)
+        finally:
+            transport.close()
 
 
 def _live_workers() -> int:
@@ -190,16 +208,13 @@ def _live_workers() -> int:
 
 
 @pytest.mark.parametrize("connections", [1, 3])
-@pytest.mark.parametrize(
-    "make_transport", [MemoryTransport, lambda: TcpTransport("127.0.0.1", 0)], ids=["memory", "tcp"]
-)
-def test_transfers_start_threads_only_at_the_sender(make_transport, connections):
+def test_transfers_start_threads_only_at_the_sender(connections):
     # Receiver workers outlive their streams and the sender runs chunk 0 on
     # the calling thread, so once the receiver has served `connections`
     # streams at once, each transfer starts connections - 1 threads, all of
     # them the sender's.  Held streams bring the receiver there: how many
     # workers a first transfer leaves depends on thread timing.
-    transport = make_transport()
+    transport = TcpTransport("127.0.0.1", 0)
     spawned = []
     spawn = transport.spawn
 
@@ -217,8 +232,8 @@ def test_transfers_start_threads_only_at_the_sender(make_transport, connections)
 
         def settled():
             # Every worker is back in accept() or waiting between chunks on a
-            # stream the sender kept; only TCP keeps streams.
-            kept = len(getattr(transport, "_kept", ()))
+            # stream the sender kept.
+            kept = len(transport._kept)
             return (receiver._accepting, len(receiver._waiting)) == (_live_workers() - kept, kept)
 
         for i in range(3):
@@ -230,35 +245,37 @@ def test_transfers_start_threads_only_at_the_sender(make_transport, connections)
             assert spawned == [f"send-{k}" for k in range(1, connections)]
         assert _live_workers() == connections + 1
     finally:
-        if isinstance(transport, TcpTransport):
-            transport.close()  # closes the streams it kept
+        transport.close()  # closes the streams it kept
         receiver.close()
 
 
 def test_inconsistent_hello_fails_transfer():
     payload = b"y" * 64
     manifest = TransferManifest.for_payload(payload, 2)
-    transport = MemoryTransport()
-    receiver = Receiver(transport)
 
-    s0 = transport.connect()
-    s1 = transport.connect()
-    s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    assert wait_until(receiver.transfer_states)  # the good HELLO makes the monitor
-    bad = Hello(
-        manifest.transfer_id,
-        manifest.total_size + 1,  # disagrees with the first HELLO
-        2,
-        1,
-        manifest.chunks[1].offset,
-        manifest.chunks[1].length,
-        manifest.payload_digest,
-    )
-    s1.write_all(encode_frame(bad))
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "inconsistent" in result.reason
+    def run(transport):
+        receiver = Receiver(transport)
+
+        s0 = transport.connect()
+        s1 = transport.connect()
+        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        assert wait_until(receiver.transfer_states, hub=transport._hub)  # the good HELLO makes the monitor
+        bad = Hello(
+            manifest.transfer_id,
+            manifest.total_size + 1,  # disagrees with the first HELLO
+            2,
+            1,
+            manifest.chunks[1].offset,
+            manifest.chunks[1].length,
+            manifest.payload_digest,
+        )
+        s1.write_all(encode_frame(bad))
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "inconsistent" in result.reason
+
+    run_on_sim(run)
 
 
 def test_corrupt_chunk_detected_end_to_end():
@@ -268,21 +285,24 @@ def test_corrupt_chunk_detected_end_to_end():
     payload = b"real payload bytes" * 10
     manifest = TransferManifest.for_payload(payload, 1)
     body = payload
-    transport = MemoryTransport()
-    receiver = Receiver(transport)
-    stream = transport.connect()
-    stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    corrupted = bytes(b ^ 0xFF for b in body)
-    stream.write_all(encode_frame(Data(0, 0, corrupted)))
-    stream.write_all(encode_frame(Fin(0, sha256(body))))
 
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "corrupt-chunk" in result.reason
-    assert result.failure_kind is FailureKind.CORRUPT_CHUNK
-    # No receipt: the stream was aborted.
-    assert stream.read_some(timeout=5.0) == b""
+    def run(transport):
+        receiver = Receiver(transport)
+        stream = transport.connect()
+        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        corrupted = bytes(b ^ 0xFF for b in body)
+        stream.write_all(encode_frame(Data(0, 0, corrupted)))
+        stream.write_all(encode_frame(Fin(0, sha256(body))))
+
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "corrupt-chunk" in result.reason
+        assert result.failure_kind is FailureKind.CORRUPT_CHUNK
+        # No receipt: the stream was aborted.
+        assert stream.read_some(timeout=5.0) == b""
+
+    run_on_sim(run)
 
 
 def test_root_mismatch_fails_transfer_as_corrupt_payload():
@@ -290,26 +310,29 @@ def test_root_mismatch_fails_transfer_as_corrupt_payload():
     # chunk check passes; only the hash-list root in HELLO can catch it.
     payload = random.Random(11).randbytes(3000)
     manifest = TransferManifest.for_payload(payload, 3)
-    transport = MemoryTransport()
-    store = {}
-    receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
-    streams = []
-    for chunk in manifest.chunks:
-        body = payload[chunk.offset : chunk.offset + chunk.length]
-        if chunk.index == 1:
-            body = bytes(b ^ 0x5A for b in body)
-        stream = transport.connect()
-        stream.write_all(encode_frame(_hello_for(manifest, chunk)))
-        stream.write_all(encode_frame(Data(chunk.index, 0, body)))
-        stream.write_all(encode_frame(Fin(chunk.index, sha256(body))))
-        streams.append(stream)
 
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert result.reason == "corrupt-payload: digest mismatch"
-    assert result.failure_kind is FailureKind.CORRUPT_PAYLOAD
-    assert store == {}
+    def run(transport):
+        store = {}
+        receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
+        streams = []
+        for chunk in manifest.chunks:
+            body = payload[chunk.offset : chunk.offset + chunk.length]
+            if chunk.index == 1:
+                body = bytes(b ^ 0x5A for b in body)
+            stream = transport.connect()
+            stream.write_all(encode_frame(_hello_for(manifest, chunk)))
+            stream.write_all(encode_frame(Data(chunk.index, 0, body)))
+            stream.write_all(encode_frame(Fin(chunk.index, sha256(body))))
+            streams.append(stream)
+
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert result.reason == "corrupt-payload: digest mismatch"
+        assert result.failure_kind is FailureKind.CORRUPT_PAYLOAD
+        assert store == {}
+
+    run_on_sim(run)
 
 
 def test_each_side_hashes_every_byte_once(monkeypatch):
@@ -332,12 +355,7 @@ def test_each_side_hashes_every_byte_once(monkeypatch):
 
     monkeypatch.setattr(hashlib, "sha256", CountingSha256)
     payload = random.Random(13).randbytes(200_001)
-    transport = MemoryTransport()
-    store = {}
-    receiver = Receiver(transport, collect_sink(store))
-    report = send_transfer(payload, transport, 3)
-    result = receiver.serve_one()
-    receiver.close()
+    report, result, store = _sim_transfer(payload, 3)
     assert report.ok and result.ok
     assert store[report.transfer_id] == payload
     assert sum(hashed) == 2 * len(payload) + 2 * 32 * 3
@@ -346,30 +364,36 @@ def test_each_side_hashes_every_byte_once(monkeypatch):
 def test_wrong_offset_fails_transfer():
     payload = b"z" * 50
     manifest = TransferManifest.for_payload(payload, 1)
-    transport = MemoryTransport()
-    receiver = Receiver(transport)
-    stream = transport.connect()
-    stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    stream.write_all(encode_frame(Data(0, 10, payload[10:])))  # hole at 0..10
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "offset" in result.reason
+
+    def run(transport):
+        receiver = Receiver(transport)
+        stream = transport.connect()
+        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(Data(0, 10, payload[10:])))  # hole at 0..10
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "offset" in result.reason
+
+    run_on_sim(run)
 
 
 def test_fin_before_all_data_fails():
     payload = b"w" * 50
     manifest = TransferManifest.for_payload(payload, 1)
-    transport = MemoryTransport()
-    receiver = Receiver(transport)
-    stream = transport.connect()
-    stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    stream.write_all(encode_frame(Data(0, 0, payload[:20])))
-    stream.write_all(encode_frame(Fin(0, sha256(payload))))
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "FIN after 20 of 50" in result.reason
+
+    def run(transport):
+        receiver = Receiver(transport)
+        stream = transport.connect()
+        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(Data(0, 0, payload[:20])))
+        stream.write_all(encode_frame(Fin(0, sha256(payload))))
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "FIN after 20 of 50" in result.reason
+
+    run_on_sim(run)
 
 
 _MANIFEST_2 = TransferManifest.for_payload(b"e" * 1024, 2)  # chunk 0 is (0, 512)
@@ -388,30 +412,31 @@ _HELLO_0 = _hello_for(_MANIFEST_2, _MANIFEST_2.chunks[0])
     ids=["chunk-index-out-of-range", "second-hello", "data-for-other-chunk", "data-past-length", "closed-before-fin"],
 )
 def test_protocol_errors_fail_the_transfer_and_abort_its_stream(frames, detail):
-    transport = MemoryTransport()
-    receiver = Receiver(transport)
-    stream = transport.connect()
-    for frame in frames:
-        if frame is None:
-            stream.close()
-        else:
-            stream.write_all(encode_frame(frame))
-    result = receiver.serve_one()
-    receiver.close()
-    assert result.failure_kind is FailureKind.PROTOCOL
-    assert result.reason == f"protocol-error: {detail}"
-    assert stream.read_some(timeout=1.0) == b""
-    stream.close()
+    def run(transport):
+        receiver = Receiver(transport)
+        stream = transport.connect()
+        for frame in frames:
+            if frame is None:
+                stream.close()
+            else:
+                stream.write_all(encode_frame(frame))
+        result = receiver.serve_one()
+        receiver.close()
+        assert result.failure_kind is FailureKind.PROTOCOL
+        assert result.reason == f"protocol-error: {detail}"
+        assert stream.read_some(timeout=1.0) == b""
+        stream.close()
+
+    run_on_sim(run)
 
 
 def test_sender_rejects_bad_receipt_digest():
     # A hand-rolled receiver acknowledges with the wrong digest; the sender
     # must report the transfer as failed.
     payload = b"p" * 1000
-    transport = MemoryTransport()
-    listener = transport.listen()
 
-    def bogus_receiver():
+    def bogus_receiver(transport):  # runs first, so it listens before the sender connects
+        listener = transport.listen()
         stream = listener.accept()
         decoder = FrameDecoder()
         done = False
@@ -424,11 +449,9 @@ def test_sender_rejects_bad_receipt_digest():
                     done = True
         stream.write_all(encode_frame(Fin(0, b"\x00" * 32)))
         stream.close()
+        listener.close()
 
-    handle = transport.spawn(bogus_receiver)
-    report = send_transfer(payload, transport, 1)
-    handle.join(timeout=5.0)
-    listener.close()
+    _, report = run_on_sim(bogus_receiver, lambda transport: send_transfer(payload, transport, 1))
     assert not report.ok
     assert report.failure_kind is FailureKind.CONNECTION
     assert report.failure_reason.startswith("connection failed: ")
@@ -438,15 +461,18 @@ def test_sender_rejects_bad_receipt_digest():
 def test_stalled_connection_hits_idle_timeout():
     payload = b"s" * 100
     manifest = TransferManifest.for_payload(payload, 1)
-    transport = MemoryTransport()
-    receiver = Receiver(transport, idle_timeout=0.2)
-    stream = transport.connect()
-    stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    # ... and nothing more.
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "stalled" in result.reason
+
+    def run(transport):
+        receiver = Receiver(transport, idle_timeout=0.2)
+        stream = transport.connect()
+        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        # ... and nothing more.
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "stalled" in result.reason
+
+    run_on_sim(run)
 
 
 @pytest.mark.parametrize("idle_timeout", [0.0, -1.0, float("nan"), float("inf")])
@@ -460,14 +486,17 @@ def test_receiver_rejects_idle_timeout_not_positive_and_finite(idle_timeout):
 def test_buffer_cap_rejects_oversized_transfer():
     payload = b"c" * 2048
     manifest = TransferManifest.for_payload(payload, 1)
-    transport = MemoryTransport()
-    receiver = Receiver(transport, buffer_cap=1024)
-    stream = transport.connect()
-    stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "buffer cap" in result.reason
+
+    def run(transport):
+        receiver = Receiver(transport, buffer_cap=1024)
+        stream = transport.connect()
+        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "buffer cap" in result.reason
+
+    run_on_sim(run)
 
 
 @pytest.mark.parametrize(
@@ -479,69 +508,76 @@ def test_hello_chunk_placement_must_match_partition(offset, length):
     # A 1 KiB transfer over two streams: chunk 1 is (512, 512).  A HELLO
     # claiming any other placement could otherwise buffer past buffer_cap.
     manifest = TransferManifest.for_payload(b"h" * 1024, 2)
-    transport = MemoryTransport()
-    receiver = Receiver(transport, buffer_cap=1024 * 1024, idle_timeout=2.0)
-    stream = transport.connect()
-    hello = replace(_hello_for(manifest, manifest.chunks[1]), chunk_offset=offset, chunk_length=length)
-    stream.write_all(encode_frame(hello))
-    result = receiver.serve_one()
-    receiver.close()
-    assert not result.ok
-    assert "protocol-error" in result.reason
-    assert "placed" in result.reason
+
+    def run(transport):
+        receiver = Receiver(transport, buffer_cap=1024 * 1024, idle_timeout=2.0)
+        stream = transport.connect()
+        hello = replace(_hello_for(manifest, manifest.chunks[1]), chunk_offset=offset, chunk_length=length)
+        stream.write_all(encode_frame(hello))
+        result = receiver.serve_one()
+        receiver.close()
+        assert not result.ok
+        assert "protocol-error" in result.reason
+        assert "placed" in result.reason
+
+    run_on_sim(run)
 
 
 def test_transfer_states_snapshot_during_stall():
     payload = b"q" * 100
     manifest = TransferManifest.for_payload(payload, 2)
-    transport = MemoryTransport()
-    receiver = Receiver(transport, idle_timeout=2.0)
-    stream = transport.connect()
-    stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
 
-    deadline = time.monotonic() + 2.0
-    states = []
-    while time.monotonic() < deadline:
-        states = receiver.transfer_states()
-        if states and states[0].registered == {0}:
-            break
-        time.sleep(0.01)
-    assert len(states) == 1
-    assert states[0].transfer_id == manifest.transfer_id
-    assert states[0].connection_count == 2
-    assert states[0].registered == {0}
-    assert states[0].completed == set()
-    stream.abort()
-    result = receiver.serve_one()
-    assert not result.ok
-    receiver.close()
+    def run(transport):
+        receiver = Receiver(transport, idle_timeout=2.0)
+        stream = transport.connect()
+        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+
+        hub = transport._hub
+        deadline = hub.now() + 2.0
+        states = []
+        while hub.now() < deadline:
+            states = receiver.transfer_states()
+            if states and states[0].registered == {0}:
+                break
+            hub.sleep(0.01)
+        assert len(states) == 1
+        assert states[0].transfer_id == manifest.transfer_id
+        assert states[0].connection_count == 2
+        assert states[0].registered == {0}
+        assert states[0].completed == set()
+        stream.abort()
+        result = receiver.serve_one()
+        assert not result.ok
+        receiver.close()
+
+    run_on_sim(run)
 
 
 def test_independent_concurrent_transfers():
-    transport = MemoryTransport()
     store = {}
-    receiver = Receiver(transport, collect_sink(store))
     payload_a = random.Random(1).randbytes(300_000)
     payload_b = random.Random(2).randbytes(300_000)
 
-    reports = {}
-    ha = transport.spawn(lambda: reports.__setitem__("a", send_transfer(payload_a, transport, 3)))
-    hb = transport.spawn(lambda: reports.__setitem__("b", send_transfer(payload_b, transport, 2)))
-    ha.join(timeout=30.0)
-    hb.join(timeout=30.0)
-    r1 = receiver.serve_one()
-    r2 = receiver.serve_one()
-    receiver.close()
+    def serve_two(transport):  # runs first, so it listens before either sender connects
+        receiver = Receiver(transport, collect_sink(store))
+        results = receiver.serve_one(), receiver.serve_one()
+        receiver.close()
+        return results
 
-    assert reports["a"].ok and reports["b"].ok
+    (r1, r2), report_a, report_b = run_on_sim(
+        serve_two,
+        lambda transport: send_transfer(payload_a, transport, 3),
+        lambda transport: send_transfer(payload_b, transport, 2),
+    )
+
+    assert report_a.ok and report_b.ok
     assert r1.ok and r2.ok
-    assert store[reports["a"].transfer_id] == payload_a
-    assert store[reports["b"].transfer_id] == payload_b
+    assert store[report_a.transfer_id] == payload_a
+    assert store[report_b.transfer_id] == payload_b
 
 
 def test_connect_failure_reported_not_raised():
-    transport = MemoryTransport()  # nothing listening
-    report = send_transfer(b"data", transport, 2)
+    [report] = run_on_sim(lambda transport: send_transfer(b"data", transport, 2))  # nothing listening
     assert not report.ok
     assert "connect failed" in report.failure_reason
     assert report.failure_kind is FailureKind.CONNECT
@@ -550,20 +586,15 @@ def test_connect_failure_reported_not_raised():
 
 def test_serve_helper_single_transfer():
     payload = b"one shot"
-    transport = MemoryTransport()
     store = {}
-    reports = {}
-
-    def run_send():
-        time.sleep(0.05)  # serve() below binds its listener first
-        reports["r"] = send_transfer(payload, transport, 2)
-
-    handle = transport.spawn(run_send)
-    result = serve(transport, collect_sink(store))
-    handle.join(timeout=10.0)
-    assert reports["r"].ok, reports["r"].failure_reason
+    # serve() runs first, so it binds its listener before the sender connects.
+    result, report = run_on_sim(
+        lambda transport: serve(transport, collect_sink(store)),
+        lambda transport: send_transfer(payload, transport, 2),
+    )
+    assert report.ok, report.failure_reason
     assert result.ok, result.reason
-    assert store[reports["r"].transfer_id] == payload
+    assert store[report.transfer_id] == payload
 
 
 def test_striping_over_tcp_loopback():
@@ -703,12 +734,14 @@ def test_parked_sender_workers_hold_no_reference_to_the_payload():
 
 @pytest.mark.parametrize("frame_bytes", [0, MAX_DATA_PAYLOAD + 1])
 def test_data_frame_bytes_out_of_range_fails_before_any_connect(frame_bytes):
-    transport = MemoryTransport()
-    listener = transport.listen()
-    with pytest.raises(ValueError, match="data_frame_bytes"):
-        send_transfer(b"x" * 1000, transport, 2, data_frame_bytes=frame_bytes)
-    assert listener._pending.empty()  # no stream was offered to accept()
-    listener.close()
+    def run(transport):
+        listener = transport.listen()
+        with pytest.raises(ValueError, match="data_frame_bytes"):
+            send_transfer(b"x" * 1000, transport, 2, data_frame_bytes=frame_bytes)
+        assert not listener._pending  # no stream was offered to accept()
+        listener.close()
+
+    run_on_sim(run)
 
 
 def test_kept_stream_retired_by_the_receiver_is_replaced():
@@ -774,35 +807,37 @@ def test_failure_spares_the_streams_of_completed_chunks():
     # Chunk 0 of transfer A completes; then chunk 1 fails A.  The stream that
     # carried chunk 0 may already carry the next transfer, so A's failure
     # must not abort it.
-    transport = MemoryTransport()
-    store = {}
-    receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
-    first = TransferManifest.for_payload(b"A" * 1000, 2)
-    reused, failing = transport.connect(), transport.connect()
-    try:
-        body = b"A" * 500
-        for frame in (_hello_for(first, first.chunks[0]), Data(0, 0, body), Fin(0, sha256(body))):
-            reused.write_all(encode_frame(frame))
-        assert FrameDecoder().feed(reused.read_some(timeout=5.0)) == [Fin(0, sha256(body))]
-        failing.write_all(encode_frame(_hello_for(first, first.chunks[1])))
-        failing.write_all(encode_frame(Fin(1, sha256(b""))))
-        assert receiver.serve_one().failure_kind is FailureKind.PROTOCOL
+    def run(transport):
+        store = {}
+        receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
+        first = TransferManifest.for_payload(b"A" * 1000, 2)
+        reused, failing = transport.connect(), transport.connect()
+        try:
+            body = b"A" * 500
+            for frame in (_hello_for(first, first.chunks[0]), Data(0, 0, body), Fin(0, sha256(body))):
+                reused.write_all(encode_frame(frame))
+            assert FrameDecoder().feed(reused.read_some(timeout=5.0)) == [Fin(0, sha256(body))]
+            failing.write_all(encode_frame(_hello_for(first, first.chunks[1])))
+            failing.write_all(encode_frame(Fin(1, sha256(b""))))
+            assert receiver.serve_one().failure_kind is FailureKind.PROTOCOL
 
-        payload = b"next transfer"
-        second = TransferManifest.for_payload(payload, 1)
-        for frame in (_hello_for(second, second.chunks[0]), Data(0, 0, payload), Fin(0, sha256(payload))):
-            reused.write_all(encode_frame(frame))
-        result = receiver.serve_one()
-        assert result.ok and result.transfer_id == second.transfer_id, result.reason
-        assert store[second.transfer_id] == payload
-    finally:
-        reused.abort()
-        failing.abort()
-        receiver.close()
+            payload = b"next transfer"
+            second = TransferManifest.for_payload(payload, 1)
+            for frame in (_hello_for(second, second.chunks[0]), Data(0, 0, payload), Fin(0, sha256(payload))):
+                reused.write_all(encode_frame(frame))
+            result = receiver.serve_one()
+            assert result.ok and result.transfer_id == second.transfer_id, result.reason
+            assert store[second.transfer_id] == payload
+        finally:
+            reused.abort()
+            failing.abort()
+            receiver.close()
+
+    run_on_sim(run)
 
 
 def test_closed_tcp_receiver_frees_its_port():
-    # close() must wake the accept thread; while it sits in accept() the
+    # close() must wake the worker in accept(); while it sits there the
     # listening socket, and so the port, stays bound.
     first = Receiver(TcpTransport("127.0.0.1", 0))
     port = first.listener.address[1]
@@ -843,8 +878,9 @@ class _HeldReceiptStream:
 def test_one_completion_per_transfer_id():
     # Chunk 0 completes, then its receipt write fails only after chunk 1
     # finalized the transfer: that failure must not be a second completion.
+    # A receiver worker blocks on an Event, so this runs on OS threads.
     release, aborted = threading.Event(), threading.Event()
-    transport = MemoryTransport()
+    transport = TcpTransport("127.0.0.1", 0)
     listener = transport.listen()
     accept = listener.accept
     listener.accept = lambda: _HeldReceiptStream(accept(), release, aborted)
@@ -853,28 +889,36 @@ def test_one_completion_per_transfer_id():
     receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
     payload = random.Random(3).randbytes(10_000)
     manifest = TransferManifest.for_payload(payload, 2)
+    sent_by_hand = []
 
     def send_chunk(chunk):
         stream = transport.connect()
+        sent_by_hand.append(stream)
         body = payload[chunk.offset : chunk.offset + chunk.length]
         frames = (_hello_for(manifest, chunk), Data(chunk.index, 0, body), Fin(chunk.index, sha256(body)))
         for frame in frames:
             stream.write_all(encode_frame(frame))
         return stream
 
-    s0 = send_chunk(manifest.chunks[0])
-    assert wait_until(lambda: [s.completed for s in receiver.transfer_states()] == [{0}])
-    send_chunk(manifest.chunks[1])  # chunk 1 completes last, so it finalizes the transfer
-    first = receiver.serve_one()
-    assert first.ok, first.reason
-    assert store[first.transfer_id] == payload
-    release.set()
-    assert aborted.wait(5.0)
-    assert s0.read_some(timeout=5.0) == b""  # chunk 0 never got its receipt
+    try:
+        s0 = send_chunk(manifest.chunks[0])
+        assert wait_until(lambda: [s.completed for s in receiver.transfer_states()] == [{0}])
+        send_chunk(manifest.chunks[1])  # chunk 1 completes last, so it finalizes the transfer
+        first = receiver.serve_one()
+        assert first.ok, first.reason
+        assert store[first.transfer_id] == payload
+        release.set()
+        assert aborted.wait(5.0)
+        assert s0.read_some(timeout=5.0) == b""  # chunk 0 never got its receipt
 
-    report = send_transfer(payload, transport, 2)
-    following = receiver.serve_one()
-    receiver.close()
+        report = send_transfer(payload, transport, 2)
+        following = receiver.serve_one()
+    finally:
+        release.set()
+        for stream in sent_by_hand:
+            stream.abort()
+        transport.close()  # closes the streams it kept
+        receiver.close()
     assert report.ok and following.ok
     assert following.transfer_id == report.transfer_id
 
@@ -885,28 +929,31 @@ def test_late_stream_of_failed_transfer_is_turned_away():
     # hold a payload-sized buffer) and without a second completion.
     payload = b"L" * 1000
     manifest = TransferManifest.for_payload(payload, 2)
-    transport = MemoryTransport()
-    receiver = Receiver(transport, idle_timeout=0.6)
-    s0 = transport.connect()
-    s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    s0.write_all(encode_frame(Fin(0, sha256(b""))))
-    failed = receiver.serve_one()
-    assert not failed.ok and "FIN after 0 of 500" in failed.reason
 
-    s1 = transport.connect()
-    s1.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
-    s1.write_all(encode_frame(Data(1, 0, payload[500:600])))
-    assert s1.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
-    assert receiver.transfer_states() == []
+    def run(transport):
+        receiver = Receiver(transport, idle_timeout=0.6)
+        s0 = transport.connect()
+        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        s0.write_all(encode_frame(Fin(0, sha256(b""))))
+        failed = receiver.serve_one()
+        assert not failed.ok and "FIN after 0 of 500" in failed.reason
 
-    # Past the idle timeout a zombie would have queued its own failure
-    # ahead of this transfer's completion.
-    time.sleep(0.8)
-    report = send_transfer(payload, transport, 2)
-    result = receiver.serve_one()
-    receiver.close()
-    assert report.ok and result.ok
-    assert result.transfer_id == report.transfer_id
+        s1 = transport.connect()
+        s1.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
+        s1.write_all(encode_frame(Data(1, 0, payload[500:600])))
+        assert s1.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
+        assert receiver.transfer_states() == []
+
+        # Past the idle timeout a zombie would have queued its own failure
+        # ahead of this transfer's completion.
+        transport._hub.sleep(0.8)
+        report = send_transfer(payload, transport, 2)
+        result = receiver.serve_one()
+        receiver.close()
+        assert report.ok and result.ok
+        assert result.transfer_id == report.transfer_id
+
+    run_on_sim(run)
 
 
 def test_late_stream_of_succeeded_transfer_is_turned_away():
@@ -915,23 +962,26 @@ def test_late_stream_of_succeeded_transfer_is_turned_away():
     # completion for the same transfer id.
     payload = b"S" * 1000
     manifest = TransferManifest.for_payload(payload, 2)
-    transport = MemoryTransport()
-    receiver = Receiver(transport, idle_timeout=0.6)
-    report = send_transfer(payload, transport, 2, transfer_id=manifest.transfer_id)
-    done = receiver.serve_one()
-    assert report.ok and done.ok
 
-    late = transport.connect()
-    late.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-    assert late.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
-    assert receiver.transfer_states() == []
+    def run(transport):
+        receiver = Receiver(transport, idle_timeout=0.6)
+        report = send_transfer(payload, transport, 2, transfer_id=manifest.transfer_id)
+        done = receiver.serve_one()
+        assert report.ok and done.ok
 
-    time.sleep(0.8)
-    following = send_transfer(payload, transport, 2)
-    result = receiver.serve_one()
-    receiver.close()
-    assert following.ok and result.ok
-    assert result.transfer_id == following.transfer_id
+        late = transport.connect()
+        late.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        assert late.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
+        assert receiver.transfer_states() == []
+
+        transport._hub.sleep(0.8)
+        following = send_transfer(payload, transport, 2)
+        result = receiver.serve_one()
+        receiver.close()
+        assert following.ok and result.ok
+        assert result.transfer_id == following.transfer_id
+
+    run_on_sim(run)
 
 
 def test_many_workers_under_fast_thread_switching():
@@ -939,7 +989,7 @@ def test_many_workers_under_fast_thread_switching():
     # per-chunk writes and digests run outside the monitor lock and must
     # still land every byte in its place.
     payload = random.Random(5).randbytes(512 * 1024)
-    transport = MemoryTransport()
+    transport = TcpTransport("127.0.0.1", 0)
     store = {}
     receiver = Receiver(transport, collect_sink(store), idle_timeout=20.0)
     interval = sys.getswitchinterval()
@@ -949,6 +999,7 @@ def test_many_workers_under_fast_thread_switching():
         result = receiver.serve_one()
     finally:
         sys.setswitchinterval(interval)
+        transport.close()  # closes the streams it kept
         receiver.close()
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
@@ -965,17 +1016,15 @@ def test_many_workers_under_fast_thread_switching():
 def test_roundtrip_any_size_connections_and_frame_size(size, connections, frame_bytes, seed):
     # Covers n > size (empty chunks) and frames that split chunks unevenly.
     payload = random.Random(seed).randbytes(size)
-    transport = MemoryTransport()
-    store = {}
-    receiver = Receiver(transport, collect_sink(store), idle_timeout=10.0)
-    report = send_transfer(payload, transport, connections, data_frame_bytes=frame_bytes)
-    result = receiver.serve_one()
-    receiver.close()
+    report, result, store = _sim_transfer(payload, connections, 10.0, data_frame_bytes=frame_bytes)
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
     assert store[report.transfer_id] == payload
 
 
 def test_connection_count_validation():
-    with pytest.raises(ValueError):
-        send_transfer(b"x", MemoryTransport(), 0)
+    def run(transport):
+        with pytest.raises(ValueError):
+            send_transfer(b"x", transport, 0)
+
+    run_on_sim(run)

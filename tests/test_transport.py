@@ -1,4 +1,4 @@
-"""Transport seam: in-memory pipes, TCP loopback and the simulated link behave alike."""
+"""Transport seam: TCP loopback and the simulated link behave alike."""
 
 import gc
 import socket
@@ -12,78 +12,94 @@ import pytest
 
 from ptcp.simbridge import SimHub, SimTransport
 from ptcp.simnet import LinkConfig, Network
-from ptcp.transport import MemoryTransport, TcpTransport
+from ptcp.transport import TcpTransport
+
+from conftest import run_on_sim, wait_until
 
 
-def test_memory_pair_roundtrip():
-    transport = MemoryTransport()
-    listener = transport.listen()
+def test_sim_pair_roundtrip():
     got = {}
 
-    def server():
-        stream = listener.accept()
-        data = b""
-        while True:
-            piece = stream.read_some(timeout=5.0)
-            if piece == b"":
-                break
-            data += piece
-        got["data"] = data
-        stream.close()
+    def run(transport):
+        listener = transport.listen()
 
-    handle = transport.spawn(server)
-    client = transport.connect()
-    client.write_all(b"hello " * 1000)
-    client.close()
-    handle.join(timeout=5.0)
+        def server():
+            stream = listener.accept()
+            data = b""
+            while True:
+                piece = stream.read_some(timeout=5.0)
+                if piece == b"":
+                    break
+                data += piece
+            got["data"] = data
+            stream.close()
+
+        handle = transport.spawn(server)
+        client = transport.connect()
+        client.write_all(b"hello " * 1000)
+        client.close()
+        handle.join()
+        listener.close()
+
+    run_on_sim(run)
     assert got["data"] == b"hello " * 1000
-    listener.close()
 
 
-def test_memory_read_timeout():
-    transport = MemoryTransport()
+def test_sim_read_timeout():
+    def run(transport):
+        listener = transport.listen()
+        client = transport.connect()
+        server = listener.accept()
+        with pytest.raises(TimeoutError):
+            server.read_some(timeout=0.05)
+        client.close()
+        listener.close()
+
+    run_on_sim(run)
+
+
+def test_sim_connect_refused_when_unbound():
+    def run(transport):
+        with pytest.raises(ConnectionRefusedError):
+            transport.connect()
+
+    run_on_sim(run)
+
+
+def test_tcp_write_after_peer_abort_fails():
+    # On the simulator an abort reaches the peer only as an end of stream,
+    # and writes to it still succeed.
+    transport = TcpTransport("127.0.0.1", 0)
     listener = transport.listen()
     client = transport.connect()
     server = listener.accept()
-    with pytest.raises(TimeoutError):
-        server.read_some(timeout=0.05)
-    client.close()
-    listener.close()
+    server.abort()
+    try:
+        with pytest.raises(ConnectionError):
+            # Peer torn down entirely; eventually the socket refuses writes.
+            for _ in range(10):
+                client.write_all(b"x" * 1024)
+    finally:
+        client.abort()
+        listener.close()
 
 
-def test_memory_connect_refused_when_unbound():
-    transport = MemoryTransport()
-    with pytest.raises(ConnectionRefusedError):
-        transport.connect()
+def test_sim_eof_drains_buffered_bytes_first():
+    def run(transport):
+        listener = transport.listen()
+        client = transport.connect()
+        server = listener.accept()
+        client.write_all(b"tail")
+        client.close()
+        assert server.read_some(timeout=1.0) == b"tail"
+        assert server.read_some(timeout=1.0) == b""
+        listener.close()
 
-
-def test_memory_write_after_peer_close_fails():
-    transport = MemoryTransport()
-    listener = transport.listen()
-    client = transport.connect()
-    server = listener.accept()
-    server.close()
-    with pytest.raises(ConnectionError):
-        # Peer torn down entirely; eventually the pipe refuses writes.
-        for _ in range(10):
-            client.write_all(b"x" * 1024)
-    listener.close()
-
-
-def test_memory_eof_drains_buffered_bytes_first():
-    transport = MemoryTransport()
-    listener = transport.listen()
-    client = transport.connect()
-    server = listener.accept()
-    client.write_all(b"tail")
-    client.close()
-    assert server.read_some(timeout=1.0) == b"tail"
-    assert server.read_some(timeout=1.0) == b""
-    listener.close()
+    run_on_sim(run)
 
 
 def test_spawn_join_propagates_exception():
-    transport = MemoryTransport()
+    transport = TcpTransport("127.0.0.1", 0)
 
     def boom():
         raise RuntimeError("worker died")
@@ -94,7 +110,7 @@ def test_spawn_join_propagates_exception():
 
 
 def test_channel_fifo():
-    transport = MemoryTransport()
+    transport = TcpTransport("127.0.0.1", 0)
     ch = transport.channel()
     ch.put(1)
     ch.put(2)
@@ -125,25 +141,29 @@ def test_tcp_loopback_roundtrip():
     listener.close()
 
 
-@pytest.mark.parametrize(
-    "make_transport", [MemoryTransport, lambda: TcpTransport("127.0.0.1", 0)], ids=["memory", "tcp"]
-)
-def test_listener_close_wakes_every_acceptor(make_transport):
-    transport = make_transport()
-    listener = transport.listen()
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_listener_close_wakes_every_acceptor(backend):
     raised = []
 
-    def acceptor():
-        with pytest.raises(OSError):  # ConnectionError, an OSError, on memory
-            listener.accept()
-        raised.append(True)
+    def run(transport, hub=None):
+        listener = transport.listen()
 
-    handles = [transport.spawn(acceptor, name="acceptor") for _ in range(3)]
-    time.sleep(0.05)  # let every acceptor block in accept()
-    listener.close()
-    for handle in handles:
-        handle.join(timeout=1.0)
-    assert len(raised) == 3
+        def acceptor():
+            with pytest.raises(OSError):  # ConnectionError, an OSError, on the simulator
+                listener.accept()
+            raised.append(True)
+
+        handles = [transport.spawn(acceptor, name="acceptor") for _ in range(3)]
+        (time.sleep if hub is None else hub.sleep)(0.05)  # let every acceptor block in accept()
+        listener.close()
+        assert wait_until(lambda: len(raised) == 3, 1.0, hub)
+        for handle in handles:
+            handle.join()  # re-raises an acceptor's failure
+
+    if backend == "sim":
+        run_on_sim(lambda transport: run(transport, transport._hub))
+    else:
+        run(TcpTransport("127.0.0.1", 0))
 
 
 def _kept_pair(transport, listener):
@@ -207,8 +227,8 @@ def test_tcp_transport_close_closes_every_kept_stream():
     listener.close()
 
 
-def test_memory_spawn_starts_a_thread_each_time():
-    transport = MemoryTransport()
+def test_tcp_spawn_starts_a_thread_each_time_while_no_stream_is_kept():
+    transport = TcpTransport("127.0.0.1", 0)
     ran_on = []
     for _ in range(3):
         transport.spawn(lambda: ran_on.append(threading.current_thread()), name="job").join(timeout=5.0)
@@ -311,7 +331,7 @@ def test_tcp_read_timeout():
 
 
 def test_now_is_monotonic():
-    transport = MemoryTransport()
+    transport = TcpTransport("127.0.0.1", 0)
     a = transport.now()
     b = transport.now()
     assert b >= a
@@ -346,7 +366,7 @@ IDLE = 0.3  # the reader's idle timeout; several GAPs, so thread wake-up jitter 
 
 
 class _Threaded:
-    """Memory pipes or TCP loopback: the writer is a thread, the reader runs here."""
+    """TCP loopback: the writer is a thread, the reader runs here."""
 
     def __init__(self, transport):
         self.transport = transport
@@ -391,10 +411,8 @@ class _Simulated:
         return box["out"]
 
 
-@pytest.fixture(params=["memory", "tcp", "sim"])
+@pytest.fixture(params=["tcp", "sim"])
 def backend(request):
-    if request.param == "memory":
-        return _Threaded(MemoryTransport())
     if request.param == "tcp":
         return _Threaded(TcpTransport("127.0.0.1", 0))
     return _Simulated()
