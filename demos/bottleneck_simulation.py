@@ -18,7 +18,7 @@ print(f"service time {link.service_time * 1000:.2f} ms/segment, base RTT {link.r
 
 network = Network(link)
 flow = network.add_flow(AimdFlow("solo", link))
-network.run(60.0)
+network.run_until(60.0)
 
 rate = flow.delivered_bytes / 60.0
 print(f"\nsolo flow: {rate * 8 / 1e6:.2f} Mbit/s of {link.capacity / 1e6:.0f} Mbit/s")
@@ -31,7 +31,7 @@ print(f"  peak queue length: {network.max_queue_len} of {link.queue_limit}")
 fat = LinkConfig(capacity=100_000_000, one_way_delay=0.05, queue_limit=1_000)
 saw_net = Network(fat)
 saw = saw_net.add_flow(AimdFlow("sawtooth", fat, loss_at_cwnd=20))
-saw_net.run(20.0)
+saw_net.run_until(20.0)
 measured = saw.delivered_bytes / 20.0
 oracle = steady_state_throughput(20, fat.mss, fat.rtt_base)
 print(f"\ndeterministic sawtooth at w_max=20: measured {measured:,.0f} B/s, "
@@ -41,7 +41,7 @@ print(f"\ndeterministic sawtooth at w_max=20: measured {measured:,.0f} B/s, "
 pair_net = Network(link)
 a = pair_net.add_flow(AimdFlow("a", link))
 b = pair_net.add_flow(AimdFlow("b", link))
-pair_net.run(60.0)
+pair_net.run_until(60.0)
 total = a.delivered_bytes + b.delivered_bytes
 print("\ntwo flows sharing the link:")
 for f in (a, b):

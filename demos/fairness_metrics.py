@@ -31,7 +31,7 @@ window = steady_window(traces)
 report = fairness_report(traces, window)
 utilization = sum(report.per_application.values()) / (link.capacity / 8.0)
 print(f"\nsteady window {window[0]:.0f}..{window[1]:.0f} s, link utilization {utilization:.1%}")
-print(f"per-flow Jain index over {report.flow_count} flows: {report.fairness_index:.4f}")
+print(f"per-flow Jain index over {len(report.per_flow_throughput)} flows: {report.fairness_index:.4f}")
 for trace, rate in zip(traces, report.per_flow_throughput):
     print(f"  {trace.flow_id:>12}: {rate * 8 / 1e6:.3f} Mbit/s")
 print("per-application shares:")

@@ -23,14 +23,14 @@ print(f"sending {len(payload)} bytes over 4 connections")
 
 received = {}
 
-# The receiver listens on a free port before the sender connects, then
-# serves one transfer on the main thread; the sender runs in a
-# transport-spawned worker, exactly as the per-chunk senders do.  Closing
-# the sender's transport closes the connections it kept for a next transfer.
-receiver = Receiver(
-    TcpTransport("127.0.0.1", 0), sink=lambda tid, data: received.update(payload=data)
-)
-with closing(TcpTransport("127.0.0.1", receiver.listener.address[1])) as transport:
+# The receiver listens on a free port, which its transport then reads as
+# ``port``, before the sender connects, then serves one transfer on the
+# main thread; the sender runs in a transport-spawned worker, exactly as
+# the per-chunk senders do.  Closing the sender's transport closes the
+# connections it kept for a next transfer.
+receiving = TcpTransport("127.0.0.1", 0)
+receiver = Receiver(receiving, sink=lambda tid, data: received.update(payload=data))
+with closing(TcpTransport("127.0.0.1", receiving.port)) as transport:
     sender = transport.spawn(
         lambda: received.update(report=send_transfer(payload, transport, 4)),
         name="sender",

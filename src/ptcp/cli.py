@@ -166,7 +166,7 @@ def cmd_recv(args) -> int:
 
 def cmd_experiment(args) -> int:
     try:
-        config = harness.load_experiment(args.config)
+        config = harness.parse_experiment(Path(args.config).read_text())
     except OSError as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,7 +23,6 @@ from typing import Any, Callable, NamedTuple
 from .metrics import FairnessReport, FlowTrace, UndefinedFairnessError, fairness_report, steady_window, throughput_ratio
 from .simnet import FlowSpec, LinkConfig, run_scenario
 
-TRACE_BUCKET_WIDTH = 0.1
 BACKGROUND_HEAD_START = 1.0  # competitor is established before targeted flows start
 
 
@@ -135,10 +134,6 @@ def parse_experiment(text: str) -> ExperimentConfig:
     return experiment_from_keys(parse_kv(text))
 
 
-def load_experiment(path) -> ExperimentConfig:
-    return parse_experiment(Path(path).read_text())
-
-
 def _meta_text(config: ExperimentConfig) -> str:
     """The resolved configuration as a config file, one sorted key=value
     line per key, after a comment naming the loss generator."""
@@ -166,12 +161,7 @@ def sim_flow_specs(n: int, background_count: int) -> list[FlowSpec]:
 def run_level(config: ExperimentConfig, n: int, rep: int) -> LevelResult:
     """One cell, simulated: n targeted flows against the background flows."""
     link = replace(config.link, seed=config.link.seed + rep)
-    traces = run_scenario(
-        link,
-        sim_flow_specs(n, config.background_count),
-        config.duration,
-        bucket_width=TRACE_BUCKET_WIDTH,
-    )
+    traces = run_scenario(link, sim_flow_specs(n, config.background_count), config.duration)
     # Aggregate rates over the steady window, in bytes/s.
     report = fairness_report(traces, steady_window(traces))
     targeted = report.per_application.get("targeted", 0.0)

@@ -98,7 +98,6 @@ def jain_fairness(xs) -> float:
 @dataclass
 class FairnessReport:
     per_flow_throughput: list[float]
-    flow_count: int
     fairness_index: float
     per_application: dict[str, float]  # role -> aggregate bytes/second
     shares: dict[str, float] = field(default_factory=dict)  # role -> fraction of total
@@ -125,7 +124,6 @@ def fairness_report(traces, window: tuple[float, float] | None = None) -> Fairne
     total = sum(per_app.values())
     return FairnessReport(
         per_flow_throughput=per_flow,
-        flow_count=len(per_flow),
         fairness_index=jain_fairness(per_flow),
         per_application=per_app,
         shares={role: (rate / total if total > 0 else 0.0) for role, rate in per_app.items()},

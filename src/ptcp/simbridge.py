@@ -9,8 +9,8 @@ picks who runs next: the first ready task, else it steps the network until
 an event or a virtual timer makes some task ready.  When that is the parking
 task itself it carries on at once; otherwise it releases the chosen task's
 own baton and blocks on its own.  The thread inside ``run()`` has a baton
-too and gets the token back when the tasks are done, the clock reaches
-``until``, the network fails or the tasks deadlock.  The network only
+too and gets the token back when the tasks are done, the network fails or
+the tasks deadlock.  The network only
 steps when no task is ready, so the interleaving is a pure function of the
 simulation and wall-clock thread scheduling cannot leak in.
 
@@ -130,7 +130,6 @@ class SimHub:
         self._ready: deque[_Task] = deque()
         self._live: set[_Task] = set()  # unfinished tasks, idle servers aside
         self._tasks: list[_Task] = []
-        self._until: float | None = None
         self._ending = False  # run() is ending the tasks left parked
         self._failure: BaseException | None = None  # for the run() caller
 
@@ -145,15 +144,14 @@ class SimHub:
             task.thread.start()
             return task
 
-    def run(self, until: float | None = None) -> None:
-        """Drive tasks and network until only idle servers are left, or
-        virtual time reaches ``until``; then end the tasks left parked.
-        Errors of the network (a failing ``schedule_call`` callback, a
-        deadlock) and unjoined task errors are raised here."""
+    def run(self) -> None:
+        """Drive tasks and network until only idle servers are left, then
+        end the tasks left parked.  Errors of the network (a failing
+        ``schedule_call`` callback, a deadlock) and unjoined task errors are
+        raised here."""
         with self._lock:
             if self._current is not None:
                 raise RuntimeError("run() re-entered from inside a task")
-            self._until = until
             successor = self._pick_locked()
             if successor is not None:
                 self._switch_locked(successor, self._baton)
@@ -190,13 +188,12 @@ class SimHub:
     def _pick_locked(self) -> _Task | None:
         """Choose the next token holder and make it current: the first ready
         task, else the network steps until one is ready.  The run() caller
-        (None) gets it when nothing is left to run, at ``until``, on a network
-        error or deadlock, which it raises from ``run()``, and while ending."""
+        (None) gets it when nothing is left to run, on a network error or
+        deadlock, which it raises from ``run()``, and while ending."""
         self._current = None  # network callbacks run outside any task
         if self._ending:
             return None
         network = self.network
-        until = self._until
         while True:
             if self._ready:
                 task = self._ready.popleft()
@@ -205,15 +202,9 @@ class SimHub:
                 return task
             if not self._live:
                 return None
-            if until is not None and network.now >= until:
-                return None
-            next_time = network.next_time()
-            if next_time is None:
+            if network.next_time() is None:
                 parked = ", ".join(sorted(t.name for t in self._live))
                 self._failure = RuntimeError(f"deadlock: tasks parked with no pending events: {parked}")
-                return None
-            if until is not None and next_time > until:
-                network.now = until
                 return None
             try:
                 network.step()

@@ -105,7 +105,6 @@ class AimdFlow:
         flow_id: str,
         link: LinkConfig,
         *,
-        role: str = "targeted",
         start_time: float = 0.0,
         byte_limit: int | None = None,
         initial_cwnd: float = 2.0,
@@ -113,7 +112,6 @@ class AimdFlow:
     ):
         self.flow_id = flow_id
         self.link = link
-        self.role = role
         self.start_time = start_time
         self.cwnd = float(initial_cwnd)
         self.in_flight = 0
@@ -341,15 +339,9 @@ class Network:
             self.step()
         self.now = max(self.now, t)
 
-    def run(self, duration: float) -> None:
-        self.run_until(self.now + duration)
-
     def next_time(self) -> float | None:
         """Time of the earliest pending event, or None when there is none."""
         return self._heap[0][0] if self._heap else None
-
-    def idle(self) -> bool:
-        return self.next_time() is None
 
     def schedule_call(self, t: float, fn) -> None:
         """Run ``fn()`` when the clock reaches ``t``.  Plumbing for stream
@@ -424,14 +416,14 @@ def _call(network: Network, fn) -> None:
 # ---------------------------------------------------------------------------
 
 
-def aggregate_window_reduction(flow_count: int, flows_hit: int) -> float:
+def aggregate_window_reduction(flows: int, flows_hit: int) -> float:
     """Fraction of the aggregate window lost when ``flows_hit`` of
-    ``flow_count`` equal-window flows halve simultaneously."""
-    if flow_count < 1:
-        raise ValueError(f"flow_count must be >= 1, got {flow_count}")
-    if not 0 <= flows_hit <= flow_count:
-        raise ValueError(f"flows_hit must be in [0, {flow_count}], got {flows_hit}")
-    return flows_hit / (2 * flow_count)
+    ``flows`` equal-window flows halve simultaneously."""
+    if flows < 1:
+        raise ValueError(f"flows must be >= 1, got {flows}")
+    if not 0 <= flows_hit <= flows:
+        raise ValueError(f"flows_hit must be in [0, {flows}], got {flows_hit}")
+    return flows_hit / (2 * flows)
 
 
 def steady_state_throughput(w_max: float, mss: int, rtt: float) -> float:
@@ -448,6 +440,8 @@ def steady_state_throughput(w_max: float, mss: int, rtt: float) -> float:
 # Scenarios
 # ---------------------------------------------------------------------------
 
+TRACE_BUCKET_WIDTH = 0.1  # seconds of delivery summed into one bucket of a trace
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -461,12 +455,10 @@ def run_scenario(
     link: LinkConfig,
     flows: list[FlowSpec],
     duration: float,
-    *,
-    bucket_width: float = 0.1,
 ) -> list[FlowTrace]:
     """Simulate all flows sharing the bottleneck for ``duration`` seconds
-    and return per-flow delivered-bytes traces.  Output is a pure function
-    of (link, flows, duration, bucket_width)."""
+    and return per-flow delivered-bytes traces in ``TRACE_BUCKET_WIDTH``
+    buckets.  Output is a pure function of (link, flows, duration)."""
     if not flows:
         raise ValueError("need at least one flow")
     if duration <= 0:
@@ -477,12 +469,12 @@ def run_scenario(
             AimdFlow(
                 spec.flow_id,
                 link,
-                role=spec.role,
                 start_time=spec.start_time,
                 byte_limit=spec.byte_limit,
             )
         )
     network.run_until(duration)
+    bucket_width = TRACE_BUCKET_WIDTH
     n_buckets = math.ceil(duration / bucket_width)
     traces = []
     for spec in flows:

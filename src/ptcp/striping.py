@@ -51,7 +51,7 @@ from .wire import (
     root_digest,
 )
 
-DEFAULT_DATA_FRAME_BYTES = 64 * 1024
+DATA_FRAME_BYTES = MAX_DATA_PAYLOAD  # payload bytes per DATA frame, the last of a chunk aside
 DEFAULT_IDLE_TIMEOUT = 30.0
 DEFAULT_BUFFER_CAP = 256 * 1024 * 1024
 FINISHED_IDS_KEPT = 64  # finished transfer ids remembered to turn away late streams
@@ -98,7 +98,6 @@ def send_transfer(
     transport,
     connection_count: int,
     *,
-    data_frame_bytes: int = DEFAULT_DATA_FRAME_BYTES,
     transfer_id: bytes | None = None,
 ) -> TransferReport:
     """Send ``payload`` over ``connection_count`` concurrent streams.
@@ -107,10 +106,6 @@ def send_transfer(
     fails to open or breaks mid-chunk fails the transfer with that chunk's
     index.
     """
-    if connection_count < 1:
-        raise ValueError(f"connection_count must be >= 1, got {connection_count}")
-    if not 1 <= data_frame_bytes <= MAX_DATA_PAYLOAD:
-        raise ValueError(f"data_frame_bytes must be in 1..{MAX_DATA_PAYLOAD}, got {data_frame_bytes}")
     manifest = TransferManifest.for_payload(payload, connection_count, transfer_id)
     t0 = transport.now()
     stats: list[ConnectionStat | None] = [None] * connection_count
@@ -145,8 +140,8 @@ def send_transfer(
                     )
                 )
             )
-            for off in range(0, len(body), data_frame_bytes):
-                piece = body[off : off + data_frame_bytes]
+            for off in range(0, len(body), DATA_FRAME_BYTES):
+                piece = body[off : off + DATA_FRAME_BYTES]
                 stream.write_all(encode_frame(Data(chunk.index, off, piece)))
             digest = manifest.chunk_digests[index]
             stream.write_all(encode_frame(Fin(chunk.index, digest)))
@@ -385,10 +380,6 @@ class Receiver:
         self._waiting: set = set()  # streams waiting for a HELLO
         self._closed = False
         self._acceptor = transport.spawn(self._worker, name="recv-conn")
-
-    @property
-    def listener(self):
-        return self._listener
 
     def transfer_states(self) -> list[ReceiverState]:
         with self._lock:

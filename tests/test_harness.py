@@ -11,12 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from ptcp import harness
+from ptcp import harness, simnet
 from ptcp.cli import EXIT_NETWORK, EXIT_OK, EXIT_TRANSFER, EXIT_USAGE, build_parser, main
 from ptcp.harness import (
     ExperimentConfig,
     experiment_from_keys,
-    load_experiment,
     parse_experiment,
     parse_kv,
     run_experiment,
@@ -155,12 +154,6 @@ def test_readme_config_block_shows_the_defaults():
 def test_levels_are_sorted():
     config = experiment_from_keys({"levels": "8,1,4"})
     assert config.levels == (1, 4, 8)
-
-
-def test_load_experiment(tmp_path):
-    path = tmp_path / "sweep.conf"
-    path.write_text(SIM_CONFIG)
-    assert load_experiment(path) == parse_experiment(SIM_CONFIG)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +337,7 @@ def test_background_head_start_shows_in_traces(sim_results):
     bg_first = next(i for i, v in enumerate(by_id["background-0"].buckets) if v > 0)
     tg_first = next(i for i, v in enumerate(by_id["targeted-0"].buckets) if v > 0)
     # the background flow is established about a second earlier
-    assert tg_first - bg_first >= int(0.8 / harness.TRACE_BUCKET_WIDTH)
+    assert tg_first - bg_first >= int(0.8 / simnet.TRACE_BUCKET_WIDTH)
 
 
 # ---------------------------------------------------------------------------

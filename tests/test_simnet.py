@@ -10,6 +10,7 @@ import pytest
 from ptcp.harness import parse_experiment, sim_flow_specs
 from ptcp.metrics import steady_window, throughput
 from ptcp.simnet import (
+    TRACE_BUCKET_WIDTH,
     AimdFlow,
     FlowSpec,
     LinkConfig,
@@ -63,14 +64,14 @@ def test_same_time_events_replay_identically():
 
 def test_next_time_reports_the_earliest_pending_event():
     network = Network(FAT_LINK)
-    assert network.next_time() is None and network.idle()
+    assert network.next_time() is None
     network.schedule_call(2.5, lambda: None)
     network.schedule_call(1.5, lambda: None)
-    assert network.next_time() == 1.5 and not network.idle()
+    assert network.next_time() == 1.5
     network.step()
     assert network.next_time() == 2.5
     network.step()
-    assert network.next_time() is None and network.idle()
+    assert network.next_time() is None
 
 
 def test_dead_timers_stay_off_the_heap():
@@ -337,9 +338,9 @@ def test_scenario_validation():
 
 def test_flow_start_offset():
     link = LinkConfig(capacity=1e7, one_way_delay=0.05, queue_limit=50)
-    traces = run_scenario(link, [FlowSpec("late", start_time=1.0)], 5.0, bucket_width=0.1)
+    traces = run_scenario(link, [FlowSpec("late", start_time=1.0)], 5.0)
     buckets = traces[0].buckets
-    assert buckets[: int(1.0 / 0.1)].sum() == 0
+    assert buckets[: int(1.0 / TRACE_BUCKET_WIDTH)].sum() == 0
     assert buckets.sum() > 0
 
 
@@ -353,7 +354,7 @@ def test_lossy_byte_limited_flows_complete_exactly():
     network = Network(link)
     flows = [network.add_flow(AimdFlow(f"f{i}", link, byte_limit=150_000)) for i in range(2)]
     network.run_until(120.0)
-    assert network.idle()
+    assert network.next_time() is None
     for flow in flows:
         assert flow.delivered_bytes == 150_000
         assert flow.delivered_bytes <= link.mss * flow.sent_segments
@@ -478,7 +479,7 @@ def test_finished_network_is_freed_without_the_cyclic_gc():
         network.add_flow(AimdFlow("f0", link))
         network.add_flow(AimdFlow("f1", link))
         network.run_until(5.0)
-        assert not network.idle()
+        assert network.next_time() is not None
         ref = weakref.ref(network)
         del network
         assert ref() is None

@@ -8,6 +8,7 @@ import threading
 import time
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptcp import striping
 from ptcp.striping import DEFAULT_IDLE_TIMEOUT, FailureKind, Receiver, send_transfer, serve
 from ptcp.transport import TcpTransport
-from ptcp.wire import MAX_DATA_PAYLOAD, Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
+from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
 
 from conftest import run_on_sim, wait_until
 
@@ -29,7 +31,7 @@ def collect_sink(store):
     return sink
 
 
-def _sim_transfer(payload, connections, idle_timeout=DEFAULT_IDLE_TIMEOUT, **send_options):
+def _sim_transfer(payload, connections, idle_timeout=DEFAULT_IDLE_TIMEOUT):
     """Send ``payload`` over ``connections`` simulated streams to a fresh
     receiver; returns the sender's report, the receiver's result and the
     payloads the sink stored."""
@@ -37,7 +39,7 @@ def _sim_transfer(payload, connections, idle_timeout=DEFAULT_IDLE_TIMEOUT, **sen
 
     def run(transport):
         receiver = Receiver(transport, collect_sink(store), idle_timeout=idle_timeout)
-        report = send_transfer(payload, transport, connections, **send_options)
+        report = send_transfer(payload, transport, connections)
         result = receiver.serve_one()
         receiver.close()
         return report, result
@@ -69,7 +71,8 @@ def test_zero_byte_payload():
 
 def test_single_connection_baseline():
     payload = random.Random(7).randbytes(200_000)
-    report, result, store = _sim_transfer(payload, 1, data_frame_bytes=8192)
+    with mock.patch.object(striping, "DATA_FRAME_BYTES", 8192):
+        report, result, store = _sim_transfer(payload, 1)
     assert report.ok and result.ok
     assert store[report.transfer_id] == payload
     assert len(report.per_connection) == 1
@@ -732,18 +735,6 @@ def test_parked_sender_workers_hold_no_reference_to_the_payload():
         receiver.close()
 
 
-@pytest.mark.parametrize("frame_bytes", [0, MAX_DATA_PAYLOAD + 1])
-def test_data_frame_bytes_out_of_range_fails_before_any_connect(frame_bytes):
-    def run(transport):
-        listener = transport.listen()
-        with pytest.raises(ValueError, match="data_frame_bytes"):
-            send_transfer(b"x" * 1000, transport, 2, data_frame_bytes=frame_bytes)
-        assert not listener._pending  # no stream was offered to accept()
-        listener.close()
-
-    run_on_sim(run)
-
-
 def test_kept_stream_retired_by_the_receiver_is_replaced():
     # The receiver retires a stream idle past its timeout; the sender's
     # check before reuse finds it closed and opens a new connection.
@@ -839,8 +830,9 @@ def test_failure_spares_the_streams_of_completed_chunks():
 def test_closed_tcp_receiver_frees_its_port():
     # close() must wake the worker in accept(); while it sits there the
     # listening socket, and so the port, stays bound.
-    first = Receiver(TcpTransport("127.0.0.1", 0))
-    port = first.listener.address[1]
+    transport = TcpTransport("127.0.0.1", 0)
+    first = Receiver(transport)
+    port = transport.port
     first.close()
     first._acceptor.join(timeout=1.0)
     second = Receiver(TcpTransport("127.0.0.1", port))
@@ -995,7 +987,8 @@ def test_many_workers_under_fast_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        report = send_transfer(payload, transport, 16, data_frame_bytes=1024)
+        with mock.patch.object(striping, "DATA_FRAME_BYTES", 1024):
+            report = send_transfer(payload, transport, 16)
         result = receiver.serve_one()
     finally:
         sys.setswitchinterval(interval)
@@ -1016,7 +1009,8 @@ def test_many_workers_under_fast_thread_switching():
 def test_roundtrip_any_size_connections_and_frame_size(size, connections, frame_bytes, seed):
     # Covers n > size (empty chunks) and frames that split chunks unevenly.
     payload = random.Random(seed).randbytes(size)
-    report, result, store = _sim_transfer(payload, connections, 10.0, data_frame_bytes=frame_bytes)
+    with mock.patch.object(striping, "DATA_FRAME_BYTES", frame_bytes):
+        report, result, store = _sim_transfer(payload, connections, 10.0)
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
     assert store[report.transfer_id] == payload

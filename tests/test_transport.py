@@ -17,55 +17,6 @@ from ptcp.transport import TcpTransport
 from conftest import run_on_sim, wait_until
 
 
-def test_sim_pair_roundtrip():
-    got = {}
-
-    def run(transport):
-        listener = transport.listen()
-
-        def server():
-            stream = listener.accept()
-            data = b""
-            while True:
-                piece = stream.read_some(timeout=5.0)
-                if piece == b"":
-                    break
-                data += piece
-            got["data"] = data
-            stream.close()
-
-        handle = transport.spawn(server)
-        client = transport.connect()
-        client.write_all(b"hello " * 1000)
-        client.close()
-        handle.join()
-        listener.close()
-
-    run_on_sim(run)
-    assert got["data"] == b"hello " * 1000
-
-
-def test_sim_read_timeout():
-    def run(transport):
-        listener = transport.listen()
-        client = transport.connect()
-        server = listener.accept()
-        with pytest.raises(TimeoutError):
-            server.read_some(timeout=0.05)
-        client.close()
-        listener.close()
-
-    run_on_sim(run)
-
-
-def test_sim_connect_refused_when_unbound():
-    def run(transport):
-        with pytest.raises(ConnectionRefusedError):
-            transport.connect()
-
-    run_on_sim(run)
-
-
 def test_tcp_write_after_peer_abort_fails():
     # On the simulator an abort reaches the peer only as an end of stream,
     # and writes to it still succeed.
@@ -82,20 +33,6 @@ def test_tcp_write_after_peer_abort_fails():
     finally:
         client.abort()
         listener.close()
-
-
-def test_sim_eof_drains_buffered_bytes_first():
-    def run(transport):
-        listener = transport.listen()
-        client = transport.connect()
-        server = listener.accept()
-        client.write_all(b"tail")
-        client.close()
-        assert server.read_some(timeout=1.0) == b"tail"
-        assert server.read_some(timeout=1.0) == b""
-        listener.close()
-
-    run_on_sim(run)
 
 
 def test_spawn_join_propagates_exception():
