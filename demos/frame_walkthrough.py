@@ -6,11 +6,14 @@ A transfer is announced per connection (HELLO), carried as offset-tagged
 DATA frames, and sealed with a FIN holding the chunk digest.  This script
 builds each frame by hand, then feeds the encoded bytes to the streaming
 decoder in awkward little pieces to show that framing never depends on
-read boundaries.
+read boundaries.  The decoder reads frame heads only: after a DATA head,
+the reader takes the payload itself, as the receiver does when it reads
+each payload straight into its place in the transfer's buffer.
 """
 
 from ptcp.wire import (
     Data,
+    DataHead,
     Fin,
     FrameDecoder,
     Hello,
@@ -50,12 +53,22 @@ frames.append(Fin(chunk.index, sha256(body)))
 stream_bytes = b"".join(encode_frame(f) for f in frames)
 print(f"\nstream for chunk 1: {len(frames)} frames, {len(stream_bytes)} bytes on the wire")
 
-# Feed the decoder in 7-byte slivers; frames pop out whole regardless.
+# Feed the decoder slivers of at most 7 bytes, never past the head it is
+# reading (``needed``); heads pop out whole regardless.  Each DATA head
+# says how many payload bytes follow, and the reader takes them itself.
 decoder = FrameDecoder()
 decoded = []
-for i in range(0, len(stream_bytes), 7):
-    decoded.extend(decoder.feed(stream_bytes[i : i + 7]))
-print(f"decoded {len(decoded)} frames from 7-byte reads; residual {len(decoder.residual)} bytes")
+pos = 0
+while pos < len(stream_bytes):
+    sliver = stream_bytes[pos : pos + min(7, decoder.needed)]
+    pos += len(sliver)
+    for frame in decoder.feed(sliver):
+        if isinstance(frame, DataHead):
+            piece = stream_bytes[pos : pos + frame.length]
+            pos += frame.length
+            frame = Data(frame.chunk_index, frame.offset_in_chunk, piece)
+        decoded.append(frame)
+print(f"decoded {len(decoded)} frames from reads of at most 7 bytes; residual {len(decoder.residual)} bytes")
 assert decoded == frames
 
 # Chunks in index order rebuild the payload.  (The receiver writes each

@@ -29,9 +29,10 @@ treats acks.
 
 Bytes are stored once: a write goes into the peer's inbox by reference at
 once, and a path carries byte counts only (each new segment is bound to
-the next MSS of written bytes and delivers that count).  A read joins the
-pieces it takes, so a ``bytes`` write is copied once on its way;
-``write_all`` copies any other buffer first, since its caller may reuse it.
+the next MSS of written bytes and delivers that count).  ``write_all``
+joins its parts into one write, so a DATA frame binds to segments as one;
+it keeps a lone ``bytes`` part and copies any other, which its caller may
+reuse.  A read copies what it takes once, into the buffer it returns or fills.
 
 Reads wake at a low-water mark.  An inbox keeps the waiting reader's
 ``min_bytes`` and wakes it only once that many bytes are in, at end of
@@ -327,20 +328,19 @@ class _Inbox:
         if self.eof or self.ready >= self.low_water:
             hub._notify_locked(self.readable)
 
-    def take(self, size: int) -> bytes:
-        """The next ``size`` ready bytes, joined from the written chunks."""
+    def take_into(self, view) -> None:
+        """Fill ``view`` with the next ready bytes, copied from the written chunks."""
         chunks = self.chunks
-        self.ready -= size
-        pieces = []
-        while size:
-            piece = memoryview(chunks[0])[self.offset : self.offset + size]
-            pieces.append(piece)
-            size -= len(piece)
+        self.ready -= len(view)
+        pos = 0
+        while pos < len(view):
+            piece = memoryview(chunks[0])[self.offset : self.offset + len(view) - pos]
+            view[pos : pos + len(piece)] = piece
+            pos += len(piece)
             self.offset += len(piece)
             if self.offset == len(chunks[0]):
                 chunks.popleft()
                 self.offset = 0
-        return b"".join(pieces)
 
     def drop_tail(self, size: int) -> None:
         """Forget the last ``size`` written bytes, never delivered."""
@@ -429,26 +429,34 @@ class SimStream:
 
     def read_some(
         self, max_bytes: int = READ_CHUNK, timeout: float | None = None, min_bytes: int = 1
-    ) -> bytes:
-        hub = self._hub
-        inbox = self._inbox
-        with hub._lock:
-            start = hub.network.now
-            deadline = None if timeout is None else start + timeout
-            inbox.low_water = min_bytes
-            while inbox.ready < min_bytes and not inbox.eof:
-                if not hub._wait_on_locked(inbox.readable, deadline):
-                    # Bytes that came in since the read began restart the idle clock.
-                    deadline = max(start, inbox.last_arrival) + timeout
-                    if hub.network.now >= deadline:
-                        raise TimeoutError("read timed out")
-            if not inbox.ready:
-                return b""
-            return inbox.take(min(max_bytes, inbox.ready))
+    ) -> bytearray:
+        with self._hub._lock:
+            data = bytearray(min(max_bytes, self._wait_locked(min_bytes, timeout)))
+            self._inbox.take_into(memoryview(data))
+            return data
 
-    def write_all(self, data: bytes) -> None:
-        if not isinstance(data, bytes):
-            data = bytes(data)  # kept by reference until read, so the caller may reuse its buffer
+    def read_into(self, view, timeout: float | None = None) -> int:
+        with self._hub._lock:
+            size = min(len(view), self._wait_locked(len(view), timeout))
+            self._inbox.take_into(memoryview(view)[:size])
+            return size
+
+    def _wait_locked(self, min_bytes: int, timeout: float | None) -> int:
+        """Park until ``min_bytes`` are ready or the stream ends; the bytes ready."""
+        hub, inbox = self._hub, self._inbox
+        start = hub.network.now
+        deadline = None if timeout is None else start + timeout
+        inbox.low_water = min_bytes
+        while inbox.ready < min_bytes and not inbox.eof:
+            if not hub._wait_on_locked(inbox.readable, deadline):
+                # Bytes that came in since the read began restart the idle clock.
+                deadline = max(start, inbox.last_arrival) + timeout
+                if hub.network.now >= deadline:
+                    raise TimeoutError("read timed out")
+        return inbox.ready
+
+    def write_all(self, *parts) -> None:
+        data = b"".join(parts)  # kept until read, so a buffer the caller may reuse is copied
         with self._hub._lock:
             if self._write_closed:
                 raise ConnectionError("stream closed for writing")

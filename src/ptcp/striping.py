@@ -2,7 +2,8 @@
 
 Sender: split the payload into one chunk per connection, open the
 connections, then pump every chunk concurrently, the calling thread
-running chunk 0 — HELLO, DATA frames in order, FIN with the chunk digest.
+running chunk 0 — HELLO, DATA frames in order (head and payload in one
+stream write each), FIN with the chunk digest.
 After FIN each sender worker waits for the receiver's receipt (a FIN frame
 echoing the digest the receiver computed) so corruption is observable end
 to end, then hands the stream back to the transport.  A TCP transport keeps
@@ -13,9 +14,10 @@ accepted before it accepts again, so workers outlive their streams.  A
 worker reads one sequence after another from its stream, of any transfer,
 until the stream ends or idles out: HELLO, which registers the stream with
 its transfer's monitor (the first valid HELLO allocates one buffer for the
-whole payload), DATA frames written in place at the chunk's offset and fed
-to its running digest, and FIN, which completes the chunk once that digest
-verifies.  When the last chunk completes, the hash-list root over the
+whole payload), DATA frames, each head checked against the chunk before
+its payload is read from the stream straight into its slice of the
+buffer and hashed there, and FIN, which completes the chunk once that
+digest verifies.  When the last chunk completes, the hash-list root over the
 verified chunk digests is checked against HELLO's payload digest, and the
 buffer itself goes to the sink.  A failure on any stream fails the whole
 transfer and aborts the streams of its chunks not yet complete; there is
@@ -37,10 +39,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .transport import READ_CHUNK
 from .wire import (
     MAX_DATA_PAYLOAD,
-    Data,
+    DataHead,
     Fin,
     FrameDecoder,
     Hello,
@@ -142,7 +143,7 @@ def send_transfer(
             )
             for off in range(0, len(body), DATA_FRAME_BYTES):
                 piece = body[off : off + DATA_FRAME_BYTES]
-                stream.write_all(encode_frame(Data(chunk.index, off, piece)))
+                stream.write_all(encode_frame(DataHead(chunk.index, off, len(piece))), piece)
             digest = manifest.chunk_digests[index]
             stream.write_all(encode_frame(Fin(chunk.index, digest)))
             _read_receipt(stream, chunk.index, digest)
@@ -196,10 +197,10 @@ def _reason(kind: FailureKind, detail: object) -> str:
 
 
 def _frames(stream, timeout: float):
-    """The frames ``stream`` carries, decoded as they arrive, up to its end.
-    Each read waits for the bytes the next frame needs, not for any byte."""
+    """The frames ``stream`` carries, up to its end.  Each read takes just the
+    bytes the next head needs, so the caller reads a ``DataHead``'s payload."""
     decoder = FrameDecoder()
-    while data := stream.read_some(max(READ_CHUNK, decoder.needed), timeout, decoder.needed):
+    while data := stream.read_some(decoder.needed, timeout, decoder.needed):
         yield from decoder.feed(data)
 
 
@@ -252,10 +253,10 @@ class _Chunk:
 
 
 class _TransferMonitor:
-    """Completion tracker for one transfer: register / data / complete.
+    """Completion tracker for one transfer: register / slot / data / complete.
 
-    register() and complete() run under the receiver's lock; data() needs
-    none (see there).  The receiver's ``_finish`` ends the transfer."""
+    register() and complete() run under the receiver's lock; slot() and
+    data() need none (see there).  The receiver's ``_finish`` ends the transfer."""
 
     def __init__(self, hello: Hello, received_at: float):
         self.transfer_id = hello.transfer_id
@@ -300,22 +301,26 @@ class _TransferMonitor:
         )
         self.streams[hello.chunk_index] = stream
 
-    # data() runs on the chunk's own worker only (register() rejects a second
-    # stream for a chunk), so its _Chunk and its slice of the buffer need no lock.
+    # slot() and data() run on the chunk's own worker only (register() rejects a
+    # second stream for a chunk), so its _Chunk and buffer slice need no lock.
 
-    def data(self, frame: Data) -> None:
-        index, size = frame.chunk_index, len(frame.payload)
+    def slot(self, head: DataHead) -> memoryview:
+        """The slice of the buffer ``head``'s payload fills, once the head is
+        checked to start at the chunk's next byte and end within the chunk."""
+        index = head.chunk_index
         chunk = self.chunks[index]
-        if frame.offset_in_chunk != chunk.filled:
-            raise ProtocolError(
-                f"chunk {index}: DATA offset {frame.offset_in_chunk}, expected {chunk.filled}"
-            )
-        if chunk.filled + size > chunk.length:
+        if head.offset_in_chunk != chunk.filled:
+            raise ProtocolError(f"chunk {index}: DATA offset {head.offset_in_chunk}, expected {chunk.filled}")
+        if chunk.filled + head.length > chunk.length:
             raise ProtocolError(f"chunk {index} overflows its declared length")
         start = chunk.offset + chunk.filled
-        self.buffer[start : start + size] = frame.payload
-        chunk.hasher.update(frame.payload)
-        chunk.filled += size
+        return memoryview(self.buffer)[start : start + head.length]
+
+    def data(self, head: DataHead, payload: memoryview) -> None:
+        """Take in a payload read into its ``slot``: hash it and advance."""
+        chunk = self.chunks[head.chunk_index]
+        chunk.hasher.update(payload)
+        chunk.filled += head.length
 
     def complete(self, frame: Fin, now: float) -> bool:
         """Verify and mark one chunk done; True when this was the last chunk."""
@@ -458,8 +463,11 @@ class Receiver:
                     raise ProtocolError(
                         f"{frame.kind.name} for chunk {frame.chunk_index} on the chunk-{index} stream"
                     )
-                if isinstance(frame, Data):
-                    monitor.data(frame)
+                if isinstance(frame, DataHead):
+                    with monitor.slot(frame) as view:  # checked before a byte is read
+                        if stream.read_into(view, self._idle_timeout) < len(view):
+                            break  # the stream ended mid-payload
+                        monitor.data(frame, view)
                     continue
                 with self._lock:
                     last = monitor.complete(frame, self._transport.now())

@@ -10,16 +10,19 @@ A transport bundles everything the striping layer needs from its environment:
     transport.channel()          -> FIFO with put() / blocking get()
     transport.now()              -> monotonic seconds
 
-Streams expose blocking ``read_some`` / ``write_all`` / ``close`` with TCP
-semantics.  ``read_some(max_bytes, timeout, min_bytes=1)`` is a low-water
-read, like ``SO_RCVLOWAT`` in socket(7): it blocks until ``min_bytes`` (at
-most ``max_bytes``) are buffered or the stream ends, then returns up to
-``max_bytes``; fewer than ``min_bytes`` only at the end, and b"" once the
-end is reached.  ``timeout`` is an idle timeout: each byte that arrives
-restarts it, and ``TimeoutError`` is raised only after ``timeout`` seconds
-with no new byte.  ``abort`` may be called from another thread and wakes a
-reader blocked on the stream.  The backend here is real OS TCP sockets; the
-simulated-bottleneck backend lives in ``ptcp.simbridge``.
+Streams expose blocking ``read_some`` / ``read_into`` / ``write_all`` /
+``close`` with TCP semantics.  ``read_some(max_bytes, timeout, min_bytes=1)``
+is a low-water read, like ``SO_RCVLOWAT`` in socket(7): it blocks until
+``min_bytes`` (at most ``max_bytes``) are buffered or the stream ends, then
+returns up to ``max_bytes``; fewer than ``min_bytes`` only at the end, and
+b"" once the end is reached.  ``read_into(view, timeout)`` fills ``view``
+and returns how many bytes it read, fewer only at the end.  ``timeout`` is
+an idle timeout: each byte that arrives restarts it, and ``TimeoutError``
+is raised only after ``timeout`` seconds with no new byte.
+``write_all(*parts)`` writes its parts in order as one write.  ``abort``
+may be called from another thread and wakes a reader blocked on the
+stream.  The backend here is real OS TCP sockets; the simulated-bottleneck
+backend lives in ``ptcp.simbridge``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import queue
 import socket
+import struct
 import threading
 import time
 
@@ -68,30 +72,46 @@ class ThreadHandle:
 class TcpStream:
     def __init__(self, sock: socket.socket):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(None)  # blocking, so a recv is one system call
         self._sock = sock
+        self._timeout = None  # of reads, as SO_RCVTIMEO
 
     def read_some(
         self, max_bytes: int = READ_CHUNK, timeout: float | None = None, min_bytes: int = 1
     ) -> bytearray:
-        # The socket timeout bounds each recv, so it is an idle timeout.
-        self._sock.settimeout(timeout)
         data = bytearray(max_bytes)
+        del data[self._recv_into(data, min_bytes, timeout) :]
+        return data
+
+    def read_into(self, view, timeout: float | None = None) -> int:
+        return self._recv_into(view, len(view), timeout)
+
+    def _recv_into(self, buffer, min_bytes: int, timeout: float | None) -> int:
+        """Receive into ``buffer`` until ``min_bytes`` are in or the stream ends."""
+        if timeout != self._timeout:  # SO_RCVTIMEO bounds each recv, so it is an idle timeout
+            usec = 0 if timeout is None else max(1, round(timeout * 1e6))  # 0 blocks for ever
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("ll", *divmod(usec, 10**6)))
+            self._timeout = timeout
         got = 0
-        with memoryview(data) as view:
+        with memoryview(buffer) as view:  # released before read_some trims its buffer
             try:
                 while got < min_bytes:
                     n = self._sock.recv_into(view[got:])
                     if n == 0:
                         break
                     got += n
-            except socket.timeout as exc:
+            except BlockingIOError as exc:  # what a recv that SO_RCVTIMEO ends raises
                 raise TimeoutError("read timed out") from exc
-        del data[got:]
-        return data
+        return got
 
-    def write_all(self, data: bytes) -> None:
-        self._sock.settimeout(None)
-        self._sock.sendall(data)
+    def write_all(self, *parts) -> None:
+        parts = list(parts)
+        while parts:  # one sendmsg gathers them all unless the socket takes a part only
+            sent = self._sock.sendmsg(parts)
+            while parts and sent >= len(parts[0]):
+                sent -= len(parts.pop(0))
+            if sent:
+                parts[0] = memoryview(parts[0])[sent:]
 
     def close(self) -> None:
         try:
@@ -157,9 +177,8 @@ class TcpTransport:
                 if not self._kept:
                     break
                 stream = self._kept.pop()
-            stream._sock.settimeout(0)  # with a timeout, recv() would poll first
-            try:
-                stream._sock.recv(1, socket.MSG_PEEK)  # a byte, or b"" at the end: not quiet
+            try:  # a byte, or b"" at the end: not quiet
+                stream._sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
             except BlockingIOError:
                 return stream  # nothing to read, no end, no error
             except OSError:

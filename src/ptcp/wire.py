@@ -16,6 +16,9 @@ name another transfer.  Frame layout (all integers big-endian):
     DATA  body: chunk_index u32 | offset_in_chunk u64 | payload_len u32 | payload
     FIN   body: chunk_index u32 | chunk_digest (32)
 
+``FrameDecoder`` decodes heads only: a DATA frame comes out as a
+``DataHead`` (magic through payload_len), and its reader takes the payload.
+
 Digests are SHA-256.  A FIN's chunk_digest covers its chunk's bytes.
 HELLO's payload_digest is the root of a one-level hash list over those chunk
 digests: sha256(chunk_digest_0 || ... || chunk_digest_{n-1}), in chunk-index
@@ -44,6 +47,7 @@ _HEADER = struct.Struct("!4sBB")
 _HELLO_BODY = struct.Struct("!16sQIIQQ32s")
 _DATA_HEAD = struct.Struct("!IQI")
 _FIN_BODY = struct.Struct("!I32s")
+_SHORTEST_HEAD = _HEADER.size + _DATA_HEAD.size  # no frame is shorter than a DATA head
 
 
 class FrameKind(IntEnum):
@@ -158,6 +162,17 @@ class Data:
 
 
 @dataclass(frozen=True)
+class DataHead:
+    """A DATA frame up to its payload: the ``length`` bytes after it on the wire."""
+
+    chunk_index: int
+    offset_in_chunk: int
+    length: int
+
+    kind = FrameKind.DATA
+
+
+@dataclass(frozen=True)
 class Fin:
     """End-of-chunk marker carrying the chunk's SHA-256."""
 
@@ -167,10 +182,13 @@ class Fin:
     kind = FrameKind.FIN
 
 
-Frame = Hello | Data | Fin
+Frame = Hello | Data | DataHead | Fin
 
 
 def encode_frame(frame: Frame) -> bytes:
+    """A frame's bytes on the wire; a ``DataHead``'s are those before its payload."""
+    if isinstance(frame, Data):
+        return encode_frame(DataHead(frame.chunk_index, frame.offset_in_chunk, len(frame.payload))) + frame.payload
     header = _HEADER.pack(MAGIC, VERSION, frame.kind)
     if isinstance(frame, Hello):
         if len(frame.transfer_id) != TRANSFER_ID_SIZE:
@@ -186,13 +204,10 @@ def encode_frame(frame: Frame) -> bytes:
             frame.chunk_length,
             frame.payload_digest,
         )
-    elif isinstance(frame, Data):
-        if not frame.payload:
-            raise ValueError("DATA payload must be non-empty")
-        if len(frame.payload) > MAX_DATA_PAYLOAD:
-            raise ValueError(f"DATA payload {len(frame.payload)} exceeds {MAX_DATA_PAYLOAD}")
-        head = _DATA_HEAD.pack(frame.chunk_index, frame.offset_in_chunk, len(frame.payload))
-        return b"".join((header, head, frame.payload))
+    elif isinstance(frame, DataHead):
+        if not 0 < frame.length <= MAX_DATA_PAYLOAD:
+            raise ValueError(f"DATA payload length {frame.length} outside 1..{MAX_DATA_PAYLOAD}")
+        body = _DATA_HEAD.pack(frame.chunk_index, frame.offset_in_chunk, frame.length)
     elif isinstance(frame, Fin):
         if len(frame.chunk_digest) != DIGEST_SIZE:
             raise ValueError("chunk_digest must be 32 bytes")
@@ -203,37 +218,39 @@ def encode_frame(frame: Frame) -> bytes:
 
 
 class FrameDecoder:
-    """Incremental frame-stream decoder.
+    """Incremental decoder of frame heads.
 
-    Feed arbitrary byte slices; complete frames come out as they close.
-    Feeding byte-by-byte yields the same frames as feeding one shot.
-    ``needed`` is how many more bytes the next frame needs before feeding
-    can yield it: the rest of the header, of a fixed body, or of a DATA
-    payload.  It is at least 1 and at most one maximal DATA frame, since an
-    oversize length is rejected before it is asked for.
+    Feed byte slices; frames come out as their heads close: HELLO and FIN
+    whole, DATA as a ``DataHead``, which ends the feed.  Its ``length``
+    payload bytes are the caller's to take, so feeding a byte past a DATA
+    head is an error.  ``needed`` is how many more bytes the next head needs
+    before feeding can yield it: at least 1, and never past that head.
     """
 
     def __init__(self):
         self._buf = bytearray()
         self._consumed = 0  # absolute offset of _buf[0] in the stream
-        self.needed = _HEADER.size
+        self.needed = _SHORTEST_HEAD
 
     @property
     def residual(self) -> bytes:
         return bytes(self._buf)
 
-    def feed(self, data: bytes) -> list[Frame]:
+    def feed(self, data) -> list[Frame]:
         self._buf.extend(data)
         frames = []
         while True:
             frame, used = self._try_decode_one()
             if frame is None:
                 self.needed = used
-                break
+                return frames
             del self._buf[:used]
             self._consumed += used
             frames.append(frame)
-        return frames
+            if isinstance(frame, DataHead):
+                if self._buf:
+                    raise ValueError("bytes fed past a DATA head, into its payload")
+                self._consumed += frame.length  # the payload, which its reader takes
 
     def _try_decode_one(self) -> tuple[Frame | None, int]:
         """``(frame, bytes it used)``, or ``(None, bytes still missing)``."""
@@ -241,7 +258,7 @@ class FrameDecoder:
         if len(buf) < _HEADER.size:
             if buf and not MAGIC.startswith(bytes(buf[:4])):
                 raise ProtocolError("bad frame magic", self._consumed)
-            return None, _HEADER.size - len(buf)
+            return None, _SHORTEST_HEAD - len(buf)
         magic, version, kind = _HEADER.unpack_from(buf)
         if magic != MAGIC:
             raise ProtocolError("bad frame magic", self._consumed)
@@ -261,12 +278,7 @@ class FrameDecoder:
                 raise ProtocolError(f"DATA payload length {plen} exceeds cap", self._consumed + pos)
             if plen == 0:
                 raise ProtocolError("zero-length DATA payload", self._consumed + pos)
-            end = pos + _DATA_HEAD.size + plen
-            if len(buf) < end:
-                return None, end - len(buf)
-            with memoryview(buf) as view:  # released before feed() trims the buffer
-                payload = bytes(view[pos + _DATA_HEAD.size : end])
-            return Data(idx, off, payload), end
+            return DataHead(idx, off, plen), pos + _DATA_HEAD.size
         if kind == FrameKind.FIN:
             if len(buf) < pos + _FIN_BODY.size:
                 return None, pos + _FIN_BODY.size - len(buf)
@@ -276,7 +288,19 @@ class FrameDecoder:
 
 
 def decode_frames(buffer: bytes) -> tuple[list[Frame], bytes]:
-    """One-shot decode: all complete frames plus the unconsumed tail."""
+    """One-shot decode: all complete frames, DATA with its payload, plus the
+    unconsumed tail; read as a receiver reads, head by head, then payload."""
     decoder = FrameDecoder()
-    frames = decoder.feed(buffer)
-    return frames, decoder.residual
+    frames = []
+    start = pos = 0  # where the frame being read begins, and how far it is read
+    while pos < len(buffer):
+        end = pos + decoder.needed
+        for frame in decoder.feed(buffer[pos:end]):  # at most one: the head ``needed`` closes
+            if isinstance(frame, DataHead):
+                end += frame.length
+                frame = Data(frame.chunk_index, frame.offset_in_chunk, bytes(buffer[end - frame.length : end]))
+            if end <= len(buffer):  # else the payload is cut short
+                frames.append(frame)
+                start = end
+        pos = end
+    return frames, bytes(buffer[start:])

@@ -26,7 +26,7 @@ from ptcp.simnet import (
 )
 from ptcp.striping import Receiver, send_transfer
 from ptcp.transport import TcpTransport
-from ptcp.wire import Data, Fin, FrameDecoder, Hello, encode_frame, partition, sha256
+from ptcp.wire import Data, DataHead, Fin, FrameDecoder, Hello, decode_frames, encode_frame, partition, sha256
 
 
 @contextlib.contextmanager
@@ -106,14 +106,17 @@ class _StaggeredStream:
         self._delay = delay
         self._started = False
 
-    def write_all(self, data: bytes) -> None:
+    def write_all(self, *parts) -> None:
         if not self._started:
             self._started = True
             time.sleep(self._delay)
-        self._inner.write_all(data)
+        self._inner.write_all(*parts)
 
     def read_some(self, *args, **kwargs):
         return self._inner.read_some(*args, **kwargs)
+
+    def read_into(self, *args, **kwargs):
+        return self._inner.read_into(*args, **kwargs)
 
     def close(self) -> None:
         self._inner.close()
@@ -264,6 +267,10 @@ def test_criterion_8_codec_and_partition_properties():
         ]
         for frame in frames:
             encoded = encode_frame(frame)
+            assert decode_frames(encoded) == ([frame], b"")
+            if isinstance(frame, Data):  # the decoder reads heads; a payload is its reader's to take
+                frame = DataHead(frame.chunk_index, frame.offset_in_chunk, len(frame.payload))
+                encoded = encode_frame(frame)
             for split in range(len(encoded) + 1):
                 decoder = FrameDecoder()
                 got = decoder.feed(encoded[:split]) + decoder.feed(encoded[split:])

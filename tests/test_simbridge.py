@@ -657,6 +657,28 @@ def test_receiver_wakes_about_once_per_frame(monkeypatch):
     assert len(parks) <= 2 * data_frames + 4 * connections
 
 
+def test_payload_bytes_never_pass_through_read_some_on_the_receiver(monkeypatch):
+    # The receiver reads frame heads with read_some and each DATA payload with
+    # read_into, straight into its buffer, so read_some returns at most the
+    # largest frame head per frame.
+    returned = []
+    real_read_some = simbridge.SimStream.read_some
+
+    def counting_read_some(self, *args, **kwargs):
+        data = real_read_some(self, *args, **kwargs)
+        if isinstance(self._path, simbridge._DelayLine):  # an accepted stream: the receiver's
+            returned.append(len(data))
+        return data
+
+    monkeypatch.setattr(simbridge.SimStream, "read_some", counting_read_some)
+    payload = bytes(range(256)) * 4096  # 1 MiB: HELLO, 8 DATA frames and FIN on each of 2 streams
+    box, _ = run_transfer(payload, 2, FAST_LINK)
+    assert box["result"].ok and box["payload"] == payload
+    largest_head = len(encode_frame(Hello(bytes(16), 0, 1, 0, 0, 0, bytes(32))))  # 86 bytes
+    frames = 2 * (1 + 8 + 1)
+    assert 0 < sum(returned) <= largest_head * frames
+
+
 def test_same_seed_same_virtual_outcome():
     payload = bytes((7 * i) % 256 for i in range(150_000))
     link = LinkConfig(

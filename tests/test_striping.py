@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from ptcp import striping
 from ptcp.striping import DEFAULT_IDLE_TIMEOUT, FailureKind, Receiver, send_transfer, serve
 from ptcp.transport import TcpTransport
-from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, encode_frame, sha256
+from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, decode_frames, encode_frame, sha256
 
 from conftest import run_on_sim, wait_until
 
@@ -433,6 +433,45 @@ def test_protocol_errors_fail_the_transfer_and_abort_its_stream(frames, detail):
     run_on_sim(run)
 
 
+@pytest.mark.parametrize(
+    ("hostile", "detail", "head_valid"),
+    [
+        (encode_frame(Data(0, 0, b"\xee" * 600)), "chunk 0 overflows its declared length", False),
+        (encode_frame(Data(0, 500, b"\xee" * 100)), "chunk 0: DATA offset 500, expected 0", False),
+        (encode_frame(Data(0, 0, b"\xee" * 100))[:60], "stream for chunk 0 ended before FIN", True),
+    ],
+    ids=["length-past-chunk", "offset-past-chunk", "ended-mid-payload"],
+)
+def test_data_head_is_checked_before_its_payload_is_read(hostile, detail, head_valid):
+    # Chunk 1 completes, then chunk 0's stream sends a hostile DATA frame.
+    # The receiver reads a payload straight into the buffer, so it must check
+    # the head first: chunk 1's bytes, right after chunk 0's, stay unchanged.
+    payload = b"A" * 500 + b"B" * 500
+    manifest = TransferManifest.for_payload(payload, 2)
+    body = payload[500:]
+
+    def run(transport):
+        receiver = Receiver(transport)
+        s0, s1 = transport.connect(), transport.connect()
+        for frame in (_hello_for(manifest, manifest.chunks[1]), Data(1, 0, body), Fin(1, sha256(body))):
+            s1.write_all(encode_frame(frame))
+        assert FrameDecoder().feed(s1.read_some(timeout=5.0)) == [Fin(1, sha256(body))]
+        buffer = receiver._monitors[manifest.transfer_id].buffer
+        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        s0.write_all(hostile)
+        s0.close()  # ends the cut-short frame; the others fail before it matters
+        result = receiver.serve_one()
+        s1.close()
+        receiver.close()
+        assert result.failure_kind is FailureKind.PROTOCOL
+        assert result.reason == f"protocol-error: {detail}"
+        assert buffer[500:] == body
+        if not head_valid:
+            assert buffer[:500] == bytes(500)  # not a byte of the hostile payload was read
+
+    run_on_sim(run)
+
+
 def test_sender_rejects_bad_receipt_digest():
     # A hand-rolled receiver acknowledges with the wrong digest; the sender
     # must report the transfer as failed.
@@ -441,15 +480,12 @@ def test_sender_rejects_bad_receipt_digest():
     def bogus_receiver(transport):  # runs first, so it listens before the sender connects
         listener = transport.listen()
         stream = listener.accept()
-        decoder = FrameDecoder()
-        done = False
-        while not done:
+        received = b""
+        while not any(isinstance(frame, Fin) for frame in decode_frames(received)[0]):
             data = stream.read_some(timeout=5.0)
             if data == b"":
                 break
-            for frame in decoder.feed(data):
-                if isinstance(frame, Fin):
-                    done = True
+            received += data
         stream.write_all(encode_frame(Fin(0, b"\x00" * 32)))
         stream.close()
         listener.close()
@@ -851,6 +887,9 @@ class _HeldReceiptStream:
 
     def read_some(self, *args, **kwargs):
         return self._inner.read_some(*args, **kwargs)
+
+    def read_into(self, *args, **kwargs):
+        return self._inner.read_into(*args, **kwargs)
 
     def write_all(self, data: bytes) -> None:
         (receipt,) = FrameDecoder().feed(data)

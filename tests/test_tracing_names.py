@@ -1,8 +1,15 @@
-"""The benchmark's tracer wraps ptcp names from outside the package; a renamed
-name would silently drop its layer from the traced figures."""
+"""The benchmark's tracer wraps ptcp names from outside the package.  A renamed
+name would silently drop its layer from the traced figures, and a stream call
+inside a wrapped name would count its time twice."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from ptcp.simbridge import SimHub, SimTransport
+from ptcp.simnet import LinkConfig, Network
+from ptcp.striping import send_transfer, serve
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -10,12 +17,41 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 KNOWN_MISSING = {"ptcp.striping.assemble", "ptcp.harness.run_level_sim"}
 
 
-def test_tracer_finds_every_name_it_wraps():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_finds_every_name_it_wraps():
+    tracing = _tracing()
     patches = tracing.install(tracing.Tracer())
     try:
         assert set(patches.missing) <= KNOWN_MISSING, patches.missing
     finally:
         patches.undo()
+
+
+def test_traced_lossy_sim_transfer_counts_no_time_twice():
+    # On the simulator one thread runs at a time, so no two threads are ever
+    # inside traced layer spans at once, unless a span parks its thread: a
+    # stream read or write inside one (say, a payload read inside
+    # _TransferMonitor.data).  Such overlap fails the benchmark's add-up
+    # check on simwire_lossy.
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    link = LinkConfig(capacity=100e6, one_way_delay=0.010, queue_limit=100, loss_probability=0.01, seed=0)
+    payload = np.random.Generator(np.random.PCG64(0)).bytes(1024 * 1024)
+    box = {}
+    patches = tracing.install(tracer)
+    try:
+        hub = SimHub(Network(link))
+        transport = SimTransport(hub)
+        hub.spawn(lambda: box.update(result=serve(transport, lambda _, data: box.update(data=data))), name="serve")
+        hub.spawn(lambda: box.update(report=send_transfer(payload, transport, 2)), name="send")
+        hub.run()
+    finally:
+        patches.undo()
+    assert box["report"].ok and box["result"].ok and box["data"] == payload
+    assert tracer.flush()[1] == 0.0

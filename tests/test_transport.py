@@ -421,6 +421,73 @@ def test_read_some_idle_clock_restarts_on_each_byte(backend):
     assert end - start > IDLE
 
 
+def _timed_read_into(backend, *sizes):
+    """Reader filling a fresh buffer of each size in turn with ``read_into``;
+    returns the bytes each read got, or the exception that ended them, and
+    when it began and ended."""
+
+    def reader(stream):
+        start = backend.now()
+        out = []
+        try:
+            for size in sizes:
+                buffer = bytearray(size)
+                out.append(bytes(buffer[: stream.read_into(buffer, IDLE)]))
+        except TimeoutError as exc:
+            out.append(exc)
+        return out, start, backend.now()
+
+    return reader
+
+
+def test_read_into_fills_the_view_exactly(backend):
+    # Ten bytes spanning two writes land in the middle of a larger buffer,
+    # and not a byte around them changes.
+    steps = [(GAP, b"abcdefgh")] * 2
+
+    def reader(stream):
+        buffer = bytearray(b"-" * 14)
+        with memoryview(buffer) as view:
+            got = stream.read_into(view[2:12], IDLE)
+        return got, bytes(buffer)
+
+    assert backend.run(_script(backend, steps), reader) == (10, b"--abcdefghab--")
+
+
+def test_read_into_returns_fewer_bytes_only_at_end_of_stream(backend):
+    steps = [(GAP, b"tail")]
+    out, *_ = backend.run(_script(backend, steps, close=True), _timed_read_into(backend, 10, 10))
+    assert out == [b"tail", b""]
+
+
+def test_read_into_idle_clock_restarts_on_each_byte(backend):
+    steps = [(GAP, b"y")] * 8
+    out, start, end = backend.run(_script(backend, steps), _timed_read_into(backend, 8))
+    assert out == [b"y" * 8]
+    assert end - start > IDLE
+
+
+def test_abort_wakes_a_blocked_read_into(backend):
+    readers = []
+
+    def aborter(stream):
+        backend.sleep(GAP)
+        readers[0].abort()
+
+    def reader(stream):
+        readers.append(stream)
+        start = backend.now()
+        try:
+            got = stream.read_into(bytearray(10), IDLE)
+        except OSError as exc:  # TCP may find the socket already closed
+            got = exc
+        return got, backend.now() - start
+
+    got, waited = backend.run(aborter, reader)
+    assert got == 0 or (isinstance(got, OSError) and not isinstance(got, TimeoutError))
+    assert waited < IDLE
+
+
 def test_read_some_times_out_only_after_idle_seconds_without_a_byte(backend):
     steps = [(GAP, b"z")] * 4
     written_at = []

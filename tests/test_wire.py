@@ -11,6 +11,7 @@ from ptcp.wire import (
     MAX_DATA_PAYLOAD,
     ChunkAssignment,
     Data,
+    DataHead,
     Fin,
     FrameDecoder,
     Hello,
@@ -140,8 +141,13 @@ def test_decoder_needed_reads_whole_frames(frames, data):
         probe = copy.deepcopy(decoder)
         short = data.draw(st.integers(0, needed - 1), label="short")
         assert probe.feed(stream[pos : pos + short]) == []
-        out += decoder.feed(stream[pos : pos + needed])
+        heads = decoder.feed(stream[pos : pos + needed])
         pos += needed
+        for head in heads:  # a DATA head's payload follows it, for the reader to take
+            if isinstance(head, DataHead):
+                head = Data(head.chunk_index, head.offset_in_chunk, stream[pos : pos + head.length])
+                pos += len(head.payload)
+            out.append(head)
     assert out == frames == decode_frames(stream)[0]
     assert decoder.residual == b""
 
@@ -172,9 +178,10 @@ def test_decode_empty_buffer():
 
 
 def test_streaming_decode_split_invariant():
-    # Two frames, split at every byte boundary: always the same two frames.
+    # Two frame heads, split at every byte boundary: always the same two
+    # frames.  The decoder reads heads only; a DATA payload is its reader's.
     f1 = Hello(b"\x01" * 16, 1000, 4, 2, 500, 250, sha256(b"payload"))
-    f2 = Data(2, 0, b"hello chunk data")
+    f2 = DataHead(2, 0, len(b"hello chunk data"))
     stream = encode_frame(f1) + encode_frame(f2)
     for cut in range(len(stream) + 1):
         decoder = FrameDecoder()
@@ -189,9 +196,18 @@ def test_streaming_decode_byte_by_byte():
     stream = b"".join(encode_frame(f) for f in frames_in)
     decoder = FrameDecoder()
     out = []
-    for i in range(len(stream)):
-        out += decoder.feed(stream[i : i + 1])
-    assert out == frames_in
+    pos = 0
+    while pos < len(stream):
+        heads = decoder.feed(stream[pos : pos + 1])
+        pos += 1 + sum(h.length for h in heads if isinstance(h, DataHead))  # the reader takes payloads
+        out += heads
+    assert out == [frames_in[0], DataHead(7, 9, 2), frames_in[2]]
+
+
+def test_feeding_past_a_data_head_is_an_error():
+    # The payload after a DATA head is its reader's to take, never the decoder's.
+    with pytest.raises(ValueError, match="past a DATA head"):
+        FrameDecoder().feed(encode_frame(Data(0, 0, b"payload")))
 
 
 def test_bad_magic_reports_offset_zero():
