@@ -16,7 +16,13 @@ simulation and wall-clock thread scheduling cannot leak in.
 
 A task waiting in ``SimListener.accept()`` is an idle server: it keeps no
 ``run()`` going.  No task outlives ``run()``, which ends every task still
-parked and joins every task thread before it returns or raises.
+parked and joins every task thread before it returns or raises.  A
+finished run leaves no reference cycle, so dropping the hub frees it, its
+network and whatever the tasks held by reference counting alone, even with
+events still pending.  An ending task drops its function and its hub and
+leaves the point it was parked on.  Nothing the network holds refers to the
+hub: a parked task carries its own hub, through which a wait point, an
+inbox or a path wakes it, and a timer callback holds only its task.
 
 A connection is two one-way paths, each ending in the other side's inbox.
 The forward path is one AIMD flow through the bottleneck carrying the
@@ -98,21 +104,48 @@ class _Task:
             pass
         except BaseException as exc:  # noqa: BLE001 - surfaced at join/run
             self.error = exc
+        self.fn = None  # what it captured may refer back to the hub
         with hub._lock:
             self.finished = True
-            hub._notify_locked(self.done)
+            self.hub = None  # the hub lists its tasks, so a finished one lets go of it
+            _wake(self.done)
             hub._live.discard(self)
             successor = hub._pick_locked()
         hub._baton_of(successor).release()
 
     def join(self) -> None:
-        hub = self.hub
-        with hub._lock:
-            while not self.finished:
-                hub._wait_on_locked(self.done)
-            if self.error is not None:
-                self.error_seen = True
-                raise self.error
+        hub = self.hub  # None once the task has finished
+        if hub is not None:
+            with hub._lock:
+                while not self.finished:
+                    hub._wait_on_locked(self.done)
+        if self.error is not None:
+            self.error_seen = True
+            raise self.error
+
+    def _arm_locked(self, at: float) -> None:
+        self.timer_at = at
+        self.hub.network.schedule_call(at, partial(self._on_timer_locked, at))
+
+    def _on_timer_locked(self, at: float) -> None:
+        """The task's timer fired: it wakes a park whose deadline is now and
+        re-arms at a later one.  A timer an earlier one replaced does nothing,
+        and so does one of a task no longer parked."""
+        if self.timer_at != at:
+            return
+        self.timer_at = None
+        if self.deadline is not None and self.deadline <= at:
+            self.hub._unpark_locked(self)
+        elif self.deadline is not None:
+            self._arm_locked(self.deadline)
+
+
+def _wake(point: list[_Task]) -> None:
+    """Unpark every task parked on ``point``, each through its own hub, so a
+    wait point needs no hub of its own."""
+    for task in point:
+        task.hub._unpark_locked(task)
+    point.clear()
 
 
 class SimHub:
@@ -229,18 +262,11 @@ class SimHub:
         if successor is not task:
             self._switch_locked(successor, task.baton)
         task.parked = False
-        if self._ending:
-            raise _TaskEnded
 
     def _unpark_locked(self, task: _Task) -> None:
         if task.parked and not task.queued:
             task.queued = True
             self._ready.append(task)
-
-    def _notify_locked(self, point: list[_Task]) -> None:
-        for task in point:
-            self._unpark_locked(task)
-        point.clear()
 
     def _wait_on_locked(self, point: list[_Task], deadline: float | None = None, idle: bool = False) -> bool:
         """Park the current task on ``point``.  False if a timer woke it.
@@ -254,7 +280,7 @@ class SimHub:
             if self.network.now >= deadline:
                 return False
             if task.timer_at is None or deadline < task.timer_at:
-                self._arm_locked(task, deadline)
+                task._arm_locked(deadline)
         task.deadline = deadline
         point.append(task)
         if idle:
@@ -263,25 +289,12 @@ class SimHub:
         if idle:
             self._live.add(task)
         task.deadline = None
-        if task in point:  # woken by the timer, not the point
+        woken = task not in point
+        if not woken:  # the timer woke it, or run() is ending it
             point.remove(task)
-            return False
-        return True
-
-    def _arm_locked(self, task: _Task, at: float) -> None:
-        task.timer_at = at
-        self.network.schedule_call(at, partial(self._on_timer_locked, task, at))
-
-    def _on_timer_locked(self, task: _Task, at: float) -> None:
-        """A task's timer fired: it wakes a park whose deadline is now and
-        re-arms at a later one.  A timer an earlier one replaced does nothing."""
-        if task.timer_at != at:
-            return
-        task.timer_at = None
-        if task.deadline is not None and task.deadline <= at:
-            self._unpark_locked(task)
-        elif task.deadline is not None:
-            self._arm_locked(task, task.deadline)
+        if self._ending:
+            raise _TaskEnded
+        return woken
 
 
 class SimChannel:
@@ -295,7 +308,7 @@ class SimChannel:
     def put(self, item) -> None:
         with self._hub._lock:
             self._items.append(item)
-            self._hub._notify_locked(self._readable)
+            _wake(self._readable)
 
     def get(self):
         hub = self._hub
@@ -319,14 +332,14 @@ class _Inbox:
         self.last_arrival = 0.0  # virtual time the last byte came in
         self.readable: list[_Task] = []
 
-    def put_locked(self, hub: SimHub, size: int, eof: bool = False) -> None:
+    def put_locked(self, now: float, size: int, eof: bool = False) -> None:
         if size:
             self.ready += size
-            self.last_arrival = hub.network.now
+            self.last_arrival = now
         if eof:
             self.eof = True
         if self.eof or self.ready >= self.low_water:
-            hub._notify_locked(self.readable)
+            _wake(self.readable)
 
     def take_into(self, view) -> None:
         """Fill ``view`` with the next ready bytes, copied from the written chunks."""
@@ -356,9 +369,8 @@ class _StreamFlow(AimdFlow):
     bytes into the peer's inbox.  A write parks while more than
     ``SEND_BUFFER_CAP`` bytes wait to be bound to a segment."""
 
-    def __init__(self, flow_id: str, hub: SimHub, peer: _Inbox):
-        super().__init__(flow_id, hub.network.link, start_time=hub.network.now)
-        self._hub = hub
+    def __init__(self, flow_id: str, network: Network, peer: _Inbox):
+        super().__init__(flow_id, network.link, start_time=network.now)
         self._peer = peer
         self._unbound = 0  # bytes written, not yet bound to a segment
         self._seg_size: dict[int, int] = {}
@@ -366,19 +378,19 @@ class _StreamFlow(AimdFlow):
         self._fin_seq: int | None = None
         self._writable: list[_Task] = []
 
-    def write_locked(self, data: bytes) -> None:
+    def write_locked(self, hub: SimHub, data: bytes) -> None:
         self._peer.chunks.append(data)
         self._unbound += len(data)
-        self._hub.network.pump(self)
+        hub.network.pump(self)
         while self._unbound > SEND_BUFFER_CAP:
-            self._hub._wait_on_locked(self._writable)
+            hub._wait_on_locked(self._writable)
 
-    def close_locked(self, discard_pending: bool = False) -> None:
+    def close_locked(self, hub: SimHub, discard_pending: bool = False) -> None:
         if discard_pending:
             self._peer.drop_tail(self._unbound)
             self._unbound = 0
         self._closing = True
-        self._hub.network.pump(self)
+        hub.network.pump(self)
 
     def _new_segment_ready(self) -> bool:
         return self._unbound > 0 or (self._closing and self._fin_seq is None)
@@ -390,31 +402,30 @@ class _StreamFlow(AimdFlow):
         if self._closing and not self._unbound and self._fin_seq is None:
             self._fin_seq = seq  # the last segment doubles as end-of-stream
         if take and self._unbound <= SEND_BUFFER_CAP:
-            self._hub._notify_locked(self._writable)
+            _wake(self._writable)
 
     def segment_payload(self, seq: int) -> int:
         return self._seg_size[seq]
 
     def _release(self, seq: int, now: float) -> None:
-        self._peer.put_locked(self._hub, self._seg_size.pop(seq), eof=(seq == self._fin_seq))
+        self._peer.put_locked(now, self._seg_size.pop(seq), eof=(seq == self._fin_seq))
 
 
 class _DelayLine:
     """Reverse path: each write or close reaches the peer's inbox one
     ``one_way_delay`` later, with no bandwidth and no loss, as acks do."""
 
-    def __init__(self, hub: SimHub, peer: _Inbox):
-        self._hub = hub
+    def __init__(self, peer: _Inbox):
         self._peer = peer
 
-    def write_locked(self, data: bytes, eof: bool = False) -> None:
-        network = self._hub.network
+    def write_locked(self, hub: SimHub, data: bytes, eof: bool = False) -> None:
+        network = hub.network
         self._peer.chunks.append(data)
-        arrive = partial(self._peer.put_locked, self._hub, len(data), eof)
-        network.schedule_call(network.now + network.link.one_way_delay, arrive)
+        at = network.now + network.link.one_way_delay
+        network.schedule_call(at, partial(self._peer.put_locked, at, len(data), eof))
 
-    def close_locked(self, discard_pending: bool = False) -> None:
-        self.write_locked(b"", eof=True)  # nothing waits unsent, so nothing to discard
+    def close_locked(self, hub: SimHub, discard_pending: bool = False) -> None:
+        self.write_locked(hub, b"", eof=True)  # nothing waits unsent, so nothing to discard
 
 
 class SimStream:
@@ -460,22 +471,22 @@ class SimStream:
         with self._hub._lock:
             if self._write_closed:
                 raise ConnectionError("stream closed for writing")
-            self._path.write_locked(data)
+            self._path.write_locked(self._hub, data)
 
     def close(self) -> None:
         with self._hub._lock:
             if self._write_closed:
                 return
             self._write_closed = True
-            self._path.close_locked()
+            self._path.close_locked(self._hub)
 
     def abort(self) -> None:
         """Hard stop: drop unsent bytes, end both directions."""
         with self._hub._lock:
             if not self._write_closed:
                 self._write_closed = True
-                self._path.close_locked(discard_pending=True)
-            self._inbox.put_locked(self._hub, 0, eof=True)
+                self._path.close_locked(self._hub, discard_pending=True)
+            self._inbox.put_locked(self._hub.network.now, 0, eof=True)
 
 
 class SimListener:
@@ -497,13 +508,13 @@ class SimListener:
     def close(self) -> None:
         with self._hub._lock:
             self.closed = True
-            self._hub._notify_locked(self._readable)
+            _wake(self._readable)
 
     def _offer_locked(self, stream: SimStream) -> bool:
         if self.closed:
             return False
         self._pending.append(stream)
-        self._hub._notify_locked(self._readable)
+        _wake(self._readable)
         return True
 
 
@@ -524,10 +535,10 @@ class SimTransport:
                 raise ConnectionRefusedError("nothing is listening")
             self._conn_counter += 1
             client_inbox, server_inbox = _Inbox(), _Inbox()
-            flow = _StreamFlow(f"conn-{self._conn_counter}", hub, server_inbox)
+            flow = _StreamFlow(f"conn-{self._conn_counter}", network, server_inbox)
             network.add_flow(flow)
             client = SimStream(hub, client_inbox, flow)
-            server = SimStream(hub, server_inbox, _DelayLine(hub, client_inbox))
+            server = SimStream(hub, server_inbox, _DelayLine(client_inbox))
             # Connection setup costs one base RTT before data can move.
             hub._wait_on_locked([], network.now + network.link.rtt_base)
             if not listener._offer_locked(server):

@@ -6,8 +6,10 @@ running chunk 0 — HELLO, DATA frames in order (head and payload in one
 stream write each), FIN with the chunk digest.
 After FIN each sender worker waits for the receiver's receipt (a FIN frame
 echoing the digest the receiver computed) so corruption is observable end
-to end, then hands the stream back to the transport.  A TCP transport keeps
-the stream and the worker, so a transfer over kept ones starts no thread.
+to end, then hands the stream back to the transport.  The receiver holds
+the last chunk's receipt until the payload is delivered, so receipts that
+all verify mean delivered, not only arrived.  A TCP transport keeps the
+stream and the worker, so a transfer over kept ones starts no thread.
 
 Receiver: workers take turns in accept(), each serving the one stream it
 accepted before it accepts again, so workers outlive their streams.  A
@@ -18,13 +20,15 @@ whole payload), DATA frames, each head checked against the chunk before
 its payload is read from the stream straight into its slice of the
 buffer and hashed there, and FIN, which completes the chunk once that
 digest verifies.  When the last chunk completes, the hash-list root over the
-verified chunk digests is checked against HELLO's payload digest, and the
-buffer itself goes to the sink.  A failure on any stream fails the whole
-transfer and aborts the streams of its chunks not yet complete; there is
-no retry, and late streams of a finished transfer are turned away.  A
-stream whose sequence does not open with a valid HELLO names no transfer:
-it is aborted and reported nowhere.  One lock guards the receiver; a
-transfer it lists has not finished, and it finishes exactly once.
+verified chunk digests is checked against HELLO's payload digest, the
+buffer itself goes to the sink, and only then does that chunk's receipt go
+out; if the check or the sink fails, its stream is aborted instead.  A
+failure on any stream fails the whole transfer and aborts the streams of
+its chunks not yet complete; there is no retry, and late streams of a
+finished transfer are turned away.  A stream whose sequence does not open
+with a valid HELLO names no transfer: it is aborted and reported nowhere.
+One lock guards the receiver; a transfer it lists has not finished, and it
+finishes exactly once.
 
 Every failed transfer carries a ``FailureKind`` next to its reason string,
 and every reason, on either side, reads ``"{kind.value}: {detail}"``.
@@ -67,6 +71,7 @@ class FailureKind(Enum):
     STALLED = "stalled"  # no bytes within the idle or receipt timeout
     CORRUPT_CHUNK = "corrupt-chunk"  # a chunk's bytes do not match its FIN digest
     CORRUPT_PAYLOAD = "corrupt-payload"  # the chunk digests do not match HELLO's root
+    SINK = "sink failed"  # the receiver's sink raised on the verified payload
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +362,12 @@ class Receiver:
     failure aborts every stream of its transfer; a stream that does not open
     with a valid HELLO is aborted, and ``serve_one`` never sees it.
 
+    A failed transfer's ``failure_kind`` says why: ``CONNECTION``,
+    ``PROTOCOL``, ``STALLED``, ``CORRUPT_CHUNK``, ``CORRUPT_PAYLOAD``, or
+    ``SINK`` when the sink raised.  The last chunk's receipt is written only
+    once the sink has returned, so on a ``CORRUPT_PAYLOAD`` or ``SINK``
+    failure its stream is aborted and the sender fails on that chunk.
+
     One lock, ``_lock``, guards the receiver and its monitors.  ``_monitors``
     lists a transfer from its first HELLO until ``_finish`` marks it
     finished, in one critical section, so a listed transfer has not finished.
@@ -471,15 +482,17 @@ class Receiver:
                     continue
                 with self._lock:
                     last = monitor.complete(frame, self._transport.now())
-                # complete() verified this digest against the buffered chunk.
-                stream.write_all(encode_frame(Fin(index, frame.chunk_digest)))
                 if last:
                     # Every chunk digest was verified against its bytes, and
                     # register() pinned each chunk to its partition entry, so
                     # the root over them stands for the whole buffer.
                     chunk_digests = (monitor.chunks[i].digest for i in range(monitor.connection_count))
                     ok = root_digest(chunk_digests) == monitor.payload_digest
-                    self._finish(monitor, None if ok else FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
+                    if not self._finish(monitor, None if ok else FailureKind.CORRUPT_PAYLOAD, "digest mismatch"):
+                        stream.abort()  # so the sender fails on the receipt held for delivery
+                        return False
+                # complete() verified this digest against the buffered chunk.
+                stream.write_all(encode_frame(Fin(index, frame.chunk_digest)))
                 return True
             raise ProtocolError(f"stream for chunk {index} ended before FIN")
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
@@ -488,22 +501,27 @@ class Receiver:
                 self._finish(monitor, _failure_kind(exc), exc)
             return False
 
-    def _finish(self, monitor: _TransferMonitor, kind: FailureKind | None, detail) -> None:
-        """Deliver the transfer's one completion, succeeded when ``kind`` is
-        None; a failure aborts the streams of its chunks not yet complete.
-        Later calls for the transfer do nothing."""
+    def _finish(self, monitor: _TransferMonitor, kind: FailureKind | None, detail) -> bool:
+        """Post the transfer's one completion; True when it succeeded.  With
+        ``kind`` None the sink takes the payload first, and a sink that
+        raises fails the transfer as ``FailureKind.SINK``.  A failure aborts
+        the streams of its chunks not yet complete.  Later calls for the
+        transfer do nothing and return False."""
         with self._lock:
             if monitor.finished:
-                return
+                return False
             monitor.finished = True
             del self._monitors[monitor.transfer_id]
             self._finished_ids.append(monitor.transfer_id)
             streams = list(monitor.streams.values())
+        if kind is None and self._sink is not None:
+            try:
+                self._sink(monitor.transfer_id, monitor.buffer)
+            except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
+                kind, detail = FailureKind.SINK, exc
         if kind is not None:
             for stream in streams:
                 stream.abort()
-        elif self._sink is not None:
-            self._sink(monitor.transfer_id, monitor.buffer)
         self._completions.put(
             ReceivedTransfer(
                 transfer_id=monitor.transfer_id,
@@ -515,6 +533,7 @@ class Receiver:
                 failure_kind=kind,
             )
         )
+        return kind is None
 
 
 def serve(transport, sink=None, **options) -> ReceivedTransfer:

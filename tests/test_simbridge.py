@@ -1,12 +1,15 @@
 """Tests for the simulated-network stream bridge.
 
 Covers the hub scheduler (task lifecycle, virtual sleep, channels, idle servers,
-deadlock detection, read timers), the stream semantics (EOF, timeouts,
+deadlock detection, read timers, a finished hub that reference counting
+frees and that still runs), the stream semantics (EOF, timeouts,
 backpressure, refused connects, the byte path), and the headline property: the transfer code runs
 unmodified over the simulated bottleneck, deterministically.
 """
 
+import gc
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -539,6 +542,85 @@ def run_transfer(payload, connections, link, *, record_events=False):
     hub.spawn(send_task, name="send")
     hub.run()
     return box, network
+
+
+class _Holder:
+    """What a sink filled.  A class defined inside a test would be cyclic
+    garbage itself, so this one is defined here."""
+
+    data = None
+
+
+def test_finished_transfer_is_freed_without_the_cyclic_gc():
+    # Nothing a finished run leaves may refer back to its hub: not the ended
+    # tasks, their closures and streams, nor callbacks still on the heap.  So
+    # reference counting alone frees the hub, its network and what the sink
+    # kept, with events still pending.
+    link = LinkConfig(capacity=100e6, one_way_delay=0.010, queue_limit=100, loss_probability=0.01, seed=0)
+    payload = bytes(range(256)) * 4096  # 1 MiB
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        network = Network(link)
+        hub = SimHub(network)
+        transport = SimTransport(hub)
+        holder = _Holder()
+
+        def sink(tid, data):
+            holder.data = data
+
+        hub.spawn(lambda: serve(transport, sink=sink), name="serve")
+        hub.spawn(lambda: setattr(holder, "report", send_transfer(payload, transport, 2)), name="send")
+        hub.run()
+        assert holder.report.ok and holder.data == payload
+        assert network.next_time() is not None
+        refs = [weakref.ref(hub), weakref.ref(network), weakref.ref(holder)]
+        del network, hub, transport, holder
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_finished_hub_runs_another_transfer():
+    hub = make_hub()
+    transport = SimTransport(hub)
+    store = {}
+    for payload in (bytes(range(256)) * 400, b"second" * 20_000):
+        box = {}  # each run() returns before the next loop binds box and payload again
+        hub.spawn(lambda: box.__setitem__("result", serve(transport, sink=store.__setitem__)), name="serve")
+        hub.spawn(lambda: box.__setitem__("report", send_transfer(payload, transport, 2)), name="send")
+        hub.run()
+        assert box["report"].ok and box["result"].ok
+        assert store[box["report"].transfer_id] == payload
+
+
+def test_stepping_a_finished_network_wakes_nothing():
+    # Late timers and deliveries of finished runs find no task to wake, not
+    # even the timer of a sleeper that run() ended mid-park when a callback
+    # failed: the network drains without an error and starts no thread.
+    link = LinkConfig(capacity=10_000_000, one_way_delay=0.01, queue_limit=100, loss_probability=0.05, seed=9)
+    hub = make_hub(link)
+    transport = SimTransport(hub)
+    box = {}
+    hub.spawn(lambda: box.__setitem__("result", serve(transport)))
+    hub.spawn(lambda: box.__setitem__("report", send_transfer(bytes(300_000), transport, 3)))
+    hub.run()
+    assert box["report"].ok and box["result"].ok
+
+    def boom():
+        raise ValueError("callback failed")
+
+    network = hub.network
+    network.schedule_call(network.now + 0.5, boom)
+    hub.spawn(lambda: hub.sleep(1.0), name="sleeper")
+    with pytest.raises(ValueError, match="callback failed"):
+        hub.run()
+    assert any(event[2] is simnet._call for event in network._heap)  # the sleeper's timer among them
+    threads = threading.active_count()
+    while network.step():
+        assert threading.active_count() == threads
+    assert not hub._ready and all(task.finished for task in hub._tasks)
 
 
 def test_a_transfer_leaves_at_most_one_timer_per_task():

@@ -338,6 +338,52 @@ def test_root_mismatch_fails_transfer_as_corrupt_payload():
     run_on_sim(run)
 
 
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_sink_that_raises_fails_the_transfer_on_both_sides(backend):
+    # The last chunk's receipt waits for the sink.  A sink that raises gives
+    # one failed completion and aborts the stream of the held receipt, so
+    # the sender fails on that chunk long before any idle timeout.  The
+    # receiver then serves the next transfer as usual.
+    payloads = [random.Random(5).randbytes(100_000), b"next" * 1000]
+    failures = [OSError("disk full")]
+    store = {}
+
+    def sink(transfer_id, payload):
+        if failures:
+            raise failures.pop()
+        store[transfer_id] = payload
+
+    def run(transport):
+        receiver = Receiver(transport, sink, idle_timeout=5.0)
+        try:
+            start = transport.now()
+            failed = send_transfer(payloads[0], transport, 2)
+            failure = receiver.serve_one()
+            elapsed = transport.now() - start
+            report = send_transfer(payloads[1], transport, 2)
+            result = receiver.serve_one()
+        finally:
+            receiver.close()
+        return failed, failure, elapsed, report, result
+
+    if backend == "sim":
+        [(failed, failure, elapsed, report, result)] = run_on_sim(run)
+    else:
+        transport = TcpTransport("127.0.0.1", 0)
+        try:
+            failed, failure, elapsed, report, result = run(transport)
+        finally:
+            transport.close()
+    assert failure.transfer_id == failed.transfer_id
+    assert failure.failure_kind is FailureKind.SINK
+    assert failure.reason == "sink failed: disk full"
+    assert not failed.ok and failed.failure_kind is FailureKind.CONNECTION
+    assert [s.chunk_index for s in failed.per_connection] == [1 - failed.failing_chunk]
+    assert elapsed < 1.0
+    assert report.ok and result.ok and result.transfer_id == report.transfer_id
+    assert store == {report.transfer_id: payloads[1]}
+
+
 def test_each_side_hashes_every_byte_once(monkeypatch):
     # Sender: each chunk once for its FIN, then the root over n digests.
     # Receiver: each DATA byte once, then the same root.
