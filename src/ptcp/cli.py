@@ -134,7 +134,7 @@ def cmd_recv(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def sink(transfer_id: bytes, payload: bytes) -> None:
+    def sink(transfer_id: bytes, payload: bytearray) -> None:
         path = out_dir / f"{transfer_id.hex()}.bin"
         path.write_bytes(payload)
         print(f"wrote {path}")

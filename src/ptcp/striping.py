@@ -15,7 +15,7 @@ Receiver: workers take turns in accept(), each serving the one stream it
 accepted before it accepts again, so workers outlive their streams.  A
 worker reads one sequence after another from its stream, of any transfer,
 until the stream ends or idles out: HELLO, which registers the stream with
-its transfer's monitor (the first valid HELLO allocates one buffer for the
+its transfer's monitor (the first valid HELLO sets up one buffer for the
 whole payload), DATA frames, each head checked against the chunk before
 its payload is read from the stream straight into its slice of the
 buffer and hashed there, and FIN, which completes the chunk once that
@@ -30,6 +30,13 @@ with a valid HELLO names no transfer: it is aborted and reported nowhere.
 One lock guards the receiver; a transfer it lists has not finished, and it
 finishes exactly once.
 
+A receiver keeps the buffer of its last finished transfer as a spare, and
+the next transfer of the same size takes it instead of allocating one, when
+nothing else refers to it (its CPython reference count): a buffer that a
+sink kept, or that a worker of a failed transfer still holds a slice of, is
+never written again.  So an idle receiver holds one buffer, of at most its
+buffer cap, until its next transfer or ``close()``.
+
 Every failed transfer carries a ``FailureKind`` next to its reason string,
 and every reason, on either side, reads ``"{kind.value}: {detail}"``.
 """
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -275,8 +283,9 @@ class _TransferMonitor:
         self.stats: list[ConnectionStat] = []  # one per completed chunk
         self.finished = False
 
-    def register(self, hello: Hello, stream, now: float, buffer_cap: int) -> None:
-        """Admit ``stream`` as the carrier of HELLO's chunk."""
+    def register(self, hello: Hello, stream, now: float, buffer_cap: int, allocate) -> None:
+        """Admit ``stream`` as the carrier of HELLO's chunk; the first
+        admitted takes the transfer's buffer from ``allocate(total_size)``."""
         if (hello.total_size, hello.connection_count, hello.payload_digest) != (
             self.total_size,
             self.connection_count,
@@ -300,7 +309,7 @@ class _TransferMonitor:
         if self.total_size > buffer_cap:
             raise ProtocolError(f"transfer of {self.total_size} bytes exceeds receiver buffer cap {buffer_cap}")
         if self.buffer is None:
-            self.buffer = bytearray(self.total_size)
+            self.buffer = allocate(self.total_size)
         self.chunks[hello.chunk_index] = _Chunk(
             hello.chunk_offset, hello.chunk_length, hashlib.sha256(), now - self.started_at
         )
@@ -318,8 +327,11 @@ class _TransferMonitor:
             raise ProtocolError(f"chunk {index}: DATA offset {head.offset_in_chunk}, expected {chunk.filled}")
         if chunk.filled + head.length > chunk.length:
             raise ProtocolError(f"chunk {index} overflows its declared length")
+        buffer = self.buffer
+        if buffer is None:  # _finish took it: the transfer failed since the head was read
+            raise ConnectionError(f"transfer {self.transfer_id.hex()} has finished")
         start = chunk.offset + chunk.filled
-        return memoryview(self.buffer)[start : start + head.length]
+        return memoryview(buffer)[start : start + head.length]
 
     def data(self, head: DataHead, payload: memoryview) -> None:
         """Take in a payload read into its ``slot``: hash it and advance."""
@@ -362,15 +374,24 @@ class Receiver:
     failure aborts every stream of its transfer; a stream that does not open
     with a valid HELLO is aborted, and ``serve_one`` never sees it.
 
+    The buffer of the last finished transfer, successful or failed, stays
+    as a spare.  The next transfer of the same ``total_size`` fills it
+    instead of a fresh one, but only when nothing else refers to it (its
+    CPython reference count), so a buffer the sink kept, itself or through
+    a ``memoryview``, is never written again.  The cost: an idle receiver
+    holds that buffer, at most ``buffer_cap`` bytes, until its next
+    transfer or ``close()``.
+
     A failed transfer's ``failure_kind`` says why: ``CONNECTION``,
     ``PROTOCOL``, ``STALLED``, ``CORRUPT_CHUNK``, ``CORRUPT_PAYLOAD``, or
     ``SINK`` when the sink raised.  The last chunk's receipt is written only
     once the sink has returned, so on a ``CORRUPT_PAYLOAD`` or ``SINK``
     failure its stream is aborted and the sender fails on that chunk.
 
-    One lock, ``_lock``, guards the receiver and its monitors.  ``_monitors``
-    lists a transfer from its first HELLO until ``_finish`` marks it
-    finished, in one critical section, so a listed transfer has not finished.
+    One lock, ``_lock``, guards the receiver, its monitors and the spare.
+    ``_monitors`` lists a transfer from its first HELLO until ``_finish``
+    marks it finished, in one critical section, so a listed transfer has not
+    finished.
     """
 
     def __init__(
@@ -394,6 +415,7 @@ class Receiver:
         self._completions = transport.channel()
         self._accepting = 0  # workers waiting in accept()
         self._waiting: set = set()  # streams waiting for a HELLO
+        self._spare: bytearray | None = None  # the last finished transfer's buffer
         self._closed = False
         self._acceptor = transport.spawn(self._worker, name="recv-conn")
 
@@ -411,6 +433,7 @@ class Receiver:
         self._listener.close()
         with self._lock:
             self._closed = True
+            self._spare = None
             waiting = list(self._waiting)
         for stream in waiting:
             stream.abort()
@@ -460,7 +483,7 @@ class Receiver:
                     monitor = self._monitors.get(hello.transfer_id)
                     if monitor is None:
                         monitor = self._monitors[hello.transfer_id] = _TransferMonitor(hello, now)
-                    monitor.register(hello, stream, now, self._buffer_cap)
+                    monitor.register(hello, stream, now, self._buffer_cap, self._buffer_locked)
             if monitor is None:
                 stream.abort()  # no valid HELLO, or its transfer has finished
                 return False
@@ -518,7 +541,12 @@ class Receiver:
             try:
                 self._sink(monitor.transfer_id, monitor.buffer)
             except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
-                kind, detail = FailureKind.SINK, exc
+                # Its text only: the traceback would keep the sink's frame, and the payload in it.
+                kind, detail = FailureKind.SINK, str(exc)
+        with self._lock:
+            if monitor.buffer is not None and not self._closed:
+                self._spare = monitor.buffer
+            monitor.buffer = None  # so a finished monitor pins nothing
         if kind is not None:
             for stream in streams:
                 stream.abort()
@@ -534,6 +562,17 @@ class Receiver:
             )
         )
         return kind is None
+
+    def _buffer_locked(self, size: int) -> bytearray:
+        """A receive buffer of ``size`` bytes: the spare, if it has that size
+        and nothing else refers to it, else a fresh one.  Runs under ``_lock``."""
+        spare, self._spare = self._spare, None
+        # Two references, ``spare`` and getrefcount's argument: no sink kept
+        # it, and no worker of a failed transfer still holds a slice of it.
+        if spare is not None and len(spare) == size and sys.getrefcount(spare) == 2:
+            return spare
+        del spare  # freed before the fresh one is allocated, unless kept elsewhere
+        return bytearray(size)
 
 
 def serve(transport, sink=None, **options) -> ReceivedTransfer:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from ptcp import striping
 from ptcp.striping import DEFAULT_IDLE_TIMEOUT, FailureKind, Receiver, send_transfer, serve
 from ptcp.transport import TcpTransport
-from ptcp.wire import Data, Fin, FrameDecoder, Hello, TransferManifest, decode_frames, encode_frame, sha256
+from ptcp.wire import Data, DataHead, Fin, FrameDecoder, Hello, TransferManifest, decode_frames, encode_frame, sha256
 
 from conftest import run_on_sim, wait_until
 
@@ -382,6 +382,153 @@ def test_sink_that_raises_fails_the_transfer_on_both_sides(backend):
     assert elapsed < 1.0
     assert report.ok and result.ok and result.transfer_id == report.transfer_id
     assert store == {report.transfer_id: payloads[1]}
+
+
+def _run_on(backend, run):
+    """``run(transport)``, as a simulation task or on a loopback TCP transport."""
+    if backend == "sim":
+        [result] = run_on_sim(run)
+        return result
+    transport = TcpTransport("127.0.0.1", 0)
+    try:
+        return run(transport)
+    finally:
+        transport.close()
+
+
+def _serve_each(payloads, sink):
+    """A task sending each of ``payloads`` in turn to one receiver with
+    ``sink``; it returns whether each transfer succeeded on both sides."""
+
+    def run(transport):
+        receiver = Receiver(transport, sink, idle_timeout=5.0)
+        try:
+            oks = []
+            for payload in payloads:
+                report = send_transfer(payload, transport, 2)
+                result = receiver.serve_one()
+                oks.append(report.ok and result.ok and result.transfer_id == report.transfer_id)
+            return oks
+        finally:
+            receiver.close()
+
+    return run
+
+
+@pytest.fixture
+def receive_buffers(monkeypatch):
+    """Weak references to the receive buffers the receiver allocates, in
+    order.  Each is a ``bytearray`` subclass, which takes weak references."""
+    allocated = []
+
+    class Buffer(bytearray):
+        pass
+
+    def allocate(size):
+        buffer = Buffer(size)
+        allocated.append(weakref.ref(buffer))
+        return buffer
+
+    monkeypatch.setattr(striping, "bytearray", allocate, raising=False)
+    return allocated
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_receiver_refills_the_buffer_its_sink_let_go(backend, receive_buffers):
+    # The sink keeps nothing, so the second transfer of the same size fills
+    # the first one's buffer again: one allocation, the same object twice.
+    payloads = [random.Random(1).randbytes(200_000), random.Random(2).randbytes(200_000)]
+    delivered = []
+
+    def sink(transfer_id, payload):
+        delivered.append((payload is receive_buffers[0](), bytes(payload)))
+
+    assert _run_on(backend, _serve_each(payloads, sink)) == [True, True]
+    assert len(receive_buffers) == 1
+    assert delivered == [(True, payloads[0]), (True, payloads[1])]
+
+
+@pytest.mark.parametrize("keep", ["payload", "view"])
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_a_buffer_the_sink_kept_is_never_written_again(backend, keep):
+    # The first payload, or only a memoryview of it, outlives the sink; the
+    # second transfer, of the same size and other bytes, gets its own buffer.
+    payloads = [random.Random(3).randbytes(200_000), random.Random(4).randbytes(200_000)]
+    kept = []
+
+    def sink(transfer_id, payload):
+        kept.append(payload if keep == "payload" else memoryview(payload))
+
+    assert _run_on(backend, _serve_each(payloads, sink)) == [True, True]
+    first, second = (k if keep == "payload" else k.obj for k in kept)
+    assert first is not second
+    assert [bytes(k) for k in kept] == payloads
+
+
+@pytest.mark.parametrize("failure", [FailureKind.CORRUPT_CHUNK, FailureKind.SINK])
+def test_a_failed_transfers_buffer_takes_exactly_the_next_payload(failure, receive_buffers):
+    # The failed transfer leaves its own bytes in the buffer it hands on; the
+    # next transfer of that size fills the same buffer and delivers exactly
+    # its payload.
+    first, second = random.Random(5).randbytes(60_000), random.Random(6).randbytes(60_000)
+    store = {}
+    failures = [OSError("disk full")] if failure is FailureKind.SINK else []
+
+    def sink(transfer_id, payload):
+        if failures:
+            raise failures.pop()
+        store[transfer_id] = bytes(payload)
+
+    def run(transport):
+        receiver = Receiver(transport, sink, idle_timeout=5.0)
+        try:
+            if failure is FailureKind.CORRUPT_CHUNK:
+                manifest = TransferManifest.for_payload(first, 1)
+                stream = transport.connect()
+                stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+                stream.write_all(encode_frame(Data(0, 0, bytes(b ^ 0xFF for b in first))))
+                stream.write_all(encode_frame(Fin(0, sha256(first))))
+            else:
+                send_transfer(first, transport, 2)
+            failed = receiver.serve_one()
+            report = send_transfer(second, transport, 2)
+            return failed, report, receiver.serve_one()
+        finally:
+            receiver.close()
+
+    [(failed, report, result)] = run_on_sim(run)
+    assert failed.failure_kind is failure
+    assert report.ok and result.ok
+    assert store == {report.transfer_id: second}
+    assert len(receive_buffers) == 1
+
+
+def test_serve_holds_no_spare_buffer_once_it_returns(receive_buffers):
+    # serve() closes its receiver, which lets go of the spare: the buffer a
+    # sink did not keep is freed as serve() returns, while the receiver's
+    # workers, and so the receiver, still live.
+    def serve_task(transport):
+        result = serve(transport, lambda transfer_id, payload: None)
+        return result.ok, [ref() is None for ref in receive_buffers]
+
+    def send_task(transport):
+        return send_transfer(b"spare" * 20_000, transport, 2)
+
+    (ok, freed), report = run_on_sim(serve_task, send_task)
+    assert ok and report.ok
+    assert freed == [True]
+
+
+def test_slot_of_a_finished_transfer_fails_cleanly():
+    # A worker reading its next DATA head as another stream fails the
+    # transfer finds the buffer gone with the finished monitor.
+    manifest = TransferManifest.for_payload(b"x" * 100, 1)
+    hello = _hello_for(manifest, manifest.chunks[0])
+    monitor = striping._TransferMonitor(hello, 0.0)
+    monitor.register(hello, None, 0.0, striping.DEFAULT_BUFFER_CAP, bytearray)
+    monitor.buffer = None  # as _finish leaves a finished monitor
+    with pytest.raises(ConnectionError, match="has finished"):
+        monitor.slot(DataHead(0, 0, 100))
 
 
 def test_each_side_hashes_every_byte_once(monkeypatch):
