@@ -32,10 +32,12 @@ finishes exactly once.
 
 A receiver keeps the buffer of its last finished transfer as a spare, and
 the next transfer of the same size takes it instead of allocating one, when
-nothing else refers to it (its CPython reference count): a buffer that a
-sink kept, or that a worker of a failed transfer still holds a slice of, is
-never written again.  So an idle receiver holds one buffer, of at most its
-buffer cap, until its next transfer or ``close()``.
+nothing else refers to it (its reference count): a buffer that a sink kept,
+or that a worker of a failed transfer still holds a slice of, is never
+written again.  So an idle receiver holds one buffer, of at most its buffer
+cap, until its next transfer or ``close()``, and while transfers overlap it
+may hold that one next to theirs.  Where reference counts cannot show every
+holder (no ``sys.getrefcount``, or no GIL) it keeps no spare.
 
 Every failed transfer carries a ``FailureKind`` next to its reason string,
 and every reason, on either side, reads ``"{kind.value}: {detail}"``.
@@ -353,6 +355,25 @@ class _TransferMonitor:
         return len(self.stats) == self.connection_count
 
 
+def _sole_refcount() -> int | None:
+    """What ``sys.getrefcount(spare)`` reads when a local ``spare`` is the
+    only reference, read in the same way as ``Receiver._buffer_locked``
+    reads it: the figure differs between interpreter versions.  None where
+    the count cannot show every holder: no ``sys.getrefcount`` (PyPy), or
+    no GIL (a free-threaded build)."""
+    if not hasattr(sys, "getrefcount") or not getattr(sys, "_is_gil_enabled", lambda: True)():
+        return None
+    spare = bytearray(0)
+    alone = sys.getrefcount(spare)
+    held = [spare]  # one more holder must read as one more
+    more = sys.getrefcount(spare)
+    del held
+    return alone if more == alone + 1 else None
+
+
+_SOLE_REFCOUNT = _sole_refcount()  # None: a receiver never reuses a buffer
+
+
 class Receiver:
     """Workers that take turns accepting streams, feeding per-transfer monitors.
 
@@ -377,10 +398,13 @@ class Receiver:
     The buffer of the last finished transfer, successful or failed, stays
     as a spare.  The next transfer of the same ``total_size`` fills it
     instead of a fresh one, but only when nothing else refers to it (its
-    CPython reference count), so a buffer the sink kept, itself or through
-    a ``memoryview``, is never written again.  The cost: an idle receiver
-    holds that buffer, at most ``buffer_cap`` bytes, until its next
-    transfer or ``close()``.
+    reference count), so a buffer the sink kept, itself or through a
+    ``memoryview``, is never written again.  Only that traffic gains: a
+    sink that keeps each payload, or sizes that change, allocate as before.
+    The cost: an idle receiver holds that buffer, at most ``buffer_cap``
+    bytes, until its next transfer or ``close()``, and a transfer that
+    overlaps it runs next to it.  Where reference counts cannot show every
+    holder the receiver keeps no spare (see ``_sole_refcount``).
 
     A failed transfer's ``failure_kind`` says why: ``CONNECTION``,
     ``PROTOCOL``, ``STALLED``, ``CORRUPT_CHUNK``, ``CORRUPT_PAYLOAD``, or
@@ -544,7 +568,7 @@ class Receiver:
                 # Its text only: the traceback would keep the sink's frame, and the payload in it.
                 kind, detail = FailureKind.SINK, str(exc)
         with self._lock:
-            if monitor.buffer is not None and not self._closed:
+            if monitor.buffer is not None and not self._closed and _SOLE_REFCOUNT is not None:
                 self._spare = monitor.buffer
             monitor.buffer = None  # so a finished monitor pins nothing
         if kind is not None:
@@ -567,9 +591,10 @@ class Receiver:
         """A receive buffer of ``size`` bytes: the spare, if it has that size
         and nothing else refers to it, else a fresh one.  Runs under ``_lock``."""
         spare, self._spare = self._spare, None
-        # Two references, ``spare`` and getrefcount's argument: no sink kept
-        # it, and no worker of a failed transfer still holds a slice of it.
-        if spare is not None and len(spare) == size and sys.getrefcount(spare) == 2:
+        # Only ``spare`` refers to it: no sink kept it, and no worker of a
+        # failed transfer still holds a slice of it.  (A spare exists only
+        # where ``_SOLE_REFCOUNT`` is known.)
+        if spare is not None and len(spare) == size and sys.getrefcount(spare) == _SOLE_REFCOUNT:
             return spare
         del spare  # freed before the fresh one is allocated, unless kept elsewhere
         return bytearray(size)

@@ -339,12 +339,13 @@ def test_root_mismatch_fails_transfer_as_corrupt_payload():
 
 
 @pytest.mark.parametrize("backend", ["sim", "tcp"])
-def test_sink_that_raises_fails_the_transfer_on_both_sides(backend):
+def test_sink_that_raises_fails_the_transfer_on_both_sides(backend, receive_buffers):
     # The last chunk's receipt waits for the sink.  A sink that raises gives
     # one failed completion and aborts the stream of the held receipt, so
     # the sender fails on that chunk long before any idle timeout.  The
-    # receiver then serves the next transfer as usual.
-    payloads = [random.Random(5).randbytes(100_000), b"next" * 1000]
+    # receiver then serves the next transfer as usual, in the failed one's
+    # buffer, and delivers exactly its own bytes.
+    payloads = [random.Random(5).randbytes(100_000), random.Random(6).randbytes(100_000)]
     failures = [OSError("disk full")]
     store = {}
 
@@ -366,14 +367,7 @@ def test_sink_that_raises_fails_the_transfer_on_both_sides(backend):
             receiver.close()
         return failed, failure, elapsed, report, result
 
-    if backend == "sim":
-        [(failed, failure, elapsed, report, result)] = run_on_sim(run)
-    else:
-        transport = TcpTransport("127.0.0.1", 0)
-        try:
-            failed, failure, elapsed, report, result = run(transport)
-        finally:
-            transport.close()
+    failed, failure, elapsed, report, result = _run_on(backend, run)
     assert failure.transfer_id == failed.transfer_id
     assert failure.failure_kind is FailureKind.SINK
     assert failure.reason == "sink failed: disk full"
@@ -382,6 +376,7 @@ def test_sink_that_raises_fails_the_transfer_on_both_sides(backend):
     assert elapsed < 1.0
     assert report.ok and result.ok and result.transfer_id == report.transfer_id
     assert store == {report.transfer_id: payloads[1]}
+    assert len(receive_buffers) == 1
 
 
 def _run_on(backend, run):
@@ -465,31 +460,21 @@ def test_a_buffer_the_sink_kept_is_never_written_again(backend, keep):
     assert [bytes(k) for k in kept] == payloads
 
 
-@pytest.mark.parametrize("failure", [FailureKind.CORRUPT_CHUNK, FailureKind.SINK])
-def test_a_failed_transfers_buffer_takes_exactly_the_next_payload(failure, receive_buffers):
+def test_a_corrupt_transfers_buffer_takes_exactly_the_next_payload(receive_buffers):
     # The failed transfer leaves its own bytes in the buffer it hands on; the
     # next transfer of that size fills the same buffer and delivers exactly
     # its payload.
     first, second = random.Random(5).randbytes(60_000), random.Random(6).randbytes(60_000)
     store = {}
-    failures = [OSError("disk full")] if failure is FailureKind.SINK else []
-
-    def sink(transfer_id, payload):
-        if failures:
-            raise failures.pop()
-        store[transfer_id] = bytes(payload)
 
     def run(transport):
-        receiver = Receiver(transport, sink, idle_timeout=5.0)
+        receiver = Receiver(transport, collect_sink(store), idle_timeout=5.0)
         try:
-            if failure is FailureKind.CORRUPT_CHUNK:
-                manifest = TransferManifest.for_payload(first, 1)
-                stream = transport.connect()
-                stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
-                stream.write_all(encode_frame(Data(0, 0, bytes(b ^ 0xFF for b in first))))
-                stream.write_all(encode_frame(Fin(0, sha256(first))))
-            else:
-                send_transfer(first, transport, 2)
+            manifest = TransferManifest.for_payload(first, 1)
+            stream = transport.connect()
+            stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+            stream.write_all(encode_frame(Data(0, 0, bytes(b ^ 0xFF for b in first))))
+            stream.write_all(encode_frame(Fin(0, sha256(first))))
             failed = receiver.serve_one()
             report = send_transfer(second, transport, 2)
             return failed, report, receiver.serve_one()
@@ -497,10 +482,30 @@ def test_a_failed_transfers_buffer_takes_exactly_the_next_payload(failure, recei
             receiver.close()
 
     [(failed, report, result)] = run_on_sim(run)
-    assert failed.failure_kind is failure
+    assert failed.failure_kind is FailureKind.CORRUPT_CHUNK
     assert report.ok and result.ok
     assert store == {report.transfer_id: second}
     assert len(receive_buffers) == 1
+
+
+@pytest.mark.parametrize("counts", ["no getrefcount", "no GIL"])
+def test_without_exact_reference_counts_no_buffer_is_reused(counts, monkeypatch, receive_buffers):
+    # Where the count cannot show every holder, the receiver keeps no spare:
+    # each transfer gets a fresh buffer, and a finished one is freed at once.
+    if counts == "no getrefcount":
+        monkeypatch.delattr(sys, "getrefcount")
+    else:
+        monkeypatch.setattr(sys, "_is_gil_enabled", lambda: False, raising=False)
+    monkeypatch.setattr(striping, "_SOLE_REFCOUNT", striping._sole_refcount())
+    payloads = [random.Random(7).randbytes(200_000), random.Random(8).randbytes(200_000)]
+    freed = []
+
+    def sink(transfer_id, payload):
+        freed.append([ref() is None for ref in receive_buffers])
+
+    assert striping._SOLE_REFCOUNT is None
+    assert _run_on("sim", _serve_each(payloads, sink)) == [True, True]
+    assert freed == [[False], [True, False]]
 
 
 def test_serve_holds_no_spare_buffer_once_it_returns(receive_buffers):
