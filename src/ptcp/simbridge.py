@@ -20,7 +20,9 @@ parked and joins every task thread before it returns or raises.  A
 finished run leaves no reference cycle, so dropping the hub frees it, its
 network and whatever the tasks held by reference counting alone, even with
 events still pending.  An ending task drops its function and its hub and
-leaves the point it was parked on.  Nothing the network holds refers to the
+leaves the point it was parked on.  A task's error keeps the frames it was
+raised through, and the task's own, join()'s and run()'s let go of the
+task and the hub before they end.  Nothing the network holds refers to the
 hub: a parked task carries its own hub, through which a wait point, an
 inbox or a path wakes it, and a timer callback holds only its task.
 
@@ -110,8 +112,9 @@ class _Task:
             self.hub = None  # the hub lists its tasks, so a finished one lets go of it
             _wake(self.done)
             hub._live.discard(self)
-            successor = hub._pick_locked()
-        hub._baton_of(successor).release()
+            baton = hub._baton_of(hub._pick_locked())
+        del self, hub  # an error's traceback keeps this frame, so it must not refer back
+        baton.release()
 
     def join(self) -> None:
         hub = self.hub  # None once the task has finished
@@ -121,7 +124,10 @@ class _Task:
                     hub._wait_on_locked(self.done)
         if self.error is not None:
             self.error_seen = True
-            raise self.error
+            try:
+                raise self.error
+            finally:
+                self = hub = None  # the error's traceback keeps this frame
 
     def _arm_locked(self, at: float) -> None:
         self.timer_at = at
@@ -199,12 +205,15 @@ class SimHub:
             self._ending = False
             self._ready.clear()
             failure, self._failure = self._failure, None
-            if failure is not None:
-                raise failure
             for task in self._tasks:
-                if task.error is not None and not task.error_seen:
+                if failure is None and task.error is not None and not task.error_seen:
                     task.error_seen = True
-                    raise task.error
+                    failure = task.error
+        if failure is not None:
+            try:
+                raise failure
+            finally:
+                self = successor = task = failure = None  # the error's traceback keeps this frame
 
     def now(self) -> float:
         return self.network.now

@@ -11,8 +11,7 @@ the last chunk's receipt until the payload is delivered, so receipts that
 all verify mean delivered, not only arrived.  A TCP transport keeps the
 stream and the worker, so a transfer over kept ones starts no thread.
 
-Receiver: workers take turns in accept(), each serving the one stream it
-accepted before it accepts again, so workers outlive their streams.  A
+Receiver: one accept loop starts a worker for each stream it accepts.  The
 worker reads one sequence after another from its stream, of any transfer,
 until the stream ends or idles out: HELLO, which registers the stream with
 its transfer's monitor (the first valid HELLO sets up one buffer for the
@@ -30,14 +29,9 @@ with a valid HELLO names no transfer: it is aborted and reported nowhere.
 One lock guards the receiver; a transfer it lists has not finished, and it
 finishes exactly once.
 
-A receiver keeps the buffer of its last finished transfer as a spare, and
-the next transfer of the same size takes it instead of allocating one, when
-nothing else refers to it (its reference count): a buffer that a sink kept,
-or that a worker of a failed transfer still holds a slice of, is never
-written again.  So an idle receiver holds one buffer, of at most its buffer
-cap, until its next transfer or ``close()``, and while transfers overlap it
-may hold that one next to theirs.  Where reference counts cannot show every
-holder (no ``sys.getrefcount``, or no GIL) it keeps no spare.
+A receiver keeps the buffer of its last finished transfer as a spare for
+the next transfer of that size, unless something else still refers to it
+(see ``Receiver``).
 
 Every failed transfer carries a ``FailureKind`` next to its reason string,
 and every reason, on either side, reads ``"{kind.value}: {detail}"``.
@@ -52,6 +46,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .wire import (
     MAX_DATA_PAYLOAD,
@@ -375,14 +370,15 @@ _SOLE_REFCOUNT = _sole_refcount()  # None: a receiver never reuses a buffer
 
 
 class Receiver:
-    """Workers that take turns accepting streams, feeding per-transfer monitors.
+    """An accept loop and one worker per open stream, feeding per-transfer monitors.
 
-    Each worker serves one stream at a time, one chunk after another, and
-    lives until ``close()``, which ends the workers in accept() and aborts
-    the streams waiting for a HELLO; a worker busy with a chunk ends at its
-    next accept().  A kept stream retired here (idle timeout, ``close()``)
-    just as its sender starts a transfer on it fails that transfer as
-    ``FailureKind.CONNECTION``, like any broken stream.
+    The accept loop (``recv-accept``) starts a worker (``recv-conn``) for
+    each stream it accepts.  The worker serves one chunk after another on
+    its stream and returns when the stream ends.  ``close()`` ends the
+    accept loop and aborts the streams waiting for a HELLO; a worker busy
+    with a chunk ends once that chunk is done.  A kept stream retired here
+    (idle timeout, ``close()``) just as its sender starts a transfer on it
+    fails that transfer as ``FailureKind.CONNECTION``, like any broken stream.
 
     Supports concurrent transfers with distinct transfer ids on one
     listener.  ``serve_one`` blocks until the next transfer finishes
@@ -437,11 +433,10 @@ class Receiver:
         self._monitors: dict[bytes, _TransferMonitor] = {}  # the transfers not yet finished
         self._finished_ids: deque[bytes] = deque(maxlen=FINISHED_IDS_KEPT)
         self._completions = transport.channel()
-        self._accepting = 0  # workers waiting in accept()
         self._waiting: set = set()  # streams waiting for a HELLO
         self._spare: bytearray | None = None  # the last finished transfer's buffer
         self._closed = False
-        self._acceptor = transport.spawn(self._worker, name="recv-conn")
+        self._acceptor = transport.spawn(self._accept_loop, name="recv-accept")
 
     def transfer_states(self) -> list[ReceiverState]:
         with self._lock:
@@ -464,25 +459,20 @@ class Receiver:
 
     # -- internals --
 
-    def _worker(self):
-        """Accept a stream, serve it, accept again until the listener closes.  A
-        worker that leaves none waiting in accept() first starts one that will."""
+    def _accept_loop(self):
+        """Accept streams until the listener closes, each served by a worker of its own."""
         while True:
-            with self._lock:
-                self._accepting += 1
             try:
                 stream = self._listener.accept()
             except (ConnectionError, OSError):
                 return
-            finally:
-                with self._lock:
-                    self._accepting -= 1
-                    lead = self._accepting == 0
-            if lead:
-                self._transport.spawn(self._worker, name="recv-conn")
-            frames = _frames(stream, self._idle_timeout)
-            while self._serve_chunk(stream, frames):
-                pass
+            self._transport.spawn(partial(self._serve_stream, stream), name="recv-conn")
+
+    def _serve_stream(self, stream):
+        """Serve one sequence after another on ``stream`` until it ends."""
+        frames = _frames(stream, self._idle_timeout)
+        while self._serve_chunk(stream, frames):
+            pass
 
     def _serve_chunk(self, stream, frames) -> bool:
         """One sequence on ``stream``: HELLO, DATA frames in order, FIN,

@@ -6,9 +6,13 @@ A transport bundles everything the striping layer needs from its environment:
     transport.release(stream)    -> take back a cleanly ended stream: TCP keeps
                                     it for a later connect(), the simulator closes it
     transport.listen()           -> Listener with accept() / close()
-    transport.spawn(fn, name)    -> worker handle with join(); TCP reuses parked workers
+    transport.spawn(fn, name)    -> worker handle with join(); does not wait for fn to start
     transport.channel()          -> FIFO with put() / blocking get()
     transport.now()              -> monotonic seconds
+
+Each side runs one worker per open stream, and the receiver an accept loop
+besides.  TCP parks a sender worker with the stream it keeps, for the next
+spawn(); a receiver worker ends with its stream.
 
 Streams expose blocking ``read_some`` / ``read_into`` / ``write_all`` /
 ``close`` with TCP semantics.  ``read_some(max_bytes, timeout, min_bytes=1)``
@@ -45,12 +49,10 @@ class ThreadHandle:
         self._fn = fn
         self._name = name
         self._exc: BaseException | None = None
-        self.started = threading.Event()
         self.done = threading.Event()  # set by the thread that ran it
 
     def run(self) -> None:
         threading.current_thread().name = self._name  # a reused thread takes the new name
-        self.started.set()
         try:
             self._fn()
         except BaseException as exc:  # noqa: BLE001 - surfaced on join
@@ -205,8 +207,7 @@ class TcpTransport:
         if inbox is None:
             threading.Thread(target=self._work, args=(handle,), name=name, daemon=True).start()
         else:
-            inbox.put(handle)
-            handle.started.wait()  # as Thread.start() waits for a new thread to run
+            inbox.put(handle)  # the parked worker runs it; nothing to wait for
         return handle
 
     def _work(self, handle: ThreadHandle | None) -> None:
@@ -231,8 +232,8 @@ class TcpTransport:
             self.port = listener.address[1]
         return listener
 
-    def channel(self) -> queue.Queue:
-        return queue.Queue()
+    def channel(self) -> queue.SimpleQueue:
+        return queue.SimpleQueue()
 
     def now(self) -> float:
         return time.monotonic()

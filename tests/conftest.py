@@ -46,9 +46,9 @@ def run_on_sim(*tasks) -> list:
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_the_test():
-    # A closed receiver's workers end at their next accept(), and a failed
-    # transfer ends all of its streams, so nothing a test started may
-    # outlive it for long.
+    # A closed receiver's accept loop ends at once and each worker with its
+    # stream, and a failed transfer ends all of its streams, so nothing a
+    # test started may outlive it for long.
     before = set(threading.enumerate())
     yield
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import threading
 import re
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -470,6 +472,25 @@ def test_cli_send_recv_roundtrip(tmp_path):
     received = list(out_dir.glob("*.bin"))
     assert len(received) == 1
     assert sha256(received[0].read_bytes()) == sha256(payload)
+
+
+def test_cli_recv_ends_cleanly_on_ctrl_c(tmp_path):
+    # An idle receiver blocks in serve_one(), on its completions channel;
+    # SIGINT must still reach it and end the command with exit code 0.
+    recv = subprocess.Popen(
+        [sys.executable, "-m", "ptcp", "recv", "--listen", "127.0.0.1:0", "--out", str(tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert recv.stdout.readline().startswith("listening on ")
+        time.sleep(0.2)  # let it block in serve_one()
+        recv.send_signal(signal.SIGINT)
+        assert recv.wait(timeout=5) == EXIT_OK
+    finally:
+        recv.kill()
+        recv.communicate()  # reap the process and close its pipes
 
 
 def test_cli_send_prints_per_connection_rows(tmp_path, capsys):

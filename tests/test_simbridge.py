@@ -91,9 +91,8 @@ def test_deadlock_detection_names_the_task():
 
 
 def test_idle_receiver_keeps_no_run_going():
-    # The receiver's first worker is a task of its own, spawned outside any
-    # other task; once the transfer is done its workers only wait for a
-    # connection.
+    # The receiver's accept loop is a task of its own, spawned outside any
+    # other task; once the transfer is done it only waits for a connection.
     hub = make_hub()
     transport = SimTransport(hub)
     box = {}
@@ -108,11 +107,12 @@ def test_idle_receiver_keeps_no_run_going():
     assert box["payload"] == payload
 
 
-def test_unclosed_receiver_serves_transfers_with_workers_it_keeps():
-    # Workers outlive their streams: a receiver serving three 3-stream
-    # transfers keeps 4 workers (3 streams at once, plus one in accept()),
-    # and each transfer starts 2 sender workers.  Never closed, the workers
-    # end up idle servers, so run() still returns.
+def test_unclosed_receiver_starts_a_worker_per_stream_and_run_still_returns():
+    # The simulated sender keeps no stream, so each of three 3-stream
+    # transfers opens 3 streams: the receiver's accept loop starts a worker
+    # for each, which ends with its stream, and the sender starts 2 workers.
+    # Never closed, the accept loop ends up an idle server, so run() still
+    # returns.
     hub = make_hub()
     transport = SimTransport(hub)
     receiver = Receiver(transport)
@@ -126,9 +126,9 @@ def test_unclosed_receiver_serves_transfers_with_workers_it_keeps():
     hub.run()
     assert [(report.ok, result.ok) for report, result in results] == [(True, True)] * 3
     names = [task.name for task in hub._tasks]
-    assert names.count("recv-conn") == 4
-    assert sorted(set(names) - {"recv-conn"}) == ["send", "send-1", "send-2"]
-    assert len(names) == 1 + 4 + 3 * 2
+    assert names.count("recv-conn") == 3 * 3
+    assert sorted(set(names) - {"recv-conn"}) == ["recv-accept", "send", "send-1", "send-2"]
+    assert len(names) == 2 + 3 * 3 + 3 * 2
 
 
 def test_deadlock_beside_an_idle_server_names_only_the_stuck_task():
@@ -577,6 +577,30 @@ def test_finished_transfer_is_freed_without_the_cyclic_gc():
         refs = [weakref.ref(hub), weakref.ref(network), weakref.ref(holder)]
         del network, hub, transport, holder
         assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _fail():
+    raise ValueError("task failed")
+
+
+def test_failed_task_is_freed_without_the_cyclic_gc():
+    # A task's error keeps the frames it passed through: the task's own, and
+    # those of join() and run() that raise it again.  None of them may refer
+    # back to the task or its hub, so reference counting alone frees both.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hub = make_hub()
+        failed = hub.spawn(_fail, name="fail")
+        hub.spawn(failed.join, name="joiner")  # join() raises it into a second task
+        with pytest.raises(ValueError, match="^task failed$"):
+            hub.run()
+        refs = [weakref.ref(hub), weakref.ref(failed)]
+        del hub, failed
+        assert [ref() for ref in refs] == [None, None]
     finally:
         if was_enabled:
             gc.enable()

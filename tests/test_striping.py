@@ -3,11 +3,13 @@
 import gc
 import hashlib
 import random
+import subprocess
 import sys
 import threading
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -174,7 +176,7 @@ def test_stream_without_hello_completes_nothing():
 def test_failure_ends_every_stream_of_the_transfer(backend):
     # The chunk-1 stream sends its HELLO and goes quiet; then chunk 0 fails
     # with a short FIN.  The failure must end the quiet stream at once, not at
-    # the 30 s idle timeout, and send its worker back to accept().
+    # the 30 s idle timeout, and with it the stream's worker.
     manifest = TransferManifest.for_payload(b"Q" * 1000, 2)
 
     def run(transport, hub=None):
@@ -190,7 +192,7 @@ def test_failure_ends_every_stream_of_the_transfer(backend):
             assert result.failure_kind is FailureKind.PROTOCOL
             assert "FIN after 0 of 500" in result.reason
             assert quiet.read_some(timeout=1.0) == b""
-            assert wait_until(lambda: receiver._accepting == _live_workers(), 1.0, hub)
+            assert wait_until(lambda: _live_workers(hub) == 0, 1.0, hub)
         finally:
             quiet.abort()
             failing.abort()
@@ -206,50 +208,63 @@ def test_failure_ends_every_stream_of_the_transfer(backend):
             transport.close()
 
 
-def _live_workers() -> int:
+def _live_workers(hub=None) -> int:
+    """The receiver's stream workers still running: threads, or ``hub``'s tasks."""
+    if hub is not None:
+        return sum(task.name == "recv-conn" and not task.finished for task in hub._tasks)
     return sum(t.name == "recv-conn" for t in threading.enumerate())
+
+
+def _recv_threads() -> list[str]:
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("recv-"))
 
 
 @pytest.mark.parametrize("connections", [1, 3])
 def test_transfers_start_threads_only_at_the_sender(connections):
-    # Receiver workers outlive their streams and the sender runs chunk 0 on
-    # the calling thread, so once the receiver has served `connections`
-    # streams at once, each transfer starts connections - 1 threads, all of
-    # them the sender's.  Held streams bring the receiver there: how many
-    # workers a first transfer leaves depends on thread timing.
-    transport = TcpTransport("127.0.0.1", 0)
-    spawned = []
-    spawn = transport.spawn
+    # The first transfer opens the connections: the receiver starts a worker
+    # per stream, next to its accept loop, and the sender one per chunk beyond
+    # chunk 0, which it parks with the stream it keeps.  Transfers over the
+    # kept connections run on those threads and start none on either side.
+    recv_transport = TcpTransport("127.0.0.1", 0)
+    receiver = Receiver(recv_transport)
+    sender = TcpTransport("127.0.0.1", recv_transport.port)
+    spawned, ran_on = [], []
 
-    def counting_spawn(fn, name=None):
-        spawned.append(name)
-        return spawn(fn, name)
+    def recording(transport):
+        spawn = transport.spawn
 
-    transport.spawn = counting_spawn
-    receiver = Receiver(transport)
+        def recording_spawn(fn, name):
+            spawned.append(name)
+
+            def recorded():
+                ran_on.append(threading.current_thread())
+                fn()
+
+            return spawn(recorded, name)
+
+        transport.spawn = recording_spawn
+
+    recording(recv_transport)
+    recording(sender)
     try:
-        held = [transport.connect() for _ in range(connections)]
-        assert wait_until(lambda: _live_workers() == connections + 1 and receiver._accepting == 1)
-        for stream in held:
-            stream.abort()
-
-        def settled():
-            # Every worker is back in accept() or waiting between chunks on a
-            # stream the sender kept.
-            kept = len(transport._kept)
-            return (receiver._accepting, len(receiver._waiting)) == (_live_workers() - kept, kept)
-
         for i in range(3):
-            assert wait_until(settled)  # before the next transfer
             spawned.clear()
-            report = send_transfer(bytes([i]) * 30_000, transport, connections)
+            ran_on.clear()
+            alive = set(threading.enumerate())
+            report = send_transfer(bytes([i]) * 30_000, sender, connections)
             result = receiver.serve_one()
             assert report.ok and result.ok, (report.failure_reason, result.reason)
-            assert spawned == [f"send-{k}" for k in range(1, connections)]
-        assert _live_workers() == connections + 1
+            senders = [f"send-{k}" for k in range(1, connections)]
+            if i == 0:
+                assert sorted(spawned) == ["recv-conn"] * connections + senders
+            else:
+                assert spawned == senders  # each handed to a parked worker
+                assert set(ran_on) <= alive
+            assert _recv_threads() == ["recv-accept"] + ["recv-conn"] * connections
     finally:
-        transport.close()  # closes the streams it kept
+        sender.close()  # aborts the kept streams, so their workers end
         receiver.close()
+    assert wait_until(lambda: not _recv_threads(), 2.0), _recv_threads()
 
 
 def test_inconsistent_hello_fails_transfer():
@@ -458,6 +473,15 @@ def test_a_buffer_the_sink_kept_is_never_written_again(backend, keep):
     first, second = (k if keep == "payload" else k.obj for k in kept)
     assert first is not second
     assert [bytes(k) for k in kept] == payloads
+
+
+def test_buffer_reuse_check_holds_on_this_interpreter():
+    # The same rule, checked with the standard library alone by a script
+    # meant for interpreters that have no numpy or pytest.
+    script = Path(__file__).resolve().parent.parent / "tools" / "check_buffer_reuse.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("; OK\n")
 
 
 def test_a_corrupt_transfers_buffer_takes_exactly_the_next_payload(receive_buffers):
@@ -1010,7 +1034,7 @@ def test_receiver_close_ends_workers_waiting_between_chunks():
 def test_sender_that_closes_after_the_receipt_frees_the_worker():
     # Senders that do not keep streams, as older ones did and as the
     # simulated transport does, close after the receipt: the worker takes
-    # that end of stream and goes back to accept().
+    # that end of stream and ends, and the accept loop is left alone.
     payload = b"c" * 5000
     manifest = TransferManifest.for_payload(payload, 1)
     transport = TcpTransport("127.0.0.1", 0)
@@ -1022,7 +1046,7 @@ def test_sender_that_closes_after_the_receipt_frees_the_worker():
         assert FrameDecoder().feed(stream.read_some(timeout=5.0)) == [Fin(0, sha256(payload))]
         stream.close()
         assert receiver.serve_one().ok
-        assert wait_until(lambda: receiver._accepting == _live_workers() and not receiver._waiting)
+        assert wait_until(lambda: _recv_threads() == ["recv-accept"] and not receiver._waiting)
     finally:
         stream.abort()
         receiver.close()

@@ -46,13 +46,31 @@ def test_spawn_join_propagates_exception():
         handle.join(timeout=5.0)
 
 
-def test_channel_fifo():
-    transport = TcpTransport("127.0.0.1", 0)
-    ch = transport.channel()
-    ch.put(1)
-    ch.put(2)
-    assert ch.get() == 1
-    assert ch.get() == 2
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_channel_fifo(backend):
+    # get() takes items in the order put() gave them, and on an empty
+    # channel blocks until another worker puts one.
+    def run(transport, sleep):
+        ch = transport.channel()
+        ch.put(1)
+        ch.put(2)
+        assert ch.get() == 1
+        assert ch.get() == 2
+
+        def put_later():
+            sleep(0.05)
+            ch.put(3)
+
+        start = transport.now()
+        handle = transport.spawn(put_later, name="putter")
+        assert ch.get() == 3
+        assert transport.now() - start >= 0.05
+        handle.join()
+
+    if backend == "sim":
+        run_on_sim(lambda transport: run(transport, transport._hub.sleep))
+    else:
+        run(TcpTransport("127.0.0.1", 0), time.sleep)
 
 
 def test_tcp_loopback_roundtrip():
