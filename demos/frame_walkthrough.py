@@ -4,11 +4,12 @@ The wire protocol, one frame at a time
 
 A transfer is announced per connection (HELLO), carried as offset-tagged
 DATA frames, and sealed with a FIN holding the chunk digest.  This script
-builds each frame by hand, then feeds the encoded bytes to the streaming
-decoder in awkward little pieces to show that framing never depends on
-read boundaries.  The decoder reads frame heads only: after a DATA head,
-the reader takes the payload itself, as the receiver does when it reads
-each payload straight into its place in the transfer's buffer.
+builds the frames of one stream, its HELLO from the transfer's manifest,
+then feeds the encoded bytes to the streaming decoder in awkward little
+pieces to show that framing never depends on read boundaries.  The
+decoder reads frame heads only: after a DATA head, the reader takes the
+payload itself, as the receiver does when it reads each payload straight
+into its place in the transfer's buffer.
 """
 
 from ptcp.wire import (
@@ -16,7 +17,6 @@ from ptcp.wire import (
     DataHead,
     Fin,
     FrameDecoder,
-    Hello,
     TransferManifest,
     encode_frame,
     partition,
@@ -35,15 +35,7 @@ for chunk in manifest.chunks:
 # Every stream opens with its own HELLO carrying the whole plan, so the
 # receiver can reconstruct the transfer no matter which stream lands first.
 chunk = manifest.chunks[1]
-hello = Hello(
-    transfer_id=manifest.transfer_id,
-    total_size=manifest.total_size,
-    connection_count=3,
-    chunk_index=chunk.index,
-    chunk_offset=chunk.offset,
-    chunk_length=chunk.length,
-    payload_digest=manifest.payload_digest,
-)
+hello = manifest.hello(chunk.index)
 body = payload[chunk.offset : chunk.offset + chunk.length]
 frames = [hello]
 for off in range(0, len(body), 1024):

@@ -448,7 +448,6 @@ class FlowSpec:
     flow_id: str
     role: str = "targeted"
     start_time: float = 0.0
-    byte_limit: int | None = None
 
 
 def run_scenario(
@@ -465,14 +464,7 @@ def run_scenario(
         raise ValueError(f"duration must be > 0, got {duration}")
     network = Network(link)
     for spec in flows:
-        network.add_flow(
-            AimdFlow(
-                spec.flow_id,
-                link,
-                start_time=spec.start_time,
-                byte_limit=spec.byte_limit,
-            )
-        )
+        network.add_flow(AimdFlow(spec.flow_id, link, start_time=spec.start_time))
     network.run_until(duration)
     bucket_width = TRACE_BUCKET_WIDTH
     n_buckets = math.ceil(duration / bucket_width)

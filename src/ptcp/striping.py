@@ -138,19 +138,7 @@ def send_transfer(
         body = memoryview(payload)[chunk.offset : chunk.offset + chunk.length]
         start = transport.now() - t0
         try:
-            stream.write_all(
-                encode_frame(
-                    Hello(
-                        transfer_id=manifest.transfer_id,
-                        total_size=manifest.total_size,
-                        connection_count=connection_count,
-                        chunk_index=chunk.index,
-                        chunk_offset=chunk.offset,
-                        chunk_length=chunk.length,
-                        payload_digest=manifest.payload_digest,
-                    )
-                )
-            )
+            stream.write_all(encode_frame(manifest.hello(index)))
             for off in range(0, len(body), DATA_FRAME_BYTES):
                 piece = body[off : off + DATA_FRAME_BYTES]
                 stream.write_all(encode_frame(DataHead(chunk.index, off, len(piece))), piece)
@@ -590,9 +578,9 @@ class Receiver:
         return bytearray(size)
 
 
-def serve(transport, sink=None, **options) -> ReceivedTransfer:
+def serve(transport, sink=None) -> ReceivedTransfer:
     """Serve a single transfer on ``transport`` and return its result."""
-    receiver = Receiver(transport, sink, **options)
+    receiver = Receiver(transport, sink)
     try:
         return receiver.serve_one()
     finally:

@@ -3,21 +3,21 @@
 Every connection of a striped transfer carries the same self-delimiting frame
 stream.  A connection carries one chunk sequence after another (HELLO, DATA,
 FIN, the receiver's FIN receipt) until the sender closes it; each HELLO may
-name another transfer.  Frame layout (all integers big-endian):
+name another transfer.  Every frame opens with the same header (all integers
+big-endian):
 
     magic    4 bytes   0x50 0x54 0x43 0x50 ("PTCP")
     version  u8        2
     kind     u8        HELLO=0x01, DATA=0x02, FIN=0x03
-    body     kind-specific, fixed size except DATA (length-prefixed payload)
 
-    HELLO body: transfer_id (16) | total_size u64 | connection_count u32 |
-                chunk_index u32 | chunk_offset u64 | chunk_length u64 |
-                payload_digest (32)
-    DATA  body: chunk_index u32 | offset_in_chunk u64 | payload_len u32 | payload
-    FIN   body: chunk_index u32 | chunk_digest (32)
+and its body follows: the fields of its frame class in order, each packed
+by one code of the kind's row in ``_LAYOUTS``, the one statement of the
+layout that both ``encode_frame`` and ``FrameDecoder`` read.  An ``Ns``
+code is a field of exactly N bytes.  A DATA frame's payload follows its
+body, ``length`` bytes of it.
 
 ``FrameDecoder`` decodes heads only: a DATA frame comes out as a
-``DataHead`` (magic through payload_len), and its reader takes the payload.
+``DataHead`` (header through length), and its reader takes the payload.
 
 Digests are SHA-256.  A FIN's chunk_digest covers its chunk's bytes.
 HELLO's payload_digest is the root of a one-level hash list over those chunk
@@ -33,8 +33,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from operator import attrgetter
 from typing import NamedTuple
 
 MAGIC = b"PTCP"
@@ -44,10 +45,6 @@ DIGEST_SIZE = 32
 TRANSFER_ID_SIZE = 16
 
 _HEADER = struct.Struct("!4sBB")
-_HELLO_BODY = struct.Struct("!16sQIIQQ32s")
-_DATA_HEAD = struct.Struct("!IQI")
-_FIN_BODY = struct.Struct("!I32s")
-_SHORTEST_HEAD = _HEADER.size + _DATA_HEAD.size  # no frame is shorter than a DATA head
 
 
 class FrameKind(IntEnum):
@@ -136,6 +133,11 @@ class TransferManifest:
             payload_digest=root_digest(chunk_digests),
         )
 
+    def hello(self, index: int) -> Hello:
+        """The HELLO that opens chunk ``index``'s sequence."""
+        chunk = self.chunks[index]  # its index, offset and length, as HELLO orders them
+        return Hello(self.transfer_id, self.total_size, self.connection_count, *chunk, self.payload_digest)
+
 
 @dataclass(frozen=True)
 class Hello:
@@ -185,36 +187,54 @@ class Fin:
 Frame = Hello | Data | DataHead | Fin
 
 
+class _Layout:
+    """One frame kind's head: the class it decodes to, and its body's struct,
+    one code per field of that class."""
+
+    def __init__(self, cls: type, codes: str):
+        names = [f.name for f in fields(cls)]
+        self.cls = cls
+        self.body = struct.Struct("!" + codes)
+        self.header = _HEADER.pack(MAGIC, VERSION, cls.kind)
+        self.values = attrgetter(*names)
+        self.sized = [(i, names[i], int(code[:-1])) for i, code in enumerate(codes.split()) if code.endswith("s")]
+
+
+_LAYOUTS = {
+    layout.cls.kind: layout
+    for layout in (
+        _Layout(Hello, f"{TRANSFER_ID_SIZE}s Q I I Q Q {DIGEST_SIZE}s"),
+        _Layout(DataHead, "I Q I"),  # the payload follows: ``length`` bytes
+        _Layout(Fin, f"I {DIGEST_SIZE}s"),
+    )
+}
+_ENCODINGS = {layout.cls: layout for layout in _LAYOUTS.values()}
+_SHORTEST_HEAD = _HEADER.size + min(layout.body.size for layout in _LAYOUTS.values())
+
+
+def _length_fault(length: int) -> str | None:
+    """Why a DATA payload length is outside 1..MAX_DATA_PAYLOAD, or None."""
+    if length > MAX_DATA_PAYLOAD:
+        return f"DATA payload length {length} exceeds cap"
+    if length < 1:
+        return "zero-length DATA payload"
+    return None
+
+
 def encode_frame(frame: Frame) -> bytes:
     """A frame's bytes on the wire; a ``DataHead``'s are those before its payload."""
     if isinstance(frame, Data):
         return encode_frame(DataHead(frame.chunk_index, frame.offset_in_chunk, len(frame.payload))) + frame.payload
-    header = _HEADER.pack(MAGIC, VERSION, frame.kind)
-    if isinstance(frame, Hello):
-        if len(frame.transfer_id) != TRANSFER_ID_SIZE:
-            raise ValueError("transfer_id must be 16 bytes")
-        if len(frame.payload_digest) != DIGEST_SIZE:
-            raise ValueError("payload_digest must be 32 bytes")
-        body = _HELLO_BODY.pack(
-            frame.transfer_id,
-            frame.total_size,
-            frame.connection_count,
-            frame.chunk_index,
-            frame.chunk_offset,
-            frame.chunk_length,
-            frame.payload_digest,
-        )
-    elif isinstance(frame, DataHead):
-        if not 0 < frame.length <= MAX_DATA_PAYLOAD:
-            raise ValueError(f"DATA payload length {frame.length} outside 1..{MAX_DATA_PAYLOAD}")
-        body = _DATA_HEAD.pack(frame.chunk_index, frame.offset_in_chunk, frame.length)
-    elif isinstance(frame, Fin):
-        if len(frame.chunk_digest) != DIGEST_SIZE:
-            raise ValueError("chunk_digest must be 32 bytes")
-        body = _FIN_BODY.pack(frame.chunk_index, frame.chunk_digest)
-    else:
+    layout = _ENCODINGS.get(type(frame))
+    if layout is None:
         raise TypeError(f"not a frame: {frame!r}")
-    return header + body
+    values = layout.values(frame)
+    if layout.cls is DataHead and _length_fault(frame.length):
+        raise ValueError(f"DATA payload length {frame.length} outside 1..{MAX_DATA_PAYLOAD}")
+    for i, name, size in layout.sized:
+        if len(values[i]) != size:
+            raise ValueError(f"{name} must be {size} bytes")
+    return layout.header + layout.body.pack(*values)
 
 
 class FrameDecoder:
@@ -264,27 +284,16 @@ class FrameDecoder:
             raise ProtocolError("bad frame magic", self._consumed)
         if version != VERSION:
             raise ProtocolError(f"unsupported version {version}", self._consumed + 4)
-        pos = _HEADER.size
-        if kind == FrameKind.HELLO:
-            if len(buf) < pos + _HELLO_BODY.size:
-                return None, pos + _HELLO_BODY.size - len(buf)
-            (tid, total, count, idx, off, length, digest) = _HELLO_BODY.unpack_from(buf, pos)
-            return Hello(tid, total, count, idx, off, length, digest), pos + _HELLO_BODY.size
-        if kind == FrameKind.DATA:
-            if len(buf) < pos + _DATA_HEAD.size:
-                return None, pos + _DATA_HEAD.size - len(buf)
-            idx, off, plen = _DATA_HEAD.unpack_from(buf, pos)
-            if plen > MAX_DATA_PAYLOAD:
-                raise ProtocolError(f"DATA payload length {plen} exceeds cap", self._consumed + pos)
-            if plen == 0:
-                raise ProtocolError("zero-length DATA payload", self._consumed + pos)
-            return DataHead(idx, off, plen), pos + _DATA_HEAD.size
-        if kind == FrameKind.FIN:
-            if len(buf) < pos + _FIN_BODY.size:
-                return None, pos + _FIN_BODY.size - len(buf)
-            idx, digest = _FIN_BODY.unpack_from(buf, pos)
-            return Fin(idx, digest), pos + _FIN_BODY.size
-        raise ProtocolError(f"unknown frame kind 0x{kind:02x}", self._consumed + 5)
+        layout = _LAYOUTS.get(kind)
+        if layout is None:
+            raise ProtocolError(f"unknown frame kind 0x{kind:02x}", self._consumed + 5)
+        end = _HEADER.size + layout.body.size
+        if len(buf) < end:
+            return None, end - len(buf)
+        frame = layout.cls(*layout.body.unpack_from(buf, _HEADER.size))
+        if layout.cls is DataHead and (fault := _length_fault(frame.length)):
+            raise ProtocolError(fault, self._consumed + _HEADER.size)
+        return frame, end
 
 
 def decode_frames(buffer: bytes) -> tuple[list[Frame], bytes]:

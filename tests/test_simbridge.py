@@ -844,21 +844,11 @@ def test_stall_mid_frame_times_out_one_idle_timeout_after_the_last_byte():
     receiver = Receiver(transport, idle_timeout=5.0)
     payload = bytes(range(256)) * 256
     manifest = TransferManifest.for_payload(payload, 1)
-    chunk = manifest.chunks[0]
-    hello = Hello(
-        manifest.transfer_id,
-        manifest.total_size,
-        1,
-        chunk.index,
-        chunk.offset,
-        chunk.length,
-        manifest.payload_digest,
-    )
     box = {}
 
     def peer():
         stream = transport.connect()
-        stream.write_all(encode_frame(hello))
+        stream.write_all(encode_frame(manifest.hello(0)))
         stream.write_all(encode_frame(Data(0, 0, payload))[:30_000])
         hub.sleep(20.0)
         stream.abort()

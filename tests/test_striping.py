@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import struct
 import subprocess
 import sys
 import threading
@@ -21,7 +22,17 @@ from hypothesis import strategies as st
 from ptcp import striping
 from ptcp.striping import DEFAULT_IDLE_TIMEOUT, FailureKind, Receiver, send_transfer, serve
 from ptcp.transport import TcpTransport
-from ptcp.wire import Data, DataHead, Fin, FrameDecoder, Hello, TransferManifest, decode_frames, encode_frame, sha256
+from ptcp.wire import (
+    MAX_DATA_PAYLOAD,
+    Data,
+    DataHead,
+    Fin,
+    FrameDecoder,
+    TransferManifest,
+    decode_frames,
+    encode_frame,
+    sha256,
+)
 
 from conftest import run_on_sim, wait_until
 
@@ -95,19 +106,7 @@ def test_completion_order_does_not_matter():
         s1 = transport.connect()
         for stream, chunk in ((s0, manifest.chunks[0]), (s1, manifest.chunks[1])):
             body = payload[chunk.offset : chunk.offset + chunk.length]
-            stream.write_all(
-                encode_frame(
-                    Hello(
-                        manifest.transfer_id,
-                        manifest.total_size,
-                        2,
-                        chunk.index,
-                        chunk.offset,
-                        chunk.length,
-                        manifest.payload_digest,
-                    )
-                )
-            )
+            stream.write_all(encode_frame(manifest.hello(chunk.index)))
             stream.write_all(encode_frame(Data(chunk.index, 0, body)))
         # FIN chunk 1 first, wait for its receipt, then FIN chunk 0.
         s1.write_all(encode_frame(Fin(1, sha256(b"B" * 10))))
@@ -122,18 +121,6 @@ def test_completion_order_does_not_matter():
     run_on_sim(run)
 
 
-def _hello_for(manifest, chunk):
-    return Hello(
-        manifest.transfer_id,
-        manifest.total_size,
-        manifest.connection_count,
-        chunk.index,
-        chunk.offset,
-        chunk.length,
-        manifest.payload_digest,
-    )
-
-
 def test_duplicate_chunk_index_fails_transfer():
     payload = b"x" * 100
     manifest = TransferManifest.for_payload(payload, 2)
@@ -143,9 +130,9 @@ def test_duplicate_chunk_index_fails_transfer():
 
         s0 = transport.connect()
         s1 = transport.connect()
-        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        s0.write_all(encode_frame(manifest.hello(0)))
         # Second stream claims chunk 0 as well.
-        s1.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        s1.write_all(encode_frame(manifest.hello(0)))
 
         result = receiver.serve_one()
         receiver.close()
@@ -184,9 +171,9 @@ def test_failure_ends_every_stream_of_the_transfer(backend):
         quiet = transport.connect()
         failing = transport.connect()
         try:
-            quiet.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
+            quiet.write_all(encode_frame(manifest.hello(1)))
             assert wait_until(lambda: [s.registered for s in receiver.transfer_states()] == [{1}], hub=hub)
-            failing.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+            failing.write_all(encode_frame(manifest.hello(0)))
             failing.write_all(encode_frame(Fin(0, sha256(b""))))
             result = receiver.serve_one()
             assert result.failure_kind is FailureKind.PROTOCOL
@@ -276,17 +263,9 @@ def test_inconsistent_hello_fails_transfer():
 
         s0 = transport.connect()
         s1 = transport.connect()
-        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        s0.write_all(encode_frame(manifest.hello(0)))
         assert wait_until(receiver.transfer_states, hub=transport._hub)  # the good HELLO makes the monitor
-        bad = Hello(
-            manifest.transfer_id,
-            manifest.total_size + 1,  # disagrees with the first HELLO
-            2,
-            1,
-            manifest.chunks[1].offset,
-            manifest.chunks[1].length,
-            manifest.payload_digest,
-        )
+        bad = replace(manifest.hello(1), total_size=manifest.total_size + 1)  # disagrees with the first HELLO
         s1.write_all(encode_frame(bad))
         result = receiver.serve_one()
         receiver.close()
@@ -307,7 +286,7 @@ def test_corrupt_chunk_detected_end_to_end():
     def run(transport):
         receiver = Receiver(transport)
         stream = transport.connect()
-        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(manifest.hello(0)))
         corrupted = bytes(b ^ 0xFF for b in body)
         stream.write_all(encode_frame(Data(0, 0, corrupted)))
         stream.write_all(encode_frame(Fin(0, sha256(body))))
@@ -338,7 +317,7 @@ def test_root_mismatch_fails_transfer_as_corrupt_payload():
             if chunk.index == 1:
                 body = bytes(b ^ 0x5A for b in body)
             stream = transport.connect()
-            stream.write_all(encode_frame(_hello_for(manifest, chunk)))
+            stream.write_all(encode_frame(manifest.hello(chunk.index)))
             stream.write_all(encode_frame(Data(chunk.index, 0, body)))
             stream.write_all(encode_frame(Fin(chunk.index, sha256(body))))
             streams.append(stream)
@@ -496,7 +475,7 @@ def test_a_corrupt_transfers_buffer_takes_exactly_the_next_payload(receive_buffe
         try:
             manifest = TransferManifest.for_payload(first, 1)
             stream = transport.connect()
-            stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+            stream.write_all(encode_frame(manifest.hello(0)))
             stream.write_all(encode_frame(Data(0, 0, bytes(b ^ 0xFF for b in first))))
             stream.write_all(encode_frame(Fin(0, sha256(first))))
             failed = receiver.serve_one()
@@ -552,7 +531,7 @@ def test_slot_of_a_finished_transfer_fails_cleanly():
     # A worker reading its next DATA head as another stream fails the
     # transfer finds the buffer gone with the finished monitor.
     manifest = TransferManifest.for_payload(b"x" * 100, 1)
-    hello = _hello_for(manifest, manifest.chunks[0])
+    hello = manifest.hello(0)
     monitor = striping._TransferMonitor(hello, 0.0)
     monitor.register(hello, None, 0.0, striping.DEFAULT_BUFFER_CAP, bytearray)
     monitor.buffer = None  # as _finish leaves a finished monitor
@@ -593,7 +572,7 @@ def test_wrong_offset_fails_transfer():
     def run(transport):
         receiver = Receiver(transport)
         stream = transport.connect()
-        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(manifest.hello(0)))
         stream.write_all(encode_frame(Data(0, 10, payload[10:])))  # hole at 0..10
         result = receiver.serve_one()
         receiver.close()
@@ -610,7 +589,7 @@ def test_fin_before_all_data_fails():
     def run(transport):
         receiver = Receiver(transport)
         stream = transport.connect()
-        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(manifest.hello(0)))
         stream.write_all(encode_frame(Data(0, 0, payload[:20])))
         stream.write_all(encode_frame(Fin(0, sha256(payload))))
         result = receiver.serve_one()
@@ -622,7 +601,7 @@ def test_fin_before_all_data_fails():
 
 
 _MANIFEST_2 = TransferManifest.for_payload(b"e" * 1024, 2)  # chunk 0 is (0, 512)
-_HELLO_0 = _hello_for(_MANIFEST_2, _MANIFEST_2.chunks[0])
+_HELLO_0 = _MANIFEST_2.hello(0)
 
 
 @pytest.mark.parametrize(
@@ -655,14 +634,23 @@ def test_protocol_errors_fail_the_transfer_and_abort_its_stream(frames, detail):
     run_on_sim(run)
 
 
+def _raw_data_head(length):
+    """A chunk-0 DATA head at offset 0 that announces ``length`` payload bytes."""
+    return b"PTCP" + bytes([2, 0x02]) + struct.pack("!IQI", 0, 0, length)
+
+
 @pytest.mark.parametrize(
     ("hostile", "detail", "head_valid"),
     [
         (encode_frame(Data(0, 0, b"\xee" * 600)), "chunk 0 overflows its declared length", False),
         (encode_frame(Data(0, 500, b"\xee" * 100)), "chunk 0: DATA offset 500, expected 0", False),
         (encode_frame(Data(0, 0, b"\xee" * 100))[:60], "stream for chunk 0 ended before FIN", True),
+        # encode_frame refuses these lengths, so their heads are packed by hand;
+        # the head's body starts at byte 92, after the 86-byte HELLO and the header.
+        (_raw_data_head(0), "zero-length DATA payload (at byte 92)", False),
+        (_raw_data_head(MAX_DATA_PAYLOAD + 1), "DATA payload length 65537 exceeds cap (at byte 92)", False),
     ],
-    ids=["length-past-chunk", "offset-past-chunk", "ended-mid-payload"],
+    ids=["length-past-chunk", "offset-past-chunk", "ended-mid-payload", "zero-length", "length-past-cap"],
 )
 def test_data_head_is_checked_before_its_payload_is_read(hostile, detail, head_valid):
     # Chunk 1 completes, then chunk 0's stream sends a hostile DATA frame.
@@ -675,11 +663,11 @@ def test_data_head_is_checked_before_its_payload_is_read(hostile, detail, head_v
     def run(transport):
         receiver = Receiver(transport)
         s0, s1 = transport.connect(), transport.connect()
-        for frame in (_hello_for(manifest, manifest.chunks[1]), Data(1, 0, body), Fin(1, sha256(body))):
+        for frame in (manifest.hello(1), Data(1, 0, body), Fin(1, sha256(body))):
             s1.write_all(encode_frame(frame))
         assert FrameDecoder().feed(s1.read_some(timeout=5.0)) == [Fin(1, sha256(body))]
         buffer = receiver._monitors[manifest.transfer_id].buffer
-        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        s0.write_all(encode_frame(manifest.hello(0)))
         s0.write_all(hostile)
         s0.close()  # ends the cut-short frame; the others fail before it matters
         result = receiver.serve_one()
@@ -695,28 +683,35 @@ def test_data_head_is_checked_before_its_payload_is_read(hostile, detail, head_v
 
 
 def test_sender_rejects_bad_receipt_digest():
-    # A hand-rolled receiver acknowledges with the wrong digest; the sender
-    # must report the transfer as failed.
+    # A hand-rolled receiver answers chunk 0's FIN with a bad receipt: the
+    # wrong digest, a frame that is not a FIN, or a FIN for another chunk.
+    # The sender must report the transfer as failed on chunk 0.
     payload = b"p" * 1000
+    receipts = [
+        (Fin(0, b"\x00" * 32), FailureKind.CONNECTION, "receiver digest mismatch on chunk 0"),
+        (TransferManifest.for_payload(payload, 1).hello(0), FailureKind.PROTOCOL, "unexpected receipt frame Hello("),
+        (Fin(1, sha256(payload)), FailureKind.PROTOCOL, "unexpected receipt frame Fin(chunk_index=1"),
+    ]
+    for receipt, kind, detail in receipts:
 
-    def bogus_receiver(transport):  # runs first, so it listens before the sender connects
-        listener = transport.listen()
-        stream = listener.accept()
-        received = b""
-        while not any(isinstance(frame, Fin) for frame in decode_frames(received)[0]):
-            data = stream.read_some(timeout=5.0)
-            if data == b"":
-                break
-            received += data
-        stream.write_all(encode_frame(Fin(0, b"\x00" * 32)))
-        stream.close()
-        listener.close()
+        def bogus_receiver(transport, receipt=receipt):  # runs first, so it listens before the sender connects
+            listener = transport.listen()
+            stream = listener.accept()
+            received = b""
+            while not any(isinstance(frame, Fin) for frame in decode_frames(received)[0]):
+                data = stream.read_some(timeout=5.0)
+                if data == b"":
+                    break
+                received += data
+            stream.write_all(encode_frame(receipt))
+            stream.close()
+            listener.close()
 
-    _, report = run_on_sim(bogus_receiver, lambda transport: send_transfer(payload, transport, 1))
-    assert not report.ok
-    assert report.failure_kind is FailureKind.CONNECTION
-    assert report.failure_reason.startswith("connection failed: ")
-    assert "digest mismatch" in report.failure_reason
+        _, report = run_on_sim(bogus_receiver, lambda transport: send_transfer(payload, transport, 1))
+        assert not report.ok
+        assert report.failure_kind is kind
+        assert report.failing_chunk == 0
+        assert report.failure_reason.startswith(f"{kind.value}: {detail}"), report.failure_reason
 
 
 def test_stalled_connection_hits_idle_timeout():
@@ -726,7 +721,7 @@ def test_stalled_connection_hits_idle_timeout():
     def run(transport):
         receiver = Receiver(transport, idle_timeout=0.2)
         stream = transport.connect()
-        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(manifest.hello(0)))
         # ... and nothing more.
         result = receiver.serve_one()
         receiver.close()
@@ -751,7 +746,7 @@ def test_buffer_cap_rejects_oversized_transfer():
     def run(transport):
         receiver = Receiver(transport, buffer_cap=1024)
         stream = transport.connect()
-        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(manifest.hello(0)))
         result = receiver.serve_one()
         receiver.close()
         assert not result.ok
@@ -773,7 +768,7 @@ def test_hello_chunk_placement_must_match_partition(offset, length):
     def run(transport):
         receiver = Receiver(transport, buffer_cap=1024 * 1024, idle_timeout=2.0)
         stream = transport.connect()
-        hello = replace(_hello_for(manifest, manifest.chunks[1]), chunk_offset=offset, chunk_length=length)
+        hello = replace(manifest.hello(1), chunk_offset=offset, chunk_length=length)
         stream.write_all(encode_frame(hello))
         result = receiver.serve_one()
         receiver.close()
@@ -791,7 +786,7 @@ def test_transfer_states_snapshot_during_stall():
     def run(transport):
         receiver = Receiver(transport, idle_timeout=2.0)
         stream = transport.connect()
-        stream.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        stream.write_all(encode_frame(manifest.hello(0)))
 
         hub = transport._hub
         deadline = hub.now() + 2.0
@@ -843,6 +838,30 @@ def test_connect_failure_reported_not_raised():
     assert "connect failed" in report.failure_reason
     assert report.failure_kind is FailureKind.CONNECT
     assert report.failing_chunk == 0
+
+    # The second connect is refused after the first stream opened: the
+    # transfer fails on chunk 1, and the open stream is aborted, not left open.
+    def refuse_second_connect(transport):
+        listener = transport.listen()
+        first = transport.connect()
+        refused = ConnectionRefusedError("second connect refused")
+        with (
+            mock.patch.object(first, "abort", wraps=first.abort) as abort,
+            mock.patch.object(transport, "connect", side_effect=[first, refused]),
+        ):
+            report = send_transfer(b"data", transport, 2)
+        server = listener.accept()
+        assert server.read_some(timeout=1.0) == b""  # the sender wrote nothing before it gave up
+        server.close()
+        listener.close()
+        return report, abort.call_count
+
+    [(report, aborts)] = run_on_sim(refuse_second_connect)
+    assert not report.ok
+    assert report.failure_kind is FailureKind.CONNECT
+    assert report.failing_chunk == 1
+    assert report.failure_reason == "connect failed: second connect refused"
+    assert aborts == 1
 
 
 def test_serve_helper_single_transfer():
@@ -1041,7 +1060,7 @@ def test_sender_that_closes_after_the_receipt_frees_the_worker():
     receiver = Receiver(transport)
     stream = transport.connect()
     try:
-        for frame in (_hello_for(manifest, manifest.chunks[0]), Data(0, 0, payload), Fin(0, sha256(payload))):
+        for frame in (manifest.hello(0), Data(0, 0, payload), Fin(0, sha256(payload))):
             stream.write_all(encode_frame(frame))
         assert FrameDecoder().feed(stream.read_some(timeout=5.0)) == [Fin(0, sha256(payload))]
         stream.close()
@@ -1063,16 +1082,16 @@ def test_failure_spares_the_streams_of_completed_chunks():
         reused, failing = transport.connect(), transport.connect()
         try:
             body = b"A" * 500
-            for frame in (_hello_for(first, first.chunks[0]), Data(0, 0, body), Fin(0, sha256(body))):
+            for frame in (first.hello(0), Data(0, 0, body), Fin(0, sha256(body))):
                 reused.write_all(encode_frame(frame))
             assert FrameDecoder().feed(reused.read_some(timeout=5.0)) == [Fin(0, sha256(body))]
-            failing.write_all(encode_frame(_hello_for(first, first.chunks[1])))
+            failing.write_all(encode_frame(first.hello(1)))
             failing.write_all(encode_frame(Fin(1, sha256(b""))))
             assert receiver.serve_one().failure_kind is FailureKind.PROTOCOL
 
             payload = b"next transfer"
             second = TransferManifest.for_payload(payload, 1)
-            for frame in (_hello_for(second, second.chunks[0]), Data(0, 0, payload), Fin(0, sha256(payload))):
+            for frame in (second.hello(0), Data(0, 0, payload), Fin(0, sha256(payload))):
                 reused.write_all(encode_frame(frame))
             result = receiver.serve_one()
             assert result.ok and result.transfer_id == second.transfer_id, result.reason
@@ -1148,7 +1167,7 @@ def test_one_completion_per_transfer_id():
         stream = transport.connect()
         sent_by_hand.append(stream)
         body = payload[chunk.offset : chunk.offset + chunk.length]
-        frames = (_hello_for(manifest, chunk), Data(chunk.index, 0, body), Fin(chunk.index, sha256(body)))
+        frames = (manifest.hello(chunk.index), Data(chunk.index, 0, body), Fin(chunk.index, sha256(body)))
         for frame in frames:
             stream.write_all(encode_frame(frame))
         return stream
@@ -1186,13 +1205,13 @@ def test_late_stream_of_failed_transfer_is_turned_away():
     def run(transport):
         receiver = Receiver(transport, idle_timeout=0.6)
         s0 = transport.connect()
-        s0.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        s0.write_all(encode_frame(manifest.hello(0)))
         s0.write_all(encode_frame(Fin(0, sha256(b""))))
         failed = receiver.serve_one()
         assert not failed.ok and "FIN after 0 of 500" in failed.reason
 
         s1 = transport.connect()
-        s1.write_all(encode_frame(_hello_for(manifest, manifest.chunks[1])))
+        s1.write_all(encode_frame(manifest.hello(1)))
         s1.write_all(encode_frame(Data(1, 0, payload[500:600])))
         assert s1.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
         assert receiver.transfer_states() == []
@@ -1223,7 +1242,7 @@ def test_late_stream_of_succeeded_transfer_is_turned_away():
         assert report.ok and done.ok
 
         late = transport.connect()
-        late.write_all(encode_frame(_hello_for(manifest, manifest.chunks[0])))
+        late.write_all(encode_frame(manifest.hello(0)))
         assert late.read_some(timeout=0.3) == b""  # aborted at once, not left to idle out
         assert receiver.transfer_states() == []
 

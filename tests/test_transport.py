@@ -12,7 +12,7 @@ import pytest
 
 from ptcp.simbridge import SimHub, SimTransport
 from ptcp.simnet import LinkConfig, Network
-from ptcp.transport import TcpTransport
+from ptcp.transport import TcpStream, TcpTransport
 
 from conftest import run_on_sim, wait_until
 
@@ -33,6 +33,36 @@ def test_tcp_write_after_peer_abort_fails():
     finally:
         client.abort()
         listener.close()
+
+
+class _Trickle:
+    """A socket whose ``sendmsg`` sends at most the next of ``steps`` bytes."""
+
+    def __init__(self, sock, steps):
+        self._sock = sock
+        self._steps = iter(steps)
+
+    def setsockopt(self, *args):
+        pass
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendmsg(self, parts):
+        return self._sock.send(b"".join(parts)[: next(self._steps)])
+
+
+def test_tcp_write_all_resumes_after_a_partial_sendmsg():
+    # Sends of 3, 2, 4 and the rest: one cut inside the first part, one at
+    # its end, one inside the second part.
+    writer, peer = socket.socketpair()
+    with writer, peer:
+        TcpStream(_Trickle(writer, [3, 2, 4, 100])).write_all(b"abcde", memoryview(b"fghij"), bytearray(b"klm"))
+        writer.shutdown(socket.SHUT_WR)
+        received = b""
+        while data := peer.recv(64):
+            received += data
+    assert received == b"abcdefghijklm"
 
 
 def test_spawn_join_propagates_exception():

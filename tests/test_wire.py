@@ -2,6 +2,7 @@
 
 import copy
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -252,3 +253,46 @@ def test_manifest_invariants():
     assert manifest.chunk_digests == (sha256(b"0123"), sha256(b"456"), sha256(b"789"))
     # HELLO's payload digest is the hash-list root over the chunk digests.
     assert manifest.payload_digest == sha256(sha256(b"0123") + sha256(b"456") + sha256(b"789"))
+
+
+def test_manifest_hello_announces_its_chunk():
+    manifest = TransferManifest.for_payload(b"0123456789", 3)
+    assert manifest.hello(1) == Hello(manifest.transfer_id, 10, 3, 1, 4, 3, manifest.payload_digest)
+
+
+# encode_frame refuses what these heads carry, so they are packed by hand.
+
+
+@pytest.mark.parametrize("head", [b"X", b"PX", b"PTCX", b"QTCP\x02"])
+def test_bad_magic_in_a_short_head_reports_its_offset(head):
+    # Fewer than the 6 header bytes already show a wrong magic.
+    with pytest.raises(ProtocolError, match="bad frame magic") as exc:
+        FrameDecoder().feed(head)
+    assert exc.value.offset == 0
+    good = encode_frame(Fin(1, sha256(b"")))
+    decoder = FrameDecoder()
+    assert decoder.feed(good) == [Fin(1, sha256(b""))]
+    with pytest.raises(ProtocolError, match="bad frame magic") as exc:
+        decoder.feed(head)
+    assert exc.value.offset == len(good)
+
+
+@pytest.mark.parametrize(
+    ("length", "message"),
+    [(0, "zero-length DATA payload"), (MAX_DATA_PAYLOAD + 1, f"DATA payload length {MAX_DATA_PAYLOAD + 1} exceeds cap")],
+    ids=["zero", "past-cap"],
+)
+def test_data_head_length_outside_its_range_is_rejected_at_its_body(length, message):
+    # The offset is that of the head's body, after the 6 header bytes, in
+    # the whole stream: here one FIN precedes the head.
+    good = encode_frame(Fin(1, sha256(b"")))
+    head = b"PTCP" + bytes([2, 0x02]) + struct.pack("!IQI", 0, 0, length)
+    with pytest.raises(ProtocolError) as exc:
+        FrameDecoder().feed(head)
+    assert str(exc.value) == f"{message} (at byte 6)"
+    assert exc.value.offset == 6
+    decoder = FrameDecoder()
+    decoder.feed(good)
+    with pytest.raises(ProtocolError) as exc:
+        decoder.feed(head)
+    assert exc.value.offset == len(good) + 6
