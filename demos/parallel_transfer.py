@@ -45,7 +45,8 @@ for stat in report.per_connection:
     print(f"  connection {stat.chunk_index}: {stat.bytes} bytes")
 
 print(f"\nreceiver: ok={result.ok}, {result.total_size} bytes in {result.wall_time:.3f} s")
-print(f"digests match: {sha256(received['payload']) == sha256(payload)}")
+digests_match = sha256(received["payload"]) == sha256(payload)
+print(f"digests match: {digests_match}")
 
 # The receiver times each connection too, from its HELLO to its verified
 # FIN, in seconds after the transfer's first HELLO.
@@ -54,3 +55,5 @@ for stat in result.per_connection:
         f"  connection {stat.chunk_index}: {stat.bytes} bytes "
         f"[{stat.start_time:.4f} s .. {stat.end_time:.4f} s]"
     )
+
+assert report.ok and result.ok and digests_match

@@ -1,4 +1,4 @@
-"""Blocking stream transport backed by the simulated network.
+"""Blocking stream transport backed by the simulated network; ``simulate_transfer`` runs a transfer on it.
 
 The simulator is strictly single-threaded, but the transfer code is written
 against blocking streams.  SimHub marries the two with a token: tasks run on
@@ -10,9 +10,9 @@ an event or a virtual timer makes some task ready.  When that is the parking
 task itself it carries on at once; otherwise it releases the chosen task's
 own baton and blocks on its own.  The thread inside ``run()`` has a baton
 too and gets the token back when the tasks are done, the network fails or
-the tasks deadlock.  The network only
-steps when no task is ready, so the interleaving is a pure function of the
-simulation and wall-clock thread scheduling cannot leak in.
+the tasks deadlock.  The network only steps when no task is ready, so the
+interleaving is a pure function of the simulation and wall-clock thread
+scheduling cannot leak in.
 
 A task waiting in ``SimListener.accept()`` is an idle server: it keeps no
 ``run()`` going.  No task outlives ``run()``, which ends every task still
@@ -60,6 +60,7 @@ from collections import deque
 from functools import partial
 
 from .simnet import AimdFlow, Network
+from .striping import ReceivedTransfer, TransferReport, send_transfer, serve
 from .transport import READ_CHUNK
 
 SEND_BUFFER_CAP = 256 * 1024
@@ -340,6 +341,12 @@ class _Inbox:
         self.low_water = 1  # the last reader's min_bytes
         self.last_arrival = 0.0  # virtual time the last byte came in
         self.readable: list[_Task] = []
+        self.writable: list[_Task] = []  # the peer's writes parked on a full send buffer
+        self.refusing = False  # its owner's abort came in: the peer's writes fail, a parked one too
+
+    def reset(self) -> None:
+        self.refusing = True
+        _wake(self.writable)
 
     def put_locked(self, now: float, size: int, eof: bool = False) -> None:
         if size:
@@ -385,14 +392,15 @@ class _StreamFlow(AimdFlow):
         self._seg_size: dict[int, int] = {}
         self._closing = False
         self._fin_seq: int | None = None
-        self._writable: list[_Task] = []
 
     def write_locked(self, hub: SimHub, data: bytes) -> None:
         self._peer.chunks.append(data)
         self._unbound += len(data)
         hub.network.pump(self)
         while self._unbound > SEND_BUFFER_CAP:
-            hub._wait_on_locked(self._writable)
+            hub._wait_on_locked(self._peer.writable)
+            if self._peer.refusing:
+                raise ConnectionResetError("peer aborted the stream")
 
     def close_locked(self, hub: SimHub, discard_pending: bool = False) -> None:
         if discard_pending:
@@ -411,7 +419,7 @@ class _StreamFlow(AimdFlow):
         if self._closing and not self._unbound and self._fin_seq is None:
             self._fin_seq = seq  # the last segment doubles as end-of-stream
         if take and self._unbound <= SEND_BUFFER_CAP:
-            _wake(self._writable)
+            _wake(self._peer.writable)
 
     def segment_payload(self, seq: int) -> int:
         return self._seg_size[seq]
@@ -480,6 +488,8 @@ class SimStream:
         with self._hub._lock:
             if self._write_closed:
                 raise ConnectionError("stream closed for writing")
+            if self._path._peer.refusing:
+                raise ConnectionResetError("peer aborted the stream")
             self._path.write_locked(self._hub, data)
 
     def close(self) -> None:
@@ -490,12 +500,14 @@ class SimStream:
             self._path.close_locked(self._hub)
 
     def abort(self) -> None:
-        """Hard stop: drop unsent bytes, end both directions."""
+        """Hard stop: drop unsent bytes, end both directions; the peer's writes fail a one-way delay later."""
         with self._hub._lock:
+            network = self._hub.network
             if not self._write_closed:
                 self._write_closed = True
                 self._path.close_locked(self._hub, discard_pending=True)
-            self._inbox.put_locked(self._hub.network.now, 0, eof=True)
+            self._inbox.put_locked(network.now, 0, eof=True)
+            network.schedule_call(network.now + network.link.one_way_delay, self._inbox.reset)
 
 
 class SimListener:
@@ -572,3 +584,24 @@ class SimTransport:
 
     def now(self) -> float:
         return self._hub.network.now
+
+
+def simulate_transfer(
+    network: Network, payload, connection_count: int
+) -> tuple[TransferReport, ReceivedTransfer, bytearray | None]:
+    """Run ``serve``, then ``send_transfer`` of ``payload`` on ``connection_count`` connections, as
+    tasks of a new hub on ``network``; returns the report, the received transfer and its payload."""
+    hub = SimHub(network)
+    transport = SimTransport(hub)
+    box: dict = {}
+
+    def serve_task():
+        box["result"] = serve(transport, lambda _tid, data: box.__setitem__("data", data))
+
+    def send_task():
+        box["report"] = send_transfer(payload, transport, connection_count)
+
+    hub.spawn(serve_task, name="serve")  # first, so it listens before the sender connects
+    hub.spawn(send_task, name="send")
+    hub.run()
+    return box["report"], box["result"], box.get("data")

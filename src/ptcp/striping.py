@@ -209,7 +209,7 @@ def _read_receipt(stream, chunk_index: int, expected_digest: bytes) -> None:
     if not isinstance(frame, Fin) or frame.chunk_index != chunk_index:
         raise ProtocolError(f"unexpected receipt frame {frame!r}")
     if frame.chunk_digest != expected_digest:
-        raise ConnectionError(f"receiver digest mismatch on chunk {chunk_index}")
+        raise _CorruptChunk(f"receiver digest mismatch on chunk {chunk_index}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from ptcp.harness import (
     run_level,
 )
 from ptcp.striping import DEFAULT_IDLE_TIMEOUT
-from ptcp.wire import sha256
+from ptcp.wire import Fin, encode_frame, sha256
 
 SIM_CONFIG = """
 # small deterministic sweep
@@ -372,6 +372,18 @@ def test_cli_bad_host_port_is_usage_error():
     assert excinfo.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    ("port", "message"),
+    [("http", "port must be an integer, got 'http'"), ("65536", "port must be in [0, 65535], got 65536")],
+    ids=["not-an-integer", "out-of-range"],
+)
+def test_cli_bad_port_is_usage_error(port, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["send", "--to", f"127.0.0.1:{port}", "--file", "x"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_cli_missing_file_is_usage_error(tmp_path, capsys):
     code = main(["send", "--to", "127.0.0.1:9", "--file", str(tmp_path / "absent.bin")])
     assert code == EXIT_USAGE
@@ -420,6 +432,37 @@ def test_cli_send_broken_receiver_is_transfer_error(tmp_path, capsys):
     assert code == EXIT_TRANSFER
     out = capsys.readouterr().out
     assert "FAILED" in out
+
+
+def test_cli_send_bad_receipt_is_transfer_error(tmp_path, capsys):
+    # A receiver that answers the FIN with another digest: the sender
+    # reports a corrupt chunk, a failed transfer.
+    data = b"r" * 10_000
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(data)
+    fin = encode_frame(Fin(0, sha256(data)))  # one stream, so chunk 0 is the payload
+    server = socket.create_server(("127.0.0.1", 0))
+    port = server.getsockname()[1]
+
+    def bogus_receiver():
+        conn, _ = server.accept()
+        with conn:
+            received = b""
+            while not received.endswith(fin) and (piece := conn.recv(65536)):
+                received += piece
+            conn.sendall(encode_frame(Fin(0, bytes(32))))
+            conn.recv(1)  # until the sender hangs up
+
+    thread = threading.Thread(target=bogus_receiver, daemon=True)
+    thread.start()
+    try:
+        code = main(["send", "--to", f"127.0.0.1:{port}", "--file", str(payload), "--streams", "1"])
+    finally:
+        thread.join(timeout=5.0)
+        server.close()
+    assert not thread.is_alive()
+    assert code == EXIT_TRANSFER
+    assert "FAILED (corrupt-chunk: receiver digest mismatch on chunk 0)" in capsys.readouterr().out
 
 
 def test_cli_recv_bind_failure_is_network_error(capsys):

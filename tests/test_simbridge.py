@@ -1,22 +1,25 @@
 """Tests for the simulated-network stream bridge.
 
 Covers the hub scheduler (task lifecycle, virtual sleep, channels, idle servers,
-deadlock detection, read timers, a finished hub that reference counting
+deadlock detection, misuse, read timers, a finished hub that reference counting
 frees and that still runs), the stream semantics (EOF, timeouts,
-backpressure, refused connects, the byte path), and the headline property: the transfer code runs
-unmodified over the simulated bottleneck, deterministically.
+backpressure, refused connects, aborts, the byte path), and the headline
+property: ``simulate_transfer`` runs the transfer code unmodified over the
+simulated bottleneck, deterministically.
 """
 
 import gc
+import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptcp import simbridge, simnet
-from ptcp.simbridge import SimChannel, SimHub, SimTransport
+from ptcp.simbridge import SimChannel, SimHub, SimTransport, simulate_transfer
 from ptcp.simnet import LinkConfig, Network
 from ptcp.striping import FailureKind, Receiver, send_transfer, serve
 from ptcp.wire import Data, Hello, TransferManifest, encode_frame, sha256
@@ -80,6 +83,19 @@ def test_run_surfaces_unjoined_task_error():
     hub.spawn(boom, name="boom")
     with pytest.raises(RuntimeError, match="nobody joined me"):
         hub.run()
+
+
+def test_run_reentered_from_a_task_fails():
+    hub = make_hub()
+    hub.spawn(hub.run, name="reenter")
+    with pytest.raises(RuntimeError, match="re-entered from inside a task"):
+        hub.run()
+
+
+def test_blocking_outside_a_task_fails():
+    hub = make_hub()
+    with pytest.raises(RuntimeError, match="blocking operation outside a sim task"):
+        hub.sleep(1.0)
 
 
 def test_deadlock_detection_names_the_task():
@@ -391,6 +407,65 @@ def test_abort_truncates_the_peer_stream(aborter):
         assert seen["eof_at"] == pytest.approx(seen["aborted_at"] + FAST_LINK.one_way_delay)
 
 
+@pytest.mark.parametrize(
+    "aborter, parked", [("client", False), ("server", False), ("server", True)],
+    ids=["client", "server", "server-parked-writer"],
+)
+def test_abort_resets_the_peer_one_way_delay_later(aborter, parked):
+    # Before the abort reaches the peer its writes still go out; after it,
+    # they fail as on a TCP connection that was reset.  A write parked on a
+    # full send buffer (only the connect side's can park) fails as it lands.
+    peer = "server" if aborter == "client" else "client"
+    hub = make_hub()
+    transport = SimTransport(hub)
+    ends, *_ = pair_up(hub, transport)
+    half = FAST_LINK.one_way_delay / 2
+    seen = {}
+
+    def aborting_side():
+        while aborter not in ends or peer not in ends:
+            hub.sleep(0.001)
+        seen["aborted_at"] = hub.now()
+        ends[aborter].abort()
+
+    def peer_side():
+        while aborter not in ends or peer not in ends:
+            hub.sleep(0.001)
+        if parked:
+            with pytest.raises(ConnectionResetError):
+                ends[peer].write_all(bytes(8 * simbridge.SEND_BUFFER_CAP))
+            seen["failed_at"] = hub.now()
+            return
+        hub.sleep(half)
+        ends[peer].write_all(b"early")
+        hub.sleep(2 * half)
+        with pytest.raises(ConnectionResetError):
+            ends[peer].write_all(b"late")
+
+    hub.spawn(aborting_side, name=aborter)
+    hub.spawn(peer_side, name=peer)
+    hub.run()
+    if parked:
+        assert seen["failed_at"] == pytest.approx(seen["aborted_at"] + FAST_LINK.one_way_delay)
+
+
+@pytest.mark.parametrize("writer", ["client", "server"])
+def test_write_after_close_is_refused(writer):
+    hub = make_hub()
+    transport = SimTransport(hub)
+    ends, *_ = pair_up(hub, transport)
+
+    def writing_side():
+        while writer not in ends:
+            hub.sleep(0.001)
+        ends[writer].close()
+        with pytest.raises(ConnectionError, match="closed for writing"):
+            ends[writer].write_all(b"x")
+
+    hub.spawn(writing_side, name=writer)
+    hub.run()
+
+
 def exchange(hub, transport, writes, reads):
     """The client writes ``writes[0]`` and closes, then the server writes
     ``writes[1]`` and closes; each side reads until EOF, cycling through
@@ -493,13 +568,15 @@ def test_abort_delivers_exactly_the_bound_bytes_then_eof():
     transport = SimTransport(hub)
     ends, *_ = pair_up(hub, transport)
     payload = bytes(range(251)) * 400  # a period prime to the MSS, so any shift shows
+    parts = [payload[:40_000], payload[40_000:70_000], payload[70_000:]]
     seen = {}
 
     def client_side():
         while "client" not in ends:
             hub.sleep(0.001)
         client = ends["client"]
-        client.write_all(payload)
+        for part in parts:  # all but the first window stays unbound
+            client.write_all(part)
         seen["unbound"] = client._path._unbound
         client.abort()
 
@@ -514,34 +591,14 @@ def test_abort_delivers_exactly_the_bound_bytes_then_eof():
     hub.spawn(client_side, name="client")
     hub.spawn(server_side, name="server")
     hub.run()
-    assert 0 < seen["unbound"] < len(payload)
+    # The abort drops the last two writes whole and the tail of the first.
+    assert len(parts[1]) + len(parts[2]) < seen["unbound"] < len(payload)
     assert seen["received"] == payload[: len(payload) - seen["unbound"]]
 
 
 # ---------------------------------------------------------------------------
 # Transfers over the simulated bottleneck
 # ---------------------------------------------------------------------------
-
-
-def run_transfer(payload, connections, link, *, record_events=False):
-    """One striped transfer over a fresh simulated link."""
-    network = Network(link, record_events=record_events)
-    hub = SimHub(network)
-    transport = SimTransport(hub)
-    box = {}
-
-    def serve_task():
-        box["result"] = serve(
-            transport, sink=lambda tid, data: box.__setitem__("payload", data)
-        )
-
-    def send_task():
-        box["report"] = send_transfer(payload, transport, connections)
-
-    hub.spawn(serve_task, name="serve")
-    hub.spawn(send_task, name="send")
-    hub.run()
-    return box, network
 
 
 class _Holder:
@@ -577,6 +634,29 @@ def test_finished_transfer_is_freed_without_the_cyclic_gc():
         refs = [weakref.ref(hub), weakref.ref(network), weakref.ref(holder)]
         del network, hub, transport, holder
         assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_simulate_transfer_leaves_the_network_to_reference_counting():
+    # The hub and its tasks go with the call, so once the caller drops its
+    # network, reference counting frees it, with events still pending, and
+    # the payload the sink took is the caller's alone.
+    link = LinkConfig(capacity=100e6, one_way_delay=0.010, queue_limit=100, loss_probability=0.01, seed=0)
+    payload = bytes(range(256)) * 4096  # 1 MiB
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        network = Network(link)
+        report, result, received = simulate_transfer(network, payload, 2)
+        assert report.ok and result.ok and received == payload
+        assert network.next_time() is not None
+        alone = bytearray()
+        assert sys.getrefcount(received) == sys.getrefcount(alone)
+        ref = weakref.ref(network)
+        del network
+        assert ref() is None
     finally:
         if was_enabled:
             gc.enable()
@@ -673,25 +753,27 @@ def test_simwire_lossy_seed0_fingerprint():
         capacity=100e6, one_way_delay=0.010, queue_limit=100, loss_probability=0.01, seed=0
     )
     payload = bytes(range(256)) * 65536
-    box, network = run_transfer(payload, 2, link)
-    assert box["report"].ok and box["result"].ok
-    assert box["payload"] == payload
+    network = Network(link)
+    report, result, received = simulate_transfer(network, payload, 2)
+    assert report.ok and result.ok
+    assert received == payload
     sent = sum(flow.sent_segments for flow in network.flows.values())
-    fingerprint = (repr(box["report"].wall_time), sent, network.bernoulli_losses)
+    fingerprint = (repr(report.wall_time), sent, network.bernoulli_losses)
     assert fingerprint == ("7.796399999999838", 11297, 103)
 
 
 def test_striped_transfer_over_sim_is_intact():
     payload = bytes((i * 37 + 11) % 256 for i in range(300_000))
-    box, network = run_transfer(payload, 3, FAST_LINK)
-    assert box["report"].ok
-    assert box["result"].ok
-    assert sha256(box["payload"]) == sha256(payload)
-    assert box["result"].total_size == len(payload)
-    assert len(box["result"].per_connection) == 3
+    network = Network(FAST_LINK)
+    report, result, received = simulate_transfer(network, payload, 3)
+    assert report.ok
+    assert result.ok
+    assert sha256(received) == sha256(payload)
+    assert result.total_size == len(payload)
+    assert len(result.per_connection) == 3
     assert network.drops == 0
     # Virtual wall time is positive and the clocks agree on it.
-    assert box["report"].wall_time > 0
+    assert report.wall_time > 0
 
 
 def test_loss_slows_the_transfer_but_not_the_payload():
@@ -706,12 +788,13 @@ def test_loss_slows_the_transfer_but_not_the_payload():
         loss_probability=0.05,
         seed=3,
     )
-    clean, _ = run_transfer(payload, 2, clean_link)
-    lossy, lossy_net = run_transfer(payload, 2, lossy_link)
-    assert clean["result"].ok and lossy["result"].ok
-    assert lossy["payload"] == payload
+    clean_report, clean_result, _ = simulate_transfer(Network(clean_link), payload, 2)
+    lossy_net = Network(lossy_link)
+    lossy_report, lossy_result, lossy_received = simulate_transfer(lossy_net, payload, 2)
+    assert clean_result.ok and lossy_result.ok
+    assert lossy_received == payload
     assert lossy_net.bernoulli_losses > 0
-    assert lossy["report"].wall_time > clean["report"].wall_time
+    assert lossy_report.wall_time > clean_report.wall_time
 
 
 def test_more_connections_move_more_data_under_loss():
@@ -727,10 +810,10 @@ def test_more_connections_move_more_data_under_loss():
     payload = bytes(1024) * 8192  # 8 MiB, large enough to span the window
 
     def transfer_time(connections):
-        box, _ = run_transfer(payload, connections, link)
-        assert box["report"].ok and box["result"].ok
-        assert box["payload"] == payload
-        return box["report"].wall_time
+        report, result, received = simulate_transfer(Network(link), payload, connections)
+        assert report.ok and result.ok
+        assert received == payload
+        return report.wall_time
 
     assert transfer_time(1) >= 1.3 * transfer_time(2)
 
@@ -756,8 +839,8 @@ def test_receiver_wakes_about_once_per_frame(monkeypatch):
     monkeypatch.setattr(simbridge.SimStream, "read_some", counting_read_some)
     monkeypatch.setattr(SimHub, "_wait_on_locked", counting_wait)
     payload = bytes(range(256)) * 4096  # 1 MiB: 8 DATA frames on each of 2 streams
-    box, _ = run_transfer(payload, 2, FAST_LINK)
-    assert box["report"].ok and box["result"].ok
+    report, result, _ = simulate_transfer(Network(FAST_LINK), payload, 2)
+    assert report.ok and result.ok
     data_frames, connections = 16, 2
     assert len(reads) <= 2 * data_frames + 4 * connections
     assert len(parks) <= 2 * data_frames + 4 * connections
@@ -778,8 +861,8 @@ def test_payload_bytes_never_pass_through_read_some_on_the_receiver(monkeypatch)
 
     monkeypatch.setattr(simbridge.SimStream, "read_some", counting_read_some)
     payload = bytes(range(256)) * 4096  # 1 MiB: HELLO, 8 DATA frames and FIN on each of 2 streams
-    box, _ = run_transfer(payload, 2, FAST_LINK)
-    assert box["result"].ok and box["payload"] == payload
+    _, result, received = simulate_transfer(Network(FAST_LINK), payload, 2)
+    assert result.ok and received == payload
     largest_head = len(encode_frame(Hello(bytes(16), 0, 1, 0, 0, 0, bytes(32))))  # 86 bytes
     frames = 2 * (1 + 8 + 1)
     assert 0 < sum(returned) <= largest_head * frames
@@ -794,24 +877,15 @@ def test_same_seed_same_virtual_outcome():
         loss_probability=0.03,
         seed=42,
     )
-    first, net1 = run_transfer(payload, 4, link, record_events=True)
-    second, net2 = run_transfer(payload, 4, link, record_events=True)
-    assert first["report"].wall_time == second["report"].wall_time
-    assert first["result"].wall_time == second["result"].wall_time
+    net1, net2 = Network(link, record_events=True), Network(link, record_events=True)
+    first_report, first_result, _ = simulate_transfer(net1, payload, 4)
+    second_report, second_result, _ = simulate_transfer(net2, payload, 4)
+    assert first_report.wall_time == second_report.wall_time
+    assert first_result.wall_time == second_result.wall_time
     assert net1.log_digest() == net2.log_digest()
 
-    different, _ = run_transfer(
-        payload,
-        4,
-        LinkConfig(
-            capacity=50_000_000,
-            one_way_delay=0.02,
-            queue_limit=200,
-            loss_probability=0.03,
-            seed=43,
-        ),
-    )
-    assert different["report"].wall_time != first["report"].wall_time
+    different, _, _ = simulate_transfer(Network(replace(link, seed=43)), payload, 4)
+    assert different.wall_time != first_report.wall_time
 
 
 def test_interleaving_golden():
@@ -826,12 +900,13 @@ def test_interleaving_golden():
         loss_probability=0.03,
         seed=42,
     )
-    box, network = run_transfer(payload, 4, link, record_events=True)
-    assert box["result"].ok and box["payload"] == payload
+    network = Network(link, record_events=True)
+    report, result, received = simulate_transfer(network, payload, 4)
+    assert result.ok and received == payload
     assert len(network.event_log) == 339
     assert network.log_digest() == "b928060d3ace535706b48f87b5fe8f2323e7a1c67940080b1c9d48bcdc79f669"
-    assert repr(box["report"].wall_time) == "0.4824000000000002"
-    assert repr(box["result"].wall_time) == "0.2821600000000002"
+    assert repr(report.wall_time) == "0.4824000000000002"
+    assert repr(result.wall_time) == "0.2821600000000002"
 
 
 def test_stall_mid_frame_times_out_one_idle_timeout_after_the_last_byte():

@@ -32,6 +32,31 @@ def make_flow(link=FAT_LINK, **kwargs):
 # -- event loop --
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("capacity", 0), ("one_way_delay", -0.001), ("queue_limit", 0), ("loss_probability", 1.5), ("mss", 0)],
+)
+def test_link_config_rejects_a_field_out_of_range(field, value):
+    fields = dict(capacity=1e7, one_way_delay=0.05, queue_limit=50)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        LinkConfig(**{**fields, field: value})
+
+
+def test_add_flow_rejects_a_duplicate_id():
+    network = Network(FAT_LINK)
+    network.add_flow(make_flow())
+    with pytest.raises(ValueError, match="duplicate flow_id 'f0'"):
+        network.add_flow(make_flow())
+
+
+def test_schedule_call_rejects_a_time_in_the_past():
+    network = Network(FAT_LINK)
+    network.schedule_call(1.0, lambda: None)
+    network.step()
+    with pytest.raises(ValueError, match="before now 1.0"):
+        network.schedule_call(0.5, lambda: None)
+
+
 def test_step_on_empty_network():
     network = Network(FAT_LINK)
     assert network.step() is False
@@ -230,6 +255,8 @@ def test_steady_state_throughput_values():
     assert steady_state_throughput(2, 1500, 0.1) == pytest.approx(1.5 * 1500 / 0.1)
     with pytest.raises(ValueError):
         steady_state_throughput(1.5, 1500, 0.1)
+    with pytest.raises(ValueError, match="rtt must be > 0"):
+        steady_state_throughput(20, 1500, 0.0)
 
 
 def test_sawtooth_simulation_matches_formula():

@@ -685,10 +685,11 @@ def test_data_head_is_checked_before_its_payload_is_read(hostile, detail, head_v
 def test_sender_rejects_bad_receipt_digest():
     # A hand-rolled receiver answers chunk 0's FIN with a bad receipt: the
     # wrong digest, a frame that is not a FIN, or a FIN for another chunk.
-    # The sender must report the transfer as failed on chunk 0.
+    # The sender must report the transfer as failed on chunk 0; a wrong
+    # digest as a corrupt chunk, as the receiver reports the same event.
     payload = b"p" * 1000
     receipts = [
-        (Fin(0, b"\x00" * 32), FailureKind.CONNECTION, "receiver digest mismatch on chunk 0"),
+        (Fin(0, b"\x00" * 32), FailureKind.CORRUPT_CHUNK, "receiver digest mismatch on chunk 0"),
         (TransferManifest.for_payload(payload, 1).hello(0), FailureKind.PROTOCOL, "unexpected receipt frame Hello("),
         (Fin(1, sha256(payload)), FailureKind.PROTOCOL, "unexpected receipt frame Fin(chunk_index=1"),
     ]

@@ -7,9 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ptcp.simbridge import SimHub, SimTransport
+from ptcp.simbridge import simulate_transfer
 from ptcp.simnet import LinkConfig, Network
-from ptcp.striping import send_transfer, serve
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,15 +42,10 @@ def test_traced_lossy_sim_transfer_counts_no_time_twice():
     tracer = tracing.Tracer()
     link = LinkConfig(capacity=100e6, one_way_delay=0.010, queue_limit=100, loss_probability=0.01, seed=0)
     payload = np.random.Generator(np.random.PCG64(0)).bytes(1024 * 1024)
-    box = {}
     patches = tracing.install(tracer)
     try:
-        hub = SimHub(Network(link))
-        transport = SimTransport(hub)
-        hub.spawn(lambda: box.update(result=serve(transport, lambda _, data: box.update(data=data))), name="serve")
-        hub.spawn(lambda: box.update(report=send_transfer(payload, transport, 2)), name="send")
-        hub.run()
+        report, result, received = simulate_transfer(Network(link), payload, 2)
     finally:
         patches.undo()
-    assert box["report"].ok and box["result"].ok and box["data"] == payload
+    assert report.ok and result.ok and received == payload
     assert tracer.flush()[1] == 0.0

@@ -17,24 +17,6 @@ from ptcp.transport import TcpStream, TcpTransport
 from conftest import run_on_sim, wait_until
 
 
-def test_tcp_write_after_peer_abort_fails():
-    # On the simulator an abort reaches the peer only as an end of stream,
-    # and writes to it still succeed.
-    transport = TcpTransport("127.0.0.1", 0)
-    listener = transport.listen()
-    client = transport.connect()
-    server = listener.accept()
-    server.abort()
-    try:
-        with pytest.raises(ConnectionError):
-            # Peer torn down entirely; eventually the socket refuses writes.
-            for _ in range(10):
-                client.write_all(b"x" * 1024)
-    finally:
-        client.abort()
-        listener.close()
-
-
 class _Trickle:
     """A socket whose ``sendmsg`` sends at most the next of ``steps`` bytes."""
 
@@ -387,10 +369,15 @@ class _Simulated:
         listener = self.transport.listen()
         box = {}
 
+        def write_side():
+            stream = listener.accept()
+            listener.close()
+            writer(stream)
+
         def read_side():
             box["out"] = reader(self.transport.connect())
 
-        self.hub.spawn(lambda: writer(listener.accept()), name="writer")
+        self.hub.spawn(write_side, name="writer")
         self.hub.spawn(read_side, name="reader")
         self.hub.run()
         return box["out"]
@@ -534,6 +521,25 @@ def test_abort_wakes_a_blocked_read_into(backend):
     got, waited = backend.run(aborter, reader)
     assert got == 0 or (isinstance(got, OSError) and not isinstance(got, TimeoutError))
     assert waited < IDLE
+
+
+def test_write_after_peer_abort_fails(backend):
+    # Whichever end aborts, the other end's reads end and, once the abort
+    # has reached it, its writes fail: on TCP the abort's FIN comes first
+    # and the reset answers the next write; on the simulator the reset
+    # arrives one one-way delay after the abort.
+    def aborts(stream):
+        stream.abort()
+
+    def peer(stream):
+        backend.sleep(GAP)
+        assert stream.read_some(100, IDLE) == b""
+        with pytest.raises(ConnectionError):
+            for _ in range(10):
+                stream.write_all(b"x" * 1024)
+
+    backend.run(aborts, peer)  # the accept side aborts
+    backend.run(peer, aborts)  # the connect side aborts
 
 
 def test_read_some_times_out_only_after_idle_seconds_without_a_byte(backend):

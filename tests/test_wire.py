@@ -2,7 +2,9 @@
 
 import copy
 import random
+import re
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,24 @@ def test_fin_layout_is_exact():
     digest = sha256(b"chunk zero")
     encoded = encode_frame(Fin(0, digest))
     assert encoded == b"PTCP" + bytes([2, 0x03]) + (0).to_bytes(4, "big") + digest
+
+
+@pytest.mark.parametrize(
+    ("frame", "error", "message"),
+    [
+        (b"PTCP", TypeError, "not a frame: b'PTCP'"),
+        (
+            replace(TransferManifest.for_payload(b"x", 1).hello(0), transfer_id=bytes(15)),
+            ValueError,
+            "transfer_id must be 16 bytes",
+        ),
+        (Fin(0, bytes(31)), ValueError, "chunk_digest must be 32 bytes"),
+    ],
+    ids=["not-a-frame", "15-byte-transfer-id", "31-byte-digest"],
+)
+def test_encode_frame_rejects_what_is_not_a_whole_frame(frame, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        encode_frame(frame)
 
 
 def test_data_zero_payload_rejected():
