@@ -9,16 +9,14 @@ this one process, so the demo needs no second terminal; ``ptcp recv`` and
 ``ptcp send`` run the same code across hosts.
 """
 
+import random
 from contextlib import closing
-
-import numpy as np
 
 from ptcp.striping import Receiver, send_transfer
 from ptcp.transport import TcpTransport
 from ptcp.wire import sha256
 
-rng = np.random.Generator(np.random.PCG64(1))
-payload = rng.integers(0, 256, 1024 * 1024, dtype=np.uint8).tobytes()
+payload = random.Random(1).randbytes(1024 * 1024)
 print(f"sending {len(payload)} bytes over 4 connections")
 
 received = {}

@@ -7,9 +7,8 @@ at the edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 STEADY_DISCARD = 0.2  # ramp-up share of a trace left out of the steady window
 
@@ -26,15 +25,15 @@ class FlowTrace:
     flow_id: str
     role: str  # "targeted" or "background"
     bucket_width: float
-    buckets: np.ndarray
+    buckets: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "buckets", np.asarray(self.buckets, dtype=np.float64))
+        object.__setattr__(self, "buckets", tuple(map(float, self.buckets)))
         if self.bucket_width <= 0:
             raise ValueError(f"bucket_width must be > 0, got {self.bucket_width}")
         if self.role not in ("targeted", "background"):
             raise ValueError(f"unknown role {self.role!r}")
-        if np.any(self.buckets < 0):
+        if any(b < 0 for b in self.buckets):
             raise ValueError("negative byte count in trace")
 
     @property
@@ -44,7 +43,7 @@ class FlowTrace:
 
     @property
     def total_bytes(self) -> float:
-        return float(self.buckets.sum())
+        return math.fsum(self.buckets)
 
 
 def throughput(trace: FlowTrace, window: tuple[float, float]) -> float:
@@ -61,7 +60,7 @@ def throughput(trace: FlowTrace, window: tuple[float, float]) -> float:
     width = trace.bucket_width
     total = 0.0
     first = int(start / width)
-    last = min(int(np.ceil(end / width)), len(trace.buckets))
+    last = min(math.ceil(end / width), len(trace.buckets))
     for i in range(first, last):
         lo = max(start, i * width)
         hi = min(end, (i + 1) * width)
@@ -83,16 +82,16 @@ def throughput_ratio(achieved: float, link_capacity: float) -> float:
 
 def jain_fairness(xs) -> float:
     """(sum x)^2 / (N * sum x^2) over per-flow throughputs."""
-    values = np.asarray(xs, dtype=np.float64)
-    if values.size < 1:
+    values = [float(x) for x in xs]
+    if not values:
         raise ValueError("need at least one throughput value")
-    if np.any(values < 0):
+    if any(x < 0 for x in values):
         raise ValueError("negative throughput value")
-    square_sum = float(np.dot(values, values))
+    square_sum = math.fsum(x * x for x in values)
     if square_sum == 0.0:
         raise UndefinedFairnessError("all flows have zero throughput")
-    total = float(values.sum())
-    return (total * total) / (values.size * square_sum)
+    total = math.fsum(values)
+    return (total * total) / (len(values) * square_sum)
 
 
 @dataclass

@@ -5,7 +5,9 @@ segments enter a single drop-tail FIFO served at link capacity, then cross
 a fixed propagation delay.  Acks return on the reverse path, which is pure
 delay: no bandwidth, no loss.  Random forward loss is Bernoulli per
 queued segment, drawn from a PCG64 generator seeded in LinkConfig, so a
-scenario is a pure function of its configuration.
+scenario is a pure function of its configuration.  The generator is
+numpy's: ``pcg64_outputs`` reproduces ``numpy.random.PCG64`` bit for bit,
+seeding included, with the standard library alone.
 
 A segment is admitted to the bottleneck when it is sent: the service time
 is constant, so its departure time is fixed then, and the queue is a deque
@@ -43,9 +45,8 @@ import heapq
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .metrics import FlowTrace
 
@@ -70,6 +71,8 @@ class LinkConfig:
             raise ValueError(f"loss_probability must be in [0,1], got {self.loss_probability}")
         if self.mss < 1:
             raise ValueError(f"mss must be >= 1, got {self.mss}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def service_time(self) -> float:
@@ -80,6 +83,72 @@ class LinkConfig:
     def rtt_base(self) -> float:
         """Round trip with empty queues."""
         return 2 * self.one_way_delay
+
+
+# ---------------------------------------------------------------------------
+# Loss generator: numpy's PCG64 (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014), seeded as numpy.random.SeedSequence seeds it
+# ---------------------------------------------------------------------------
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``: the seed's
+    32-bit words hashed into a pool of four, which then yields eight 32-bit
+    words, paired little-endian into four 64-bit ones."""
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for value in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(value))
+    hash_const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def pcg64_outputs(seed: int) -> Iterator[int]:
+    """The 64-bit outputs of ``numpy.random.PCG64(seed)`` in order: a
+    128-bit LCG whose state is folded to 64 bits (XSL) and rotated right by
+    its top 6 bits (RR).  ``Generator(PCG64(seed)).random()`` is an
+    output's top 53 bits times 2**-53."""
+    state_word_hi, state_word_lo, inc_hi, inc_lo = _seed_words(seed)
+    inc = (inc_hi << 64 | inc_lo) << 1 & _MASK128 | 1
+    state = (inc + (state_word_hi << 64 | state_word_lo)) * _PCG_MULTIPLIER + inc & _MASK128
+    while True:
+        state = state * _PCG_MULTIPLIER + inc & _MASK128
+        folded = (state ^ state >> 64) & _MASK64
+        # folded * (2**64 + 1) holds two copies of it side by side, so a
+        # right shift and a mask rotate it.
+        yield folded * 0x10000000000000001 >> (state >> 122) & _MASK64
 
 
 @dataclass(frozen=True)
@@ -259,9 +328,12 @@ class Network:
         # Read for every segment; LinkConfig.service_time is a computed property.
         self.service_time = link.service_time
         self.one_way_delay = link.one_way_delay
-        self.loss_probability = link.loss_probability
         self.queue_limit = link.queue_limit
-        self.rng = np.random.Generator(np.random.PCG64(link.seed))
+        self._draws = pcg64_outputs(link.seed)
+        # A segment is lost when numpy's random() < p.  random() is an
+        # output's top 53 bits times 2**-53, so that holds exactly when the
+        # output is below ceil(p * 2**53) << 11, and 0 means never draw.
+        self._loss_below = math.ceil(link.loss_probability * 2**53) << 11
         self.now = 0.0
         self.flows: dict[str, AimdFlow] = {}
         self._heap: list = []
@@ -314,7 +386,7 @@ class Network:
                 departures.append(departure)
                 if len(departures) > self.max_queue_len:
                     self.max_queue_len = len(departures)
-                if self.loss_probability > 0.0 and self.rng.random() < self.loss_probability:
+                if self._loss_below and next(self._draws) < self._loss_below:
                     heapq.heappush(heap, (departure, next(counter), Network._on_loss, segment))
                 else:
                     t = departure + self.one_way_delay
@@ -470,9 +542,13 @@ def run_scenario(
     n_buckets = math.ceil(duration / bucket_width)
     traces = []
     for spec in flows:
-        log = network.flows[spec.flow_id].delivery_log
-        deliveries = np.fromiter(log, dtype=[("t", "f8"), ("nbytes", "f8")], count=len(log))
-        index = np.minimum((deliveries["t"] / bucket_width).astype(np.int64), n_buckets - 1)
-        buckets = np.bincount(index, weights=deliveries["nbytes"], minlength=n_buckets)
+        # A delivery at t == duration may index one past the last bucket,
+        # and counts in the last.  Byte counts are whole numbers, so each
+        # bucket's float sum is exact in any order.
+        buckets = [0.0] * (n_buckets + 1)
+        for t, nbytes in network.flows[spec.flow_id].delivery_log:
+            buckets[int(t / bucket_width)] += nbytes
+        overflow = buckets.pop()
+        buckets[-1] += overflow
         traces.append(FlowTrace(spec.flow_id, spec.role, bucket_width, buckets))
     return traces

@@ -117,8 +117,8 @@ def send_transfer(
     fails to open or breaks mid-chunk fails the transfer with that chunk's
     index.
     """
+    t0 = transport.now()  # the clock covers hashing the payload for the manifest
     manifest = TransferManifest.for_payload(payload, connection_count, transfer_id)
-    t0 = transport.now()
     stats: list[ConnectionStat | None] = [None] * connection_count
     errors: list[tuple[FailureKind, Exception] | None] = [None] * connection_count
 

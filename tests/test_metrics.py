@@ -59,7 +59,7 @@ def test_throughput_additivity():
     rng = random.Random(404)
     a = FlowTrace("a", "targeted", 0.5, [rng.uniform(0, 1000) for _ in range(40)])
     b = FlowTrace("b", "background", 0.5, [rng.uniform(0, 1000) for _ in range(40)])
-    merged = FlowTrace("m", "targeted", 0.5, a.buckets + b.buckets)
+    merged = FlowTrace("m", "targeted", 0.5, [x + y for x, y in zip(a.buckets, b.buckets)])
     window = (3.0, 17.0)
     assert throughput(merged, window) == pytest.approx(
         throughput(a, window) + throughput(b, window), rel=1e-9

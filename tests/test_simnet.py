@@ -2,11 +2,14 @@
 
 import gc
 import hashlib
+import itertools
 import math
 import weakref
 
+import numpy as np
 import pytest
 
+from ptcp import simnet
 from ptcp.harness import parse_experiment, sim_flow_specs
 from ptcp.metrics import steady_window, throughput
 from ptcp.simnet import (
@@ -16,6 +19,7 @@ from ptcp.simnet import (
     LinkConfig,
     Network,
     aggregate_window_reduction,
+    pcg64_outputs,
     run_scenario,
     steady_state_throughput,
 )
@@ -34,12 +38,42 @@ def make_flow(link=FAT_LINK, **kwargs):
 
 @pytest.mark.parametrize(
     ("field", "value"),
-    [("capacity", 0), ("one_way_delay", -0.001), ("queue_limit", 0), ("loss_probability", 1.5), ("mss", 0)],
+    [
+        ("capacity", 0),
+        ("one_way_delay", -0.001),
+        ("queue_limit", 0),
+        ("loss_probability", 1.5),
+        ("mss", 0),
+        ("seed", -1),
+    ],
 )
 def test_link_config_rejects_a_field_out_of_range(field, value):
     fields = dict(capacity=1e7, one_way_delay=0.05, queue_limit=50)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         LinkConfig(**{**fields, field: value})
+
+
+# 2**32 + 5 and up are multi-word seeds; 2**200 + 17 has more 32-bit words
+# than SeedSequence's pool of four.
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 42, 100, 109, 2**32 + 5, 2**70 + 3, 2**200 + 17])
+def test_pcg64_outputs_match_numpy(seed):
+    # The loss generator is numpy's PCG64, seeded as numpy seeds it; numpy
+    # itself is the reference.
+    ours = list(itertools.islice(pcg64_outputs(seed), 10_000))
+    assert ours == np.random.PCG64(seed).random_raw(10_000).tolist()
+    generator = np.random.Generator(np.random.PCG64(seed))
+    assert [(o >> 11) * 2**-53 for o in ours] == [generator.random() for _ in range(10_000)]
+
+
+def test_loss_draws_match_numpys_random_below_p():
+    # Network decides each loss with an integer comparison; it must decide
+    # as numpy's random() < p does, also where p equals a draw exactly.
+    boundary = float(np.random.Generator(np.random.PCG64(3)).random(5)[4])
+    for p in (0.0, 1e-9, 0.01, 0.5, boundary, 1.0):
+        network = Network(LinkConfig(capacity=1e7, one_way_delay=0.05, queue_limit=50, loss_probability=p, seed=3))
+        generator = np.random.Generator(np.random.PCG64(3))
+        expected = [generator.random() < p for _ in range(1000)]
+        assert [next(network._draws) < network._loss_below for _ in range(1000)] == expected, p
 
 
 def test_add_flow_rejects_a_duplicate_id():
@@ -345,14 +379,14 @@ def test_scenario_determinism():
     a = run_scenario(link, flows, 20.0)
     b = run_scenario(link, flows, 20.0)
     for ta, tb in zip(a, b):
-        assert (ta.buckets == tb.buckets).all()
+        assert ta.buckets == tb.buckets
 
 
 def test_scenario_seed_changes_outcome():
     base = dict(capacity=1e7, one_way_delay=0.05, queue_limit=50, loss_probability=0.05)
     a = run_scenario(LinkConfig(seed=1, **base), [FlowSpec("f0")], 20.0)
     b = run_scenario(LinkConfig(seed=2, **base), [FlowSpec("f0")], 20.0)
-    assert (a[0].buckets != b[0].buckets).any()
+    assert a[0].buckets != b[0].buckets
 
 
 def test_scenario_validation():
@@ -366,8 +400,18 @@ def test_flow_start_offset():
     link = LinkConfig(capacity=1e7, one_way_delay=0.05, queue_limit=50)
     traces = run_scenario(link, [FlowSpec("late", start_time=1.0)], 5.0)
     buckets = traces[0].buckets
-    assert buckets[: int(1.0 / TRACE_BUCKET_WIDTH)].sum() == 0
-    assert buckets.sum() > 0
+    assert sum(buckets[: int(1.0 / TRACE_BUCKET_WIDTH)]) == 0
+    assert sum(buckets) > 0
+
+
+def test_a_delivery_at_the_end_counts_in_the_last_bucket(monkeypatch):
+    # Binary fractions throughout, so the first segment lands at exactly
+    # t == duration == one bucket width, which indexes one past the end.
+    monkeypatch.setattr(simnet, "TRACE_BUCKET_WIDTH", 0.25)
+    link = LinkConfig(capacity=12_288_000, one_way_delay=0.0625, queue_limit=50)  # 1/1024 s per segment
+    start = 0.25 - 0.0625 - 1 / 1024
+    (trace,) = run_scenario(link, [FlowSpec("f0", start_time=start)], 0.25)
+    assert trace.buckets == (1500.0,)
 
 
 # -- invariants --

@@ -456,7 +456,7 @@ def test_a_buffer_the_sink_kept_is_never_written_again(backend, keep):
 
 def test_buffer_reuse_check_holds_on_this_interpreter():
     # The same rule, checked with the standard library alone by a script
-    # meant for interpreters that have no numpy or pytest.
+    # meant for interpreters that have no pytest.
     script = Path(__file__).resolve().parent.parent / "tools" / "check_buffer_reuse.py"
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -890,6 +890,28 @@ def test_striping_over_tcp_loopback():
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
     assert store[report.transfer_id] == payload
+
+
+def test_sender_wall_time_covers_building_the_manifest(monkeypatch):
+    # The report's clock starts before the payload is hashed for the
+    # manifest, so the rate it gives covers the hashing.
+    build = striping.TransferManifest.for_payload
+
+    def slow_build(*args):
+        time.sleep(0.2)
+        return build(*args)
+
+    monkeypatch.setattr(striping.TransferManifest, "for_payload", slow_build)
+    transport = TcpTransport("127.0.0.1", 0)
+    receiver = Receiver(transport)
+    try:
+        report = send_transfer(b"x" * 10_000, transport, 2)
+        result = receiver.serve_one()
+    finally:
+        transport.close()
+        receiver.close()
+    assert report.ok and result.ok, (report.failure_reason, result.reason)
+    assert report.wall_time >= 0.2
 
 
 def _counting_accepts(transport):

@@ -3,10 +3,9 @@
 A receiver refills its spare receive buffer only when ``sys.getrefcount``
 reads the figure ``striping._sole_refcount()`` measured at import, and that
 figure may differ between interpreter versions.  The tests that pin the
-rule need numpy and pytest; this check needs only the standard library.  It
-loads ``ptcp.striping`` through a stub ``ptcp`` package, so the package's
-``__init__`` and its numpy import never run, and sends two transfers of one
-size over loopback TCP, twice:
+rule need pytest; this check needs only the standard library.  It imports
+``ptcp`` from this checkout's ``src`` and sends two transfers of one size
+over loopback TCP, twice:
 
 - to a sink that lets go of each payload: the second transfer must refill
   the first one's buffer;
@@ -22,26 +21,20 @@ Run it with each interpreter to check, from any directory:
 It prints what it found and exits 0 when every check holds, else 1.
 """
 
-import importlib
 import os
 import platform
 import sys
-import types
 import weakref
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "ptcp")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from ptcp import striping  # noqa: E402
+from ptcp.transport import TcpTransport  # noqa: E402
+
 PAYLOAD_SIZE = 200_000
 
 
-def load_modules():
-    """``ptcp.striping`` and ``ptcp.transport``, without ``ptcp/__init__.py``."""
-    package = types.ModuleType("ptcp")
-    package.__path__ = [SRC]
-    sys.modules["ptcp"] = package
-    return importlib.import_module("ptcp.striping"), importlib.import_module("ptcp.transport")
-
-
-def two_transfers(striping, transport_module, keep: bool) -> tuple[int, list[bool]]:
+def two_transfers(keep: bool) -> tuple[int, list[bool]]:
     """How many receive buffers two transfers of one size allocated, and for
     each delivery whether the sink got the first one's buffer."""
     allocated = []
@@ -62,7 +55,7 @@ def two_transfers(striping, transport_module, keep: bool) -> tuple[int, list[boo
             kept.append(payload)
 
     striping.bytearray = allocate  # found before the builtin
-    transport = transport_module.TcpTransport("127.0.0.1", 0)
+    transport = TcpTransport("127.0.0.1", 0)
     receiver = striping.Receiver(transport, sink, idle_timeout=5.0)
     try:
         for fill in (1, 2):
@@ -78,11 +71,10 @@ def two_transfers(striping, transport_module, keep: bool) -> tuple[int, list[boo
 
 
 def main() -> int:
-    striping, transport_module = load_modules()
     counts_tell = hasattr(sys, "getrefcount") and getattr(sys, "_is_gil_enabled", lambda: True)()
     sole = striping._SOLE_REFCOUNT
-    let_go = two_transfers(striping, transport_module, keep=False)
-    kept = two_transfers(striping, transport_module, keep=True)
+    let_go = two_transfers(keep=False)
+    kept = two_transfers(keep=True)
     failures = []
     if counts_tell and sole is None:
         failures.append("_SOLE_REFCOUNT is None where reference counts can tell")
