@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import mmap
 import sys
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -103,12 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_send(args) -> int:
     try:
-        payload = Path(args.file).read_bytes()
+        with open(args.file, "rb") as fh:  # a map, not a copy, unless it has no size (empty, a pipe)
+            size = Path(args.file).stat().st_size
+            source = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else nullcontext(fh.read())
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     host, port = args.to
-    with closing(TcpTransport(host, port)) as transport:  # ends our parked workers and the peer's at once
+    with source as payload, closing(TcpTransport(host, port)) as transport:  # ends parked workers, ours and the peer's
         report = send_transfer(payload, transport, args.streams)
     rate = report.bytes_sent * 8 / report.wall_time / 1e6 if report.wall_time > 0 else 0.0
     status = "OK" if report.ok else f"FAILED ({report.failure_reason})"

@@ -500,7 +500,8 @@ class SimStream:
             self._path.close_locked(self._hub)
 
     def abort(self) -> None:
-        """Hard stop: drop unsent bytes, end both directions; the peer's writes fail a one-way delay later."""
+        """Hard stop: drop unsent bytes, end both directions; the peer's writes fail a one-way delay
+        later and its reads return b"", as after a TCP abort, whose FIN comes before the reset."""
         with self._hub._lock:
             network = self._hub.network
             if not self._write_closed:

@@ -1,40 +1,19 @@
 """Sender and receiver sides of the parallel striped transfer.
 
-Sender: split the payload into one chunk per connection, open the
-connections, then pump every chunk concurrently, the calling thread
-running chunk 0 — HELLO, DATA frames in order (head and payload in one
-stream write each), FIN with the chunk digest.
-After FIN each sender worker waits for the receiver's receipt (a FIN frame
-echoing the digest the receiver computed) so corruption is observable end
-to end, then hands the stream back to the transport.  The receiver holds
-the last chunk's receipt until the payload is delivered, so receipts that
-all verify mean delivered, not only arrived.  A TCP transport keeps the
-stream and the worker, so a transfer over kept ones starts no thread.
+Each side is a protocol core that moves no bytes, ``SenderCore`` and
+``ReceiverCore``, and a blocking driver that moves them, ``send_transfer``
+and ``Receiver``: only the drivers read, write, spawn and lock, on TCP
+threads and simulator tasks alike, one frame head at a time.
 
-Receiver: one accept loop starts a worker for each stream it accepts.  The
-worker reads one sequence after another from its stream, of any transfer,
-until the stream ends or idles out: HELLO, which registers the stream with
-its transfer's monitor (the first valid HELLO sets up one buffer for the
-whole payload), DATA frames, each head checked against the chunk before
-its payload is read from the stream straight into its slice of the
-buffer and hashed there, and FIN, which completes the chunk once that
-digest verifies.  When the last chunk completes, the hash-list root over the
-verified chunk digests is checked against HELLO's payload digest, the
-buffer itself goes to the sink, and only then does that chunk's receipt go
-out; if the check or the sink fails, its stream is aborted instead.  A
-failure on any stream fails the whole transfer and aborts the streams of
-its chunks not yet complete; there is no retry, and late streams of a
-finished transfer are turned away.  A stream whose sequence does not open
-with a valid HELLO names no transfer: it is aborted and reported nowhere.
-One lock guards the receiver; a transfer it lists has not finished, and it
-finishes exactly once.
-
-A receiver keeps the buffer of its last finished transfer as a spare for
-the next transfer of that size, unless something else still refers to it
-(see ``Receiver``).
-
-Every failed transfer carries a ``FailureKind`` next to its reason string,
-and every reason, on either side, reads ``"{kind.value}: {detail}"``.
+Each connection carries one chunk: HELLO, DATA frames (head and payload
+in one write each), FIN with the chunk digest, then the receiver's
+receipt, a FIN echoing the digest it computed.  The last chunk's receipt
+goes out only once the hash-list root over the chunk digests matched
+HELLO's and the sink took the payload, so receipts that all verify mean
+delivered.  A failure on any stream fails the whole transfer and aborts
+the streams of its chunks not yet complete; there is no retry.  Every
+failure carries a ``FailureKind``, and its reason, on either side, reads
+``"{kind.value}: {detail}"``.
 """
 
 from __future__ import annotations
@@ -104,6 +83,34 @@ class TransferReport:
     failure_kind: FailureKind | None = None
 
 
+class SenderCore:
+    """The sender's protocol for one transfer, with no stream: the writes
+    that carry each chunk, and the check of the receipt that answers them."""
+
+    def __init__(self, payload, connection_count: int, transfer_id: bytes | None = None):
+        self.payload = payload
+        self.manifest = TransferManifest.for_payload(payload, connection_count, transfer_id)
+
+    def writes(self, index: int):
+        """Chunk ``index``'s frames in order, each the parts of one write: HELLO, DATA (head, payload), FIN."""
+        chunk = self.manifest.chunks[index]
+        body = memoryview(self.payload)[chunk.offset : chunk.offset + chunk.length]
+        yield (encode_frame(self.manifest.hello(index)),)
+        for off in range(0, len(body), DATA_FRAME_BYTES):
+            piece = body[off : off + DATA_FRAME_BYTES]
+            yield encode_frame(DataHead(index, off, len(piece))), piece
+        yield (encode_frame(Fin(index, self.manifest.chunk_digests[index])),)
+
+    def receipt(self, index: int, frame) -> None:
+        """Judge chunk ``index``'s receipt, the frame after its FIN (None: the stream ended); raise if it fails."""
+        if frame is None:
+            raise ConnectionError(f"stream closed before receipt for chunk {index}")
+        if not isinstance(frame, Fin) or frame.chunk_index != index:
+            raise ProtocolError(f"unexpected receipt frame {frame!r}")
+        if frame.chunk_digest != self.manifest.chunk_digests[index]:
+            raise _CorruptChunk(f"receiver digest mismatch on chunk {index}")
+
+
 def send_transfer(
     payload: bytes,
     transport,
@@ -118,57 +125,50 @@ def send_transfer(
     index.
     """
     t0 = transport.now()  # the clock covers hashing the payload for the manifest
-    manifest = TransferManifest.for_payload(payload, connection_count, transfer_id)
+    core = SenderCore(payload, connection_count, transfer_id)
+    chunks = core.manifest.chunks
     stats: list[ConnectionStat | None] = [None] * connection_count
-    errors: list[tuple[FailureKind, Exception] | None] = [None] * connection_count
+    errors: list[tuple[FailureKind, str] | None] = [None] * connection_count  # texts: no traceback outlives it
 
     streams = []
-    for chunk in manifest.chunks:
+    for chunk in chunks:
         try:
             streams.append(transport.connect())
         except OSError as exc:
-            errors[chunk.index] = (FailureKind.CONNECT, exc)
+            errors[chunk.index] = (FailureKind.CONNECT, str(exc))
             for s in streams:
                 s.abort()
             break
 
     def worker(index: int):
-        chunk = manifest.chunks[index]
         stream = streams[index]
-        body = memoryview(payload)[chunk.offset : chunk.offset + chunk.length]
         start = transport.now() - t0
         try:
-            stream.write_all(encode_frame(manifest.hello(index)))
-            for off in range(0, len(body), DATA_FRAME_BYTES):
-                piece = body[off : off + DATA_FRAME_BYTES]
-                stream.write_all(encode_frame(DataHead(chunk.index, off, len(piece))), piece)
-            digest = manifest.chunk_digests[index]
-            stream.write_all(encode_frame(Fin(chunk.index, digest)))
-            _read_receipt(stream, chunk.index, digest)
+            for parts in core.writes(index):
+                stream.write_all(*parts)
+            core.receipt(index, next(_frames(stream, DEFAULT_IDLE_TIMEOUT), None))
             transport.release(stream)  # the transport may keep it for its next transfer
-            stats[index] = ConnectionStat(chunk.index, len(body), start, transport.now() - t0)
+            stats[index] = ConnectionStat(index, chunks[index].length, start, transport.now() - t0)
         except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
-            errors[index] = (_failure_kind(exc), exc)
+            errors[index] = (_failure_kind(exc), str(exc))
             stream.abort()
 
     if len(streams) == connection_count:
-        handles = [
-            transport.spawn(lambda i=i: worker(i), name=f"send-{i}") for i in range(1, connection_count)
-        ]
+        handles = [transport.spawn(lambda i=i: worker(i), name=f"send-{i}") for i in range(1, connection_count)]
         worker(0)
         for h in handles:
             h.join()
 
     failing = next((i for i, e in enumerate(errors) if e is not None), None)
-    kind, exc = (None, None) if failing is None else errors[failing]
+    kind, detail = (None, None) if failing is None else errors[failing]
     done = [s for s in stats if s is not None]
     return TransferReport(
-        transfer_id=manifest.transfer_id,
+        transfer_id=core.manifest.transfer_id,
         bytes_sent=sum(s.bytes for s in done),
         wall_time=transport.now() - t0,
         per_connection=done,
         ok=failing is None,
-        failure_reason=None if kind is None else _reason(kind, exc),
+        failure_reason=None if kind is None else _reason(kind, detail),
         failing_chunk=failing,
         failure_kind=kind,
     )
@@ -200,16 +200,6 @@ def _frames(stream, timeout: float):
     decoder = FrameDecoder()
     while data := stream.read_some(decoder.needed, timeout, decoder.needed):
         yield from decoder.feed(data)
-
-
-def _read_receipt(stream, chunk_index: int, expected_digest: bytes) -> None:
-    frame = next(_frames(stream, DEFAULT_IDLE_TIMEOUT), None)
-    if frame is None:
-        raise ConnectionError(f"stream closed before receipt for chunk {chunk_index}")
-    if not isinstance(frame, Fin) or frame.chunk_index != chunk_index:
-        raise ProtocolError(f"unexpected receipt frame {frame!r}")
-    if frame.chunk_digest != expected_digest:
-        raise _CorruptChunk(f"receiver digest mismatch on chunk {chunk_index}")
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +242,7 @@ class _Chunk:
 
 class _TransferMonitor:
     """Completion tracker for one transfer: register / slot / data / complete.
-
-    register() and complete() run under the receiver's lock; slot() and
-    data() need none (see there).  The receiver's ``_finish`` ends the transfer."""
+    ``carriers`` holds the ``StreamState`` of each chunk not yet complete."""
 
     def __init__(self, hello: Hello, received_at: float):
         self.transfer_id = hello.transfer_id
@@ -263,28 +251,21 @@ class _TransferMonitor:
         self.payload_digest = hello.payload_digest
         self.started_at = received_at
         self.chunks: dict[int, _Chunk] = {}
-        self.streams: dict = {}  # chunk index -> stream of each chunk not yet complete
+        self.carriers: dict[int, StreamState] = {}
         self.buffer: bytearray | None = None  # whole payload; allocated by the first valid HELLO
         self.stats: list[ConnectionStat] = []  # one per completed chunk
         self.finished = False
 
-    def register(self, hello: Hello, stream, now: float, buffer_cap: int, allocate) -> None:
-        """Admit ``stream`` as the carrier of HELLO's chunk; the first
+    def register(self, hello: Hello, carrier: StreamState, now: float, buffer_cap: int, allocate) -> None:
+        """Admit ``carrier`` as the stream of HELLO's chunk; the first
         admitted takes the transfer's buffer from ``allocate(total_size)``."""
-        if (hello.total_size, hello.connection_count, hello.payload_digest) != (
-            self.total_size,
-            self.connection_count,
-            self.payload_digest,
-        ):
-            raise ProtocolError(
-                f"HELLO fields inconsistent across connections of transfer {self.transfer_id.hex()}"
-            )
+        fields = (hello.total_size, hello.connection_count, hello.payload_digest)
+        if fields != (self.total_size, self.connection_count, self.payload_digest):
+            raise ProtocolError(f"HELLO fields inconsistent across connections of transfer {self.transfer_id.hex()}")
         if hello.chunk_index in self.chunks:
             raise ProtocolError(f"duplicate registration for chunk {hello.chunk_index}")
         if hello.chunk_index >= self.connection_count:
-            raise ProtocolError(
-                f"chunk index {hello.chunk_index} out of range for {self.connection_count} connections"
-            )
+            raise ProtocolError(f"chunk index {hello.chunk_index} out of range for {self.connection_count} connections")
         expected = chunk_assignment(self.total_size, self.connection_count, hello.chunk_index)
         if (hello.chunk_offset, hello.chunk_length) != (expected.offset, expected.length):
             raise ProtocolError(
@@ -298,10 +279,7 @@ class _TransferMonitor:
         self.chunks[hello.chunk_index] = _Chunk(
             hello.chunk_offset, hello.chunk_length, hashlib.sha256(), now - self.started_at
         )
-        self.streams[hello.chunk_index] = stream
-
-    # slot() and data() run on the chunk's own worker only (register() rejects a
-    # second stream for a chunk), so its _Chunk and buffer slice need no lock.
+        self.carriers[hello.chunk_index] = carrier
 
     def slot(self, head: DataHead) -> memoryview:
         """The slice of the buffer ``head``'s payload fills, once the head is
@@ -312,17 +290,14 @@ class _TransferMonitor:
             raise ProtocolError(f"chunk {index}: DATA offset {head.offset_in_chunk}, expected {chunk.filled}")
         if chunk.filled + head.length > chunk.length:
             raise ProtocolError(f"chunk {index} overflows its declared length")
-        buffer = self.buffer
-        if buffer is None:  # _finish took it: the transfer failed since the head was read
-            raise ConnectionError(f"transfer {self.transfer_id.hex()} has finished")
         start = chunk.offset + chunk.filled
-        return memoryview(buffer)[start : start + head.length]
+        return memoryview(self.buffer)[start : start + head.length]
 
-    def data(self, head: DataHead, payload: memoryview) -> None:
-        """Take in a payload read into its ``slot``: hash it and advance."""
-        chunk = self.chunks[head.chunk_index]
+    def data(self, index: int, payload: memoryview) -> None:
+        """Take in a payload read into its ``slot``: hash it and advance chunk ``index``."""
+        chunk = self.chunks[index]
         chunk.hasher.update(payload)
-        chunk.filled += head.length
+        chunk.filled += len(payload)
 
     def complete(self, frame: Fin, now: float) -> bool:
         """Verify and mark one chunk done; True when this was the last chunk."""
@@ -333,17 +308,15 @@ class _TransferMonitor:
         if chunk.hasher.digest() != frame.chunk_digest:
             raise _CorruptChunk(f"chunk {index} digest mismatch")
         chunk.digest = frame.chunk_digest
-        del self.streams[index]  # it may carry another transfer next, so a failure spares it
+        del self.carriers[index]  # it may carry another transfer next, so a failure spares it
         self.stats.append(ConnectionStat(index, chunk.length, chunk.started, now - self.started_at))
         return len(self.stats) == self.connection_count
 
 
 def _sole_refcount() -> int | None:
-    """What ``sys.getrefcount(spare)`` reads when a local ``spare`` is the
-    only reference, read in the same way as ``Receiver._buffer_locked``
-    reads it: the figure differs between interpreter versions.  None where
-    the count cannot show every holder: no ``sys.getrefcount`` (PyPy), or
-    no GIL (a free-threaded build)."""
+    """What ``sys.getrefcount(spare)`` reads, as ``ReceiverCore._allocate`` reads it, when a local
+    ``spare`` is the only reference: the figure differs between interpreter versions.  None where
+    the count cannot show every holder: no ``sys.getrefcount`` (PyPy), or no GIL (free-threaded)."""
     if not hasattr(sys, "getrefcount") or not getattr(sys, "_is_gil_enabled", lambda: True)():
         return None
     spare = bytearray(0)
@@ -357,49 +330,145 @@ def _sole_refcount() -> int | None:
 _SOLE_REFCOUNT = _sole_refcount()  # None: a receiver never reuses a buffer
 
 
+@dataclass(eq=False)
+class StreamState:
+    """One stream at a ``ReceiverCore``; its driver fills ``slot``, else writes ``receipt``, else reads a head."""
+
+    monitor: _TransferMonitor | None = None  # of the sequence in progress; None between sequences
+    index: int = -1  # that sequence's chunk
+    slot: memoryview | None = None  # where the payload of the DATA head just read goes
+    receipt: bytes | None = None
+
+
+class ReceiverCore:
+    """The receiver's protocol, with no stream, thread or lock.
+
+    The driver fills a ``StreamState``'s ``slot`` and calls ``filled``, or writes its
+    ``receipt`` and calls ``sent``, or else reads a frame head for ``frame`` (None at the
+    stream's end); a stream error goes to ``broke``.  Calls must not overlap, ``filled`` aside.
+    ``frame`` and ``broke`` return ``(end, ending)``: the driver first ends the stream as
+    ``end`` says ("close", "abort", or "stop": leave it to the failure that aborted it), then
+    carries out ``ending``, a transfer that ended, as ``(monitor, kind, detail, carriers)``:
+    the sink takes a verified payload (``kind`` None), a failure aborts the streams of
+    ``carriers``, and ``settle`` makes the completion.  With no ``end`` the stream goes on,
+    unless its ``ending`` failed.  A transfer ends once.
+    """
+
+    def __init__(self, buffer_cap: int = DEFAULT_BUFFER_CAP):
+        self.buffer_cap = buffer_cap
+        self.monitors: dict[bytes, _TransferMonitor] = {}  # the transfers not yet finished
+        self.finished_ids: deque[bytes] = deque(maxlen=FINISHED_IDS_KEPT)
+        self.spare: bytearray | None = None  # the last finished transfer's buffer
+        self.closed = False
+
+    def frame(self, state: StreamState, frame, now: float) -> tuple:
+        """Take in the next frame head on ``state``'s stream, None at its end."""
+        monitor = state.monitor
+        try:
+            if monitor is None:  # a sequence opens: only a valid HELLO names its transfer
+                if frame is None:
+                    return "close", None  # the sender ended it between sequences
+                if not isinstance(frame, Hello) or frame.transfer_id in self.finished_ids:
+                    return "abort", None
+                monitor = self.monitors.get(frame.transfer_id)
+                if monitor is None:
+                    monitor = self.monitors[frame.transfer_id] = _TransferMonitor(frame, now)
+                state.monitor, state.index = monitor, frame.chunk_index
+                monitor.register(frame, state, now, self.buffer_cap, self._allocate)
+                return None, None
+            index = state.index
+            if frame is None:
+                raise ProtocolError(f"stream for chunk {index} ended before FIN")
+            if monitor.finished:
+                return "stop", None
+            if isinstance(frame, Hello):
+                raise ProtocolError("second HELLO within one chunk")
+            if frame.chunk_index != index:
+                raise ProtocolError(f"{frame.kind.name} for chunk {frame.chunk_index} on the chunk-{index} stream")
+            if isinstance(frame, DataHead):
+                state.slot = monitor.slot(frame)  # checked before a byte is read
+                return None, None
+            last = monitor.complete(frame, now)
+            state.receipt = encode_frame(Fin(index, frame.chunk_digest))  # complete() verified this digest
+            if not last:
+                return None, None
+            # Every chunk digest was verified against its bytes, and register()
+            # pinned each chunk to its partition entry, so the root over them
+            # stands for the whole buffer.
+            chunk_digests = (monitor.chunks[i].digest for i in range(monitor.connection_count))
+            ok = root_digest(chunk_digests) == monitor.payload_digest
+            return None, self._end(monitor, None if ok else FailureKind.CORRUPT_PAYLOAD, "digest mismatch")
+        except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
+            return self.broke(state, exc)
+
+    def filled(self, state: StreamState) -> None:
+        """The driver filled ``state.slot``: hash it in and advance its chunk."""
+        state.monitor.data(state.index, state.slot)
+        state.slot = None
+
+    def sent(self, state: StreamState) -> None:
+        """The driver wrote ``state.receipt``: the stream is between sequences."""
+        state.monitor = state.receipt = None
+
+    def broke(self, state: StreamState, exc: Exception) -> tuple:
+        """``state``'s stream raised ``exc``: it is aborted, and so fails the transfer it carries."""
+        return "abort", self._end(state.monitor, _failure_kind(exc), str(exc))  # text: no traceback cycle
+
+    def _end(self, monitor: _TransferMonitor | None, kind: FailureKind | None, detail) -> tuple | None:
+        """End ``monitor``'s transfer; None when there is none, or it has ended already."""
+        if monitor is None or monitor.finished:
+            return None
+        monitor.finished = True
+        del self.monitors[monitor.transfer_id]
+        self.finished_ids.append(monitor.transfer_id)
+        carriers, monitor.carriers = list(monitor.carriers.values()), {}  # so no state and monitor refer to each other
+        return monitor, kind, detail, carriers
+
+    def settle(self, monitor: _TransferMonitor, kind: FailureKind | None, detail, now: float) -> ReceivedTransfer:
+        """The completion of an ended transfer (a success when ``kind`` is None); its buffer becomes the spare."""
+        if monitor.buffer is not None and not self.closed and _SOLE_REFCOUNT is not None:
+            self.spare = monitor.buffer
+        monitor.buffer = None  # so a finished monitor pins nothing
+        return ReceivedTransfer(
+            transfer_id=monitor.transfer_id,
+            ok=kind is None,
+            reason=None if kind is None else _reason(kind, detail),
+            total_size=monitor.total_size,
+            wall_time=now - monitor.started_at,
+            per_connection=sorted(monitor.stats, key=lambda s: s.chunk_index),
+            failure_kind=kind,
+        )
+
+    def close(self) -> None:
+        """Keep no spare from now on."""
+        self.closed = True
+        self.spare = None
+
+    def _allocate(self, size: int) -> bytearray:
+        """A receive buffer of ``size`` bytes: the spare, if it has that size and no other holder, else a fresh one."""
+        spare, self.spare = self.spare, None
+        # Only ``spare`` refers to it: no sink kept it, and no worker of a
+        # failed transfer still holds a slice of it.  (A spare exists only
+        # where ``_SOLE_REFCOUNT`` is known.)
+        if spare is not None and len(spare) == size and sys.getrefcount(spare) == _SOLE_REFCOUNT:
+            return spare
+        del spare  # freed before the fresh one is allocated, unless kept elsewhere
+        return bytearray(size)
+
+
 class Receiver:
-    """An accept loop and one worker per open stream, feeding per-transfer monitors.
+    """An accept loop and one worker per accepted stream, driving one ``ReceiverCore``.
 
-    The accept loop (``recv-accept``) starts a worker (``recv-conn``) for
-    each stream it accepts.  The worker serves one chunk after another on
-    its stream and returns when the stream ends.  ``close()`` ends the
-    accept loop and aborts the streams waiting for a HELLO; a worker busy
-    with a chunk ends once that chunk is done.  A kept stream retired here
-    (idle timeout, ``close()``) just as its sender starts a transfer on it
-    fails that transfer as ``FailureKind.CONNECTION``, like any broken stream.
-
-    Supports concurrent transfers with distinct transfer ids on one
-    listener.  ``serve_one`` blocks until the next transfer finishes
-    (success or failure) and returns its result.  A transfer succeeds when
-    every chunk's bytes match its FIN digest and the hash-list root over
-    those digests (``wire.root_digest``) matches HELLO's payload digest;
-    the payload is never hashed as a whole.  On success the sink is
-    called as ``sink(transfer_id, payload)`` with the receive buffer itself,
-    a ``bytearray`` the sink may keep; it is not copied into ``bytes``.  A
-    failure aborts every stream of its transfer; a stream that does not open
-    with a valid HELLO is aborted, and ``serve_one`` never sees it.
-
-    The buffer of the last finished transfer, successful or failed, stays
-    as a spare.  The next transfer of the same ``total_size`` fills it
-    instead of a fresh one, but only when nothing else refers to it (its
-    reference count), so a buffer the sink kept, itself or through a
-    ``memoryview``, is never written again.  Only that traffic gains: a
-    sink that keeps each payload, or sizes that change, allocate as before.
-    The cost: an idle receiver holds that buffer, at most ``buffer_cap``
-    bytes, until its next transfer or ``close()``, and a transfer that
-    overlaps it runs next to it.  Where reference counts cannot show every
-    holder the receiver keeps no spare (see ``_sole_refcount``).
-
-    A failed transfer's ``failure_kind`` says why: ``CONNECTION``,
-    ``PROTOCOL``, ``STALLED``, ``CORRUPT_CHUNK``, ``CORRUPT_PAYLOAD``, or
-    ``SINK`` when the sink raised.  The last chunk's receipt is written only
-    once the sink has returned, so on a ``CORRUPT_PAYLOAD`` or ``SINK``
-    failure its stream is aborted and the sender fails on that chunk.
-
-    One lock, ``_lock``, guards the receiver, its monitors and the spare.
-    ``_monitors`` lists a transfer from its first HELLO until ``_finish``
-    marks it finished, in one critical section, so a listed transfer has not
-    finished.
+    A worker (``recv-conn``) serves one sequence after another on its stream, of any
+    transfer, until it ends or idles out.  ``close()`` ends the accept loop (``recv-accept``)
+    and aborts the streams between sequences; a worker busy with a chunk ends once that chunk
+    is done.  A kept stream retired so just as its sender starts a transfer on it fails that
+    transfer as ``CONNECTION``.  ``serve_one`` returns the next transfer to finish, of any id.
+    The sink is called as ``sink(transfer_id, payload)`` with the receive buffer itself,
+    which it may keep.  The last finished transfer's buffer stays, until the next transfer or
+    ``close()``, as a spare for the next of its size, reused only when its reference count
+    shows nothing else refers to it (see ``_sole_refcount``).  ``_lock`` keeps the core's
+    calls from overlapping and guards ``_streams``.
     """
 
     def __init__(
@@ -415,22 +484,18 @@ class Receiver:
         self._transport = transport
         self._sink = sink
         self._idle_timeout = idle_timeout
-        self._buffer_cap = buffer_cap
+        self._core = ReceiverCore(buffer_cap)
         self._listener = transport.listen()
         self._lock = threading.Lock()
-        self._monitors: dict[bytes, _TransferMonitor] = {}  # the transfers not yet finished
-        self._finished_ids: deque[bytes] = deque(maxlen=FINISHED_IDS_KEPT)
+        self._streams: dict[StreamState, object] = {}  # each open stream, by its state at the core
         self._completions = transport.channel()
-        self._waiting: set = set()  # streams waiting for a HELLO
-        self._spare: bytearray | None = None  # the last finished transfer's buffer
-        self._closed = False
         self._acceptor = transport.spawn(self._accept_loop, name="recv-accept")
 
     def transfer_states(self) -> list[ReceiverState]:
         with self._lock:
             return [
                 ReceiverState(m.transfer_id, m.connection_count, set(m.chunks), {s.chunk_index for s in m.stats})
-                for m in self._monitors.values()
+                for m in self._core.monitors.values()
             ]
 
     def serve_one(self) -> ReceivedTransfer:
@@ -439,10 +504,9 @@ class Receiver:
     def close(self) -> None:
         self._listener.close()
         with self._lock:
-            self._closed = True
-            self._spare = None
-            waiting = list(self._waiting)
-        for stream in waiting:
+            self._core.close()
+            waiting = [stream for state, stream in self._streams.items() if state.monitor is None]
+        for stream in waiting:  # a sequence on one of the others ends once its chunk is done
             stream.abort()
 
     # -- internals --
@@ -457,88 +521,53 @@ class Receiver:
             self._transport.spawn(partial(self._serve_stream, stream), name="recv-conn")
 
     def _serve_stream(self, stream):
-        """Serve one sequence after another on ``stream`` until it ends."""
+        """Move bytes between ``stream`` and the core until the stream ends."""
+        core, state, end = self._core, StreamState(), None
         frames = _frames(stream, self._idle_timeout)
-        while self._serve_chunk(stream, frames):
-            pass
-
-    def _serve_chunk(self, stream, frames) -> bool:
-        """One sequence on ``stream``: HELLO, DATA frames in order, FIN,
-        receipt.  True when the stream may carry another."""
-        monitor: _TransferMonitor | None = None
-        try:
-            with self._lock:
-                if self._closed:
-                    raise ConnectionError("receiver closed")
-                self._waiting.add(stream)  # close() aborts it until HELLO comes
-            try:
-                hello = next(frames, None)
-            finally:
-                with self._lock:
-                    self._waiting.discard(stream)
-            if hello is None:
-                stream.close()  # the sender ended it between sequences
-                return False
-            now = self._transport.now()
-            with self._lock:
-                if isinstance(hello, Hello) and hello.transfer_id not in self._finished_ids:
-                    monitor = self._monitors.get(hello.transfer_id)
-                    if monitor is None:
-                        monitor = self._monitors[hello.transfer_id] = _TransferMonitor(hello, now)
-                    monitor.register(hello, stream, now, self._buffer_cap, self._buffer_locked)
-            if monitor is None:
-                stream.abort()  # no valid HELLO, or its transfer has finished
-                return False
-            index = hello.chunk_index
-            for frame in frames:
-                if monitor.finished:
-                    return False  # the transfer failed and aborted this stream
-                if isinstance(frame, Hello):
-                    raise ProtocolError("second HELLO within one chunk")
-                if frame.chunk_index != index:
-                    raise ProtocolError(
-                        f"{frame.kind.name} for chunk {frame.chunk_index} on the chunk-{index} stream"
-                    )
-                if isinstance(frame, DataHead):
-                    with monitor.slot(frame) as view:  # checked before a byte is read
-                        if stream.read_into(view, self._idle_timeout) < len(view):
-                            break  # the stream ended mid-payload
-                        monitor.data(frame, view)
-                    continue
-                with self._lock:
-                    last = monitor.complete(frame, self._transport.now())
-                if last:
-                    # Every chunk digest was verified against its bytes, and
-                    # register() pinned each chunk to its partition entry, so
-                    # the root over them stands for the whole buffer.
-                    chunk_digests = (monitor.chunks[i].digest for i in range(monitor.connection_count))
-                    ok = root_digest(chunk_digests) == monitor.payload_digest
-                    if not self._finish(monitor, None if ok else FailureKind.CORRUPT_PAYLOAD, "digest mismatch"):
-                        stream.abort()  # so the sender fails on the receipt held for delivery
-                        return False
-                # complete() verified this digest against the buffered chunk.
-                stream.write_all(encode_frame(Fin(index, frame.chunk_digest)))
-                return True
-            raise ProtocolError(f"stream for chunk {index} ended before FIN")
-        except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
-            stream.abort()  # also how a stream idle between sequences is retired
-            if monitor is not None:
-                self._finish(monitor, _failure_kind(exc), exc)
-            return False
-
-    def _finish(self, monitor: _TransferMonitor, kind: FailureKind | None, detail) -> bool:
-        """Post the transfer's one completion; True when it succeeded.  With
-        ``kind`` None the sink takes the payload first, and a sink that
-        raises fails the transfer as ``FailureKind.SINK``.  A failure aborts
-        the streams of its chunks not yet complete.  Later calls for the
-        transfer do nothing and return False."""
         with self._lock:
-            if monitor.finished:
-                return False
-            monitor.finished = True
-            del self._monitors[monitor.transfer_id]
-            self._finished_ids.append(monitor.transfer_id)
-            streams = list(monitor.streams.values())
+            self._streams[state] = stream
+        try:
+            while end is None:
+                try:
+                    frame = None
+                    if state.slot is not None:
+                        with state.slot as view:  # released before a failure can free the buffer
+                            if stream.read_into(view, self._idle_timeout) == len(view):  # else it ended mid-payload
+                                core.filled(state)
+                                continue
+                    elif state.receipt is not None:
+                        stream.write_all(state.receipt)
+                        core.sent(state)
+                        continue
+                    elif state.monitor is None and core.closed:  # else close() aborts it from now on
+                        raise ConnectionError("receiver closed")
+                    else:
+                        frame = next(frames, None)
+                except Exception as exc:  # noqa: BLE001 - reported in the transfer outcome
+                    end, ending, streams = self._decided(core.broke, state, exc)
+                else:
+                    end, ending, streams = self._decided(core.frame, state, frame, self._transport.now())
+                if end == "abort":
+                    stream.abort()  # also how a stream idle between sequences is retired
+                elif end == "close":
+                    stream.close()
+                if ending is not None and not self._finish(ending, streams) and end is None:
+                    stream.abort()  # so the sender fails on the receipt held for delivery
+                    end = "abort"
+        finally:
+            with self._lock:
+                del self._streams[state]
+
+    def _decided(self, decide, *args) -> tuple:
+        """A core call's ``(end, ending)``, and its carriers' streams, looked up under the same lock."""
+        with self._lock:
+            end, ending = decide(*args)
+            return end, ending, [self._streams[carrier] for carrier in ending[3]] if ending else ()
+
+    def _finish(self, ending: tuple, streams) -> bool:
+        """Post an ending's completion, True on success: a verified payload goes to the sink, a
+        failure aborts ``streams``, and a sink that raises fails the transfer as ``SINK``."""
+        monitor, kind, detail, _ = ending
         if kind is None and self._sink is not None:
             try:
                 self._sink(monitor.transfer_id, monitor.buffer)
@@ -546,36 +575,12 @@ class Receiver:
                 # Its text only: the traceback would keep the sink's frame, and the payload in it.
                 kind, detail = FailureKind.SINK, str(exc)
         with self._lock:
-            if monitor.buffer is not None and not self._closed and _SOLE_REFCOUNT is not None:
-                self._spare = monitor.buffer
-            monitor.buffer = None  # so a finished monitor pins nothing
+            result = self._core.settle(monitor, kind, detail, self._transport.now())
         if kind is not None:
             for stream in streams:
                 stream.abort()
-        self._completions.put(
-            ReceivedTransfer(
-                transfer_id=monitor.transfer_id,
-                ok=kind is None,
-                reason=None if kind is None else _reason(kind, detail),
-                total_size=monitor.total_size,
-                wall_time=self._transport.now() - monitor.started_at,
-                per_connection=sorted(monitor.stats, key=lambda s: s.chunk_index),
-                failure_kind=kind,
-            )
-        )
+        self._completions.put(result)
         return kind is None
-
-    def _buffer_locked(self, size: int) -> bytearray:
-        """A receive buffer of ``size`` bytes: the spare, if it has that size
-        and nothing else refers to it, else a fresh one.  Runs under ``_lock``."""
-        spare, self._spare = self._spare, None
-        # Only ``spare`` refers to it: no sink kept it, and no worker of a
-        # failed transfer still holds a slice of it.  (A spare exists only
-        # where ``_SOLE_REFCOUNT`` is known.)
-        if spare is not None and len(spare) == size and sys.getrefcount(spare) == _SOLE_REFCOUNT:
-            return spare
-        del spare  # freed before the fresh one is allocated, unless kept elsewhere
-        return bytearray(size)
 
 
 def serve(transport, sink=None) -> ReceivedTransfer:

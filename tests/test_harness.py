@@ -1,6 +1,7 @@
 """Tests for experiment orchestration, output files, and the CLI."""
 
 import hashlib
+import random
 import socket
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ptcp import harness, simnet
+from ptcp import cli, harness, simnet
 from ptcp.cli import EXIT_NETWORK, EXIT_OK, EXIT_TRANSFER, EXIT_USAGE, build_parser, main
 from ptcp.harness import (
     ExperimentConfig,
@@ -23,7 +24,8 @@ from ptcp.harness import (
     run_experiment,
     run_level,
 )
-from ptcp.striping import DEFAULT_IDLE_TIMEOUT
+from ptcp.striping import DEFAULT_IDLE_TIMEOUT, Receiver
+from ptcp.transport import TcpTransport
 from ptcp.wire import Fin, encode_frame, sha256
 
 SIM_CONFIG = """
@@ -515,6 +517,34 @@ def test_cli_send_recv_roundtrip(tmp_path):
     received = list(out_dir.glob("*.bin"))
     assert len(received) == 1
     assert sha256(received[0].read_bytes()) == sha256(payload)
+
+
+def test_cli_send_maps_its_file_and_closes_the_map(tmp_path, monkeypatch):
+    # ptcp send maps the file instead of copying it, and closes the map
+    # once the transfer is done; an empty file cannot be mapped, so it is read.
+    maps = []
+    real_mmap = cli.mmap.mmap
+
+    def recording_mmap(*args, **kwargs):
+        maps.append(real_mmap(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(cli.mmap, "mmap", recording_mmap)
+    source = tmp_path / "source.bin"
+    store = {}
+    transport = TcpTransport("127.0.0.1", 0)
+    receiver = Receiver(transport, lambda transfer_id, payload: store.__setitem__(transfer_id, bytes(payload)))
+    try:
+        for payload, mapped in ((random.Random(3).randbytes(200_001), 1), (b"", 0)):
+            source.write_bytes(payload)
+            maps.clear()
+            code = main(["send", "--to", f"127.0.0.1:{transport.port}", "--file", str(source), "--streams", "3"])
+            result = receiver.serve_one()
+            assert code == EXIT_OK and result.ok
+            assert store.pop(result.transfer_id) == payload
+            assert len(maps) == mapped and all(m.closed for m in maps)
+    finally:
+        receiver.close()
 
 
 def test_cli_recv_ends_cleanly_on_ctrl_c(tmp_path):

@@ -527,16 +527,18 @@ def test_serve_holds_no_spare_buffer_once_it_returns(receive_buffers):
     assert freed == [True]
 
 
-def test_slot_of_a_finished_transfer_fails_cleanly():
+def test_a_data_head_for_a_failed_transfer_stops_its_stream():
     # A worker reading its next DATA head as another stream fails the
-    # transfer finds the buffer gone with the finished monitor.
-    manifest = TransferManifest.for_payload(b"x" * 100, 1)
-    hello = manifest.hello(0)
-    monitor = striping._TransferMonitor(hello, 0.0)
-    monitor.register(hello, None, 0.0, striping.DEFAULT_BUFFER_CAP, bytearray)
-    monitor.buffer = None  # as _finish leaves a finished monitor
-    with pytest.raises(ConnectionError, match="has finished"):
-        monitor.slot(DataHead(0, 0, 100))
+    # transfer is told to stop, not given a slot: the failure took the
+    # buffer and aborts that worker's stream itself.
+    manifest = TransferManifest.for_payload(b"x" * 100, 2)
+    core = striping.ReceiverCore()
+    failing, reading = striping.StreamState(), striping.StreamState()
+    assert core.frame(failing, manifest.hello(1), 0.0) == core.frame(reading, manifest.hello(0), 0.0) == (None, None)
+    end, (_, kind, _, carriers) = core.broke(failing, ConnectionResetError("reset"))
+    assert end == "abort" and kind is FailureKind.CONNECTION and carriers == [failing, reading]
+    assert core.frame(reading, DataHead(0, 0, 50), 0.0) == ("stop", None)
+    assert reading.slot is None
 
 
 def test_each_side_hashes_every_byte_once(monkeypatch):
@@ -666,7 +668,7 @@ def test_data_head_is_checked_before_its_payload_is_read(hostile, detail, head_v
         for frame in (manifest.hello(1), Data(1, 0, body), Fin(1, sha256(body))):
             s1.write_all(encode_frame(frame))
         assert FrameDecoder().feed(s1.read_some(timeout=5.0)) == [Fin(1, sha256(body))]
-        buffer = receiver._monitors[manifest.transfer_id].buffer
+        buffer = receiver._core.monitors[manifest.transfer_id].buffer
         s0.write_all(encode_frame(manifest.hello(0)))
         s0.write_all(hostile)
         s0.close()  # ends the cut-short frame; the others fail before it matters
@@ -1065,7 +1067,7 @@ def test_receiver_close_ends_workers_waiting_between_chunks():
     try:
         report = send_transfer(b"w" * 10_000, sender, 3)
         assert report.ok and receiver.serve_one().ok
-        assert wait_until(lambda: len(receiver._waiting) == 3)
+        assert wait_until(lambda: [state.monitor for state in list(receiver._streams)] == [None] * 3)
         receiver.close()
         assert wait_until(lambda: _live_workers() == 0, 2.0)
     finally:
@@ -1088,7 +1090,7 @@ def test_sender_that_closes_after_the_receipt_frees_the_worker():
         assert FrameDecoder().feed(stream.read_some(timeout=5.0)) == [Fin(0, sha256(payload))]
         stream.close()
         assert receiver.serve_one().ok
-        assert wait_until(lambda: _recv_threads() == ["recv-accept"] and not receiver._waiting)
+        assert wait_until(lambda: _recv_threads() == ["recv-accept"] and not receiver._streams)
     finally:
         stream.abort()
         receiver.close()
@@ -1300,6 +1302,52 @@ def test_many_workers_under_fast_thread_switching():
     assert report.ok, report.failure_reason
     assert result.ok, result.reason
     assert store[report.transfer_id] == payload
+
+
+def test_concurrent_transfers_and_a_failure_under_fast_thread_switching():
+    # Three senders and a failing transfer at once, more workers than cores,
+    # switching threads every microsecond: every transfer ends exactly once,
+    # the failure aborts the stream still carrying its other chunk, and
+    # every payload lands whole.
+    payloads = [random.Random(seed).randbytes(100_000) for seed in range(3)]
+    failing = TransferManifest.for_payload(b"f" * 1000, 2)
+    transport = TcpTransport("127.0.0.1", 0)
+    store = {}
+    receiver = Receiver(transport, collect_sink(store), idle_timeout=20.0)
+    senders = [TcpTransport("127.0.0.1", transport.port) for _ in payloads]
+    reports = [None] * len(payloads)
+
+    def send(i):
+        reports[i] = send_transfer(payloads[i], senders[i], 4)
+
+    carrier, breaker = transport.connect(), transport.connect()  # the failing transfer's two streams
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(striping, "DATA_FRAME_BYTES", 1024):
+            threads = [threading.Thread(target=send, args=(i,)) for i in range(len(payloads))]
+            for thread in threads:
+                thread.start()
+            carrier.write_all(encode_frame(failing.hello(0)))
+            assert wait_until(lambda: [s.registered for s in receiver.transfer_states() if s.connection_count == 2])
+            breaker.write_all(encode_frame(failing.hello(1)) + encode_frame(Data(1, 7, b"f" * 10)))
+            results = [receiver.serve_one() for _ in range(len(payloads) + 1)]
+            for thread in threads:
+                thread.join(timeout=20.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert carrier.read_some(timeout=5.0) == b""  # aborted by the failure
+    finally:
+        sys.setswitchinterval(interval)
+        carrier.abort()
+        breaker.abort()
+        for sender in senders:
+            sender.close()
+        receiver.close()
+    assert sorted(r.transfer_id for r in results) == sorted([failing.transfer_id] + [r.transfer_id for r in reports])
+    [failed] = [r for r in results if not r.ok]
+    assert failed.transfer_id == failing.transfer_id and failed.failure_kind is FailureKind.PROTOCOL
+    assert all(report.ok for report in reports)
+    assert [store[report.transfer_id] for report in reports] == payloads
 
 
 @settings(max_examples=40, deadline=None)

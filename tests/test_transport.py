@@ -542,6 +542,27 @@ def test_write_after_peer_abort_fails(backend):
     backend.run(peer, aborts)  # the connect side aborts
 
 
+def test_read_after_peer_reset_ends_the_stream(backend):
+    # The reads half: once the reset has arrived (a write met it), a read
+    # still ends the stream with b"" on both backends, and raises nothing.
+    # On TCP the abort's FIN comes before the reset, and Linux reports that
+    # reset to the write that drew it, not to reads after an end of stream.
+    def aborts(stream):
+        stream.abort()
+
+    def peer(stream):
+        backend.sleep(GAP)
+        with pytest.raises(ConnectionError):
+            for _ in range(10):
+                stream.write_all(b"x" * 1024)
+                backend.sleep(GAP / 10)
+        assert stream.read_some(100, IDLE) == b""
+        assert stream.read_into(bytearray(10), IDLE) == 0
+
+    backend.run(aborts, peer)  # the accept side aborts
+    backend.run(peer, aborts)  # the connect side aborts
+
+
 def test_read_some_times_out_only_after_idle_seconds_without_a_byte(backend):
     steps = [(GAP, b"z")] * 4
     written_at = []
